@@ -838,6 +838,21 @@ class _GradProbe:
 
     # -- kink detection ------------------------------------------------------
 
+    def near_relu_kink(self, q: np.ndarray, eps: float) -> bool:
+        """True when a step of ``eps`` along one query axis can carry some
+        ReLU preactivation of the ref, offset or weight net across zero.
+
+        The reach of the step is bounded layer by layer by the absolute
+        weights (ReLU is 1-Lipschitz), one column per query axis.
+        """
+        for mlp in (self.ref_net, self.offset_net, self.weight_net):
+            reach = eps * np.eye(len(q))
+            for z, w, act in zip(mlp.preactivations(q), mlp.weights, mlp.activations):
+                reach = np.abs(w) @ reach
+                if act == "relu" and np.any(np.abs(z)[:, None] <= reach):
+                    return True
+        return False
+
     def min_level_margin(self, nodes: np.ndarray) -> float:
         """Smallest distance of any visible sample position to an integer
         coordinate line or a level border, in level pixels."""
@@ -879,9 +894,11 @@ def grad_check(
     """Compare analytic gradients of the propagation loss against central
     finite differences.
 
-    Positions that land on (or too close to) a bilinear kink are jittered by
-    a small deterministic amount and retried; jitters are counted in the
-    report.  Relative deviation is |analytic - fd| / (1 + |analytic|).
+    A probe whose sample positions land on (or too close to) a bilinear
+    kink, or whose query steps can cross a ReLU kink of the ref, offset or
+    weight net, is jittered by a small deterministic amount and retried;
+    jitters are counted in the report.  Relative deviation is
+    |analytic - fd| / (1 + |analytic|).
     """
     if eps <= 0:
         raise DecoderError(f"eps must be positive, got {eps}")
@@ -917,7 +934,7 @@ def grad_check(
         jittered = 0
         for _attempt in range(8):
             c, offsets, weights = probe.derive(q)
-            if probe.min_level_margin(c + offsets) > kink_margin:
+            if probe.min_level_margin(c + offsets) > kink_margin and not probe.near_relu_kink(q, eps):
                 break
             q = q + rng.uniform(-0.05, 0.05, size=dim)
             jittered += 1

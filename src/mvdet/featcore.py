@@ -3,14 +3,22 @@
 Sampling convention: integer coordinates sit at pixel centers and level
 coordinates equal full-resolution image pixels divided by the level stride.
 Out-of-bounds samples contribute a zero feature with a zero visibility mask
-instead of clamping.  Feature maps are stored as 32-bit floats; all
-interpolation and reduction arithmetic runs in 64-bit for deterministic,
-testable tolerances.
+instead of clamping.  Feature maps are stored as 32-bit floats in (C, H, W)
+order, and stay that way: sampling gathers the four support corners of each
+in-view position from that storage and widens only the gathered values to
+64-bit, in which all interpolation and reduction arithmetic runs.  Widening
+is exact, so results equal those of sampling a 64-bit copy of the level.
+
+Multi-view sampling gathers only the in-view samples: for each
+(camera, level) pair only the points in front of that camera whose position
+falls inside that level are interpolated and accumulated.  A real scene puts
+each point in one or two of the cameras, so most pairs are skipped.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -39,6 +47,7 @@ __all__ = [
 
 TENSOR_MAGIC = b"GDT3"
 TENSOR_VERSION = 1
+TENSOR_MAX_NDIM = 32
 
 
 class FeatureError(ValueError):
@@ -135,27 +144,54 @@ class SampleResult:
 # Bilinear interpolation
 
 
-def _support_indices(pos: np.ndarray, width: int, height: int):
-    """Corner indices, fractional offsets, and the inside mask for positions (N, 2)."""
+def _bilinear_inside(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinearly sample the positions that fall inside the level.
+
+    Nested linear interpolation keeps constant fields and integer grid
+    points exact.  Only the inside rows are gathered, from the float32
+    storage; the arithmetic widens the gathered corners to float64.
+
+    Args:
+        level: feature map to sample.
+        pos: (N, 2) float64 positions in the level's own pixel grid; NaN
+            positions are outside.
+
+    Returns:
+        (rows, feats): rows (M,) ascending indices into ``pos`` of the
+        positions inside [0, W-1] x [0, H-1], and feats (M, C) float64.
+    """
+    w, h = level.width, level.height
     u = pos[:, 0]
     v = pos[:, 1]
-    inside = (u >= 0) & (u <= width - 1) & (v >= 0) & (v <= height - 1)
-    uc = np.where(inside, u, 0.0)
-    vc = np.where(inside, v, 0.0)
+    rows = np.flatnonzero((u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1))
+    u = u[rows]
+    v = v[rows]
     # floor keeps integer positions exact (frac 0); at u == width-1 the
     # second support column collapses onto the first.
-    x0 = np.floor(uc).astype(np.int64)
-    y0 = np.floor(vc).astype(np.int64)
-    fu = uc - x0
-    fv = vc - y0
-    return x0, y0, fu, fv, inside
+    x0 = np.floor(u).astype(np.int64)
+    y0 = np.floor(v).astype(np.int64)
+    fu = u - x0
+    fv = v - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    data = level.data
+    top = _lerp(data[:, y0, x0], data[:, y0, x1], fu)
+    bottom = _lerp(data[:, y1, x0], data[:, y1, x1], fu)
+    return rows, _lerp(top, bottom, fv).T
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``a + t * (b - a)`` in float64, widening float32 operands exactly.
+    The product and the sum reuse the difference's array (IEEE addition and
+    multiplication commute, so the result is the same bit for bit)."""
+    out = np.subtract(b, a, dtype=np.float64)
+    out *= t
+    out += a
+    return out
 
 
 def bilinear_sample_many(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bilinearly sample many positions at once.
-
-    Nested linear interpolation keeps constant fields and integer grid
-    points exact.
 
     Args:
         level: feature map to sample.
@@ -163,23 +199,15 @@ def bilinear_sample_many(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarr
 
     Returns:
         (features, inside): features (N, C) float64, zero rows where the
-        position falls outside [0, W-1] x [0, H-1]; inside (N,) bool.
+        position falls outside [0, W-1] x [0, H-1] or is not finite;
+        inside (N,) bool.
     """
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
-    # NaN positions (e.g. behind-camera projections) are outside by definition.
-    pos = np.where(np.isfinite(pos), pos, -1.0)
-    x0, y0, fu, fv, inside = _support_indices(pos, level.width, level.height)
-    x1 = np.minimum(x0 + 1, level.width - 1)
-    y1 = np.minimum(y0 + 1, level.height - 1)
-    data = level.data.astype(np.float64, copy=False)
-    f00 = data[:, y0, x0]
-    f10 = data[:, y0, x1]
-    f01 = data[:, y1, x0]
-    f11 = data[:, y1, x1]
-    top = f00 + fu * (f10 - f00)
-    bottom = f01 + fu * (f11 - f01)
-    feats = (top + fv * (bottom - top)).T
-    feats[~inside] = 0.0
+    rows, vals = _bilinear_inside(level, pos)
+    feats = np.zeros((len(pos), level.channels), dtype=np.float64)
+    feats[rows] = vals
+    inside = np.zeros(len(pos), dtype=bool)
+    inside[rows] = True
     return feats, inside
 
 
@@ -215,11 +243,11 @@ def bilinear_grad(level: FeatureLevel, pos) -> tuple[np.ndarray, bool]:
     y1 = min(y0 + 1, h - 1)
     fu = u - x0
     fv = v - y0
-    data = level.data.astype(np.float64, copy=False)
-    f00 = data[:, y0, x0]
-    f10 = data[:, y0, x1]
-    f01 = data[:, y1, x0]
-    f11 = data[:, y1, x1]
+    data = level.data
+    f00 = data[:, y0, x0].astype(np.float64)
+    f10 = data[:, y0, x1].astype(np.float64)
+    f01 = data[:, y1, x0].astype(np.float64)
+    f11 = data[:, y1, x1].astype(np.float64)
     du = (1 - fv) * (f10 - f00) + fv * (f11 - f01)
     dv = (1 - fu) * (f01 - f00) + fu * (f11 - f10)
     return np.stack([du, dv], axis=-1), at_kink
@@ -242,6 +270,12 @@ def _resolve_scales(image_scale, camera_count: int) -> np.ndarray:
     return arr
 
 
+# Points are sampled in blocks so that each block's per-camera temporaries
+# stay cache-sized: the cost then grows linearly with the point count
+# instead of jumping where the temporaries outgrow the cache.
+_BLOCK_POINTS = 16384
+
+
 def sample_multiview_many(
     pyr: FeaturePyramid,
     rig: CameraRig,
@@ -252,9 +286,10 @@ def sample_multiview_many(
 
     Each point is projected into every camera; per level the image-plane
     position is scaled by the per-camera resize factor and divided by the
-    level stride.  Samples outside a level (or behind a camera) carry a zero
-    mask.  The returned feature is the masked sum divided by the mask total,
-    accumulated camera-major then level in a fixed order.
+    level stride.  Only the samples in front of a camera and inside a level
+    are gathered; the others carry a zero mask.  The returned feature is the
+    sum of the gathered samples divided by their count, accumulated
+    camera-major then level in a fixed order.
 
     Returns:
         (features, counts): features (N, C) float64 (zero rows where no
@@ -269,20 +304,23 @@ def sample_multiview_many(
     n = len(pts)
     total = np.zeros((n, pyr.channels), dtype=np.float64)
     counts = np.zeros(n, dtype=np.int64)
-    for ci, cam in enumerate(rig):
-        pixels, depths = project_points(pts, cam)
-        in_front = depths > 0
-        scaled = pixels * scales[ci]
-        for level in pyr.levels(ci):
-            feats, inside = bilinear_sample_many(level, scaled / level.stride)
-            mask = inside & in_front
-            feats[~mask] = 0.0
-            total += feats
-            counts += mask
-    valid = counts > 0
-    features = np.zeros_like(total)
-    features[valid] = total[valid] / counts[valid, None]
-    return features, counts
+    for start in range(0, n, _BLOCK_POINTS):
+        block = pts[start : start + _BLOCK_POINTS]
+        for ci, cam in enumerate(rig):
+            pixels, depths = project_points(block, cam)
+            front = np.flatnonzero(depths > 0)
+            if not len(front):
+                continue
+            scaled = pixels[front] * scales[ci]
+            front += start
+            for level in pyr.levels(ci):
+                rows, feats = _bilinear_inside(level, scaled / level.stride)
+                rows = front[rows]
+                total[rows] += feats
+                counts[rows] += 1
+    # Rows without a visible sample stay zero.
+    np.divide(total, counts[:, None], out=total, where=counts[:, None] > 0)
+    return total, counts
 
 
 def sample_multiview(pyr: FeaturePyramid, rig: CameraRig, p, image_scale=None) -> SampleResult:
@@ -309,7 +347,10 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a GDT3 tensor.  The header is checked against the file before
+    the payload is read, so a hostile header cannot request a huge read."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != TENSOR_MAGIC:
             raise TensorFormatError(f"{path}: bad magic {magic!r}")
@@ -319,15 +360,26 @@ def read_tensor(path) -> np.ndarray:
         version, ndim = struct.unpack("<II", header)
         if version != TENSOR_VERSION:
             raise TensorFormatError(f"{path}: unsupported version {version}")
+        if ndim > TENSOR_MAX_NDIM:
+            raise TensorFormatError(f"{path}: ndim {ndim} exceeds {TENSOR_MAX_NDIM}")
         dims_raw = fh.read(8 * ndim)
         if len(dims_raw) != 8 * ndim:
             raise TensorFormatError(f"{path}: truncated dims")
         dims = struct.unpack(f"<{ndim}Q", dims_raw)
-        count = int(np.prod(dims)) if ndim else 1
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
+        # Python ints: a product of u64 dims cannot wrap.
+        nbytes = 4 * math.prod(dims)
+        remaining = size - fh.tell()
+        if nbytes > remaining:
+            raise TensorFormatError(
+                f"{path}: truncated payload (dims {dims} need {nbytes} bytes, {remaining} remain)"
+            )
+        payload = fh.read(nbytes)
+        if len(payload) != nbytes:
             raise TensorFormatError(f"{path}: truncated payload")
-        return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError as exc:  # e.g. a zero-size shape with a dim numpy cannot index
+            raise TensorFormatError(f"{path}: unsupported shape {dims}: {exc}") from exc
 
 
 def save_pyramid(directory, pyr: FeaturePyramid, manifest_name: str = "pyramid.json") -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import pytest
 
@@ -183,6 +184,20 @@ class TestDecodeCommand:
             "--dim", "16", "--queries", "4", "--layers", "1",
             "--seed", "1", "--out", str(tmp_path / "p.json"),
         ]) == 2
+
+
+    @pytest.mark.parametrize("dims", [(2**40,), (2**32, 2**32)])
+    def test_hostile_tensor_header_error(self, scene_dir, tmp_path, capsys, dims):
+        blob = b"GDT3" + struct.pack(f"<II{len(dims)}Q", 1, len(dims), *dims)
+        (tmp_path / "level.gdt3").write_bytes(blob + b"\x00" * (40 - len(blob)))
+        manifest = tmp_path / "pyramid.json"
+        manifest.write_text(json.dumps({"version": 1, "cameras": [{"levels": [{"file": "level.gdt3", "stride": 8}]}]}))
+        assert main([
+            "decode", "--pyramid", str(manifest),
+            "--calib", str(scene_dir / "calib.json"),
+            "--seed", "1", "--out", str(tmp_path / "p.json"),
+        ]) == 2
+        assert "truncated payload" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

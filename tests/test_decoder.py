@@ -514,6 +514,14 @@ class TestGradCheck:
         for comp in report.components:
             assert comp.max_rel_dev < 1e-6
 
+    def test_query_step_across_relu_kink_is_jittered(self):
+        # Unjittered, one query step of this seed straddles a ReLU kink of the
+        # offset net (preactivation 5.9e-9 from zero) and the query component
+        # fails with relative deviation 0.064.
+        report = grad_check(seed=236352767, probes=8)
+        assert report.passed
+        assert all(comp.n_jittered >= 1 for comp in report.components)
+
     def test_zero_tolerance_fails(self):
         report = grad_check(seed=0, probes=2, tol=0.0)
         assert not report.passed

@@ -1,9 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from mvdet.camgeo import CameraExtrinsics, CameraIntrinsics, CameraModel, CameraRig, project_point
+from mvdet.camgeo import CameraExtrinsics, CameraIntrinsics, CameraModel, CameraRig, project_point, project_points
+from mvdet import featcore
 from mvdet.featcore import (
     FeatureError,
     FeatureLevel,
@@ -19,7 +21,7 @@ from mvdet.featcore import (
     save_pyramid,
     write_tensor,
 )
-from mvdet.synth import AnalyticField, gen_rig, render_pyramid
+from mvdet.synth import DEFAULT_BOUNDS, AnalyticField, gen_rig, render_pyramid
 
 
 def level_2x2():
@@ -268,6 +270,167 @@ class TestSampleMultiview:
             sample_multiview(pyr, rig, (0, 0, 10))
 
 
+def dense_bilinear(level, pos):
+    """Reference sampler: widen the whole level to float64, sample every
+    position, then zero the rows outside the level."""
+    data = level.data.astype(np.float64)
+    pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
+    pos = np.where(np.isfinite(pos), pos, -1.0)
+    u, v = pos[:, 0], pos[:, 1]
+    inside = (u >= 0) & (u <= level.width - 1) & (v >= 0) & (v <= level.height - 1)
+    uc = np.where(inside, u, 0.0)
+    vc = np.where(inside, v, 0.0)
+    x0 = np.floor(uc).astype(np.int64)
+    y0 = np.floor(vc).astype(np.int64)
+    fu, fv = uc - x0, vc - y0
+    x1 = np.minimum(x0 + 1, level.width - 1)
+    y1 = np.minimum(y0 + 1, level.height - 1)
+    f00, f10 = data[:, y0, x0], data[:, y0, x1]
+    f01, f11 = data[:, y1, x0], data[:, y1, x1]
+    top = f00 + fu * (f10 - f00)
+    bottom = f01 + fu * (f11 - f01)
+    feats = (top + fv * (bottom - top)).T
+    feats[~inside] = 0.0
+    return feats, inside
+
+
+def dense_multiview(pyr, rig, points, image_scale=None):
+    """Reference multi-view mean: every (camera, level) pair samples every
+    point densely; the pairs behind the camera or outside the level are
+    masked out."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    scales = np.ones((len(rig), 2)) if image_scale is None else np.broadcast_to(image_scale, (len(rig), 2))
+    total = np.zeros((len(pts), pyr.channels))
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for ci, cam in enumerate(rig):
+        pixels, depths = project_points(pts, cam)
+        scaled = pixels * scales[ci]
+        for level in pyr.levels(ci):
+            feats, inside = dense_bilinear(level, scaled / level.stride)
+            mask = inside & (depths > 0)
+            feats[~mask] = 0.0
+            total += feats
+            counts += mask
+    valid = counts > 0
+    features = np.zeros_like(total)
+    features[valid] = total[valid] / counts[valid, None]
+    return features, counts
+
+
+def random_pyramid(rig, strides, channels, seed):
+    rng = np.random.default_rng(seed)
+    cam = rig[0].intrinsics
+    cams = []
+    for _ in rig:
+        levels = []
+        for stride in strides:
+            shape = (channels, math.ceil(cam.height / stride), math.ceil(cam.width / stride))
+            levels.append(FeatureLevel(data=rng.uniform(-3, 3, size=shape), stride=stride))
+        cams.append(levels)
+    return FeaturePyramid(cams)
+
+
+class TestSparseSamplingBitIdentity:
+    """The in-view kernel must reproduce dense sampling byte for byte."""
+
+    def assert_same_multiview(self, pyr, rig, pts, image_scale=None):
+        feats, counts = sample_multiview_many(pyr, rig, pts, image_scale)
+        ref_feats, ref_counts = dense_multiview(pyr, rig, pts, image_scale)
+        assert feats.shape == ref_feats.shape
+        assert feats.tobytes() == ref_feats.tobytes()
+        assert counts.tobytes() == ref_counts.tobytes()
+        return counts
+
+    def test_scene_bounds_with_behind_and_outside_points(self):
+        rig = gen_rig("nuscenes-like")
+        pyr = random_pyramid(rig, (8, 16, 32), channels=5, seed=11)
+        rng = np.random.default_rng(12)
+        margin = np.array([5.0, 5.0, 1.0])
+        # More points than one sampling block holds, so a block seam is crossed.
+        count = featcore._BLOCK_POINTS + 1500
+        pts = rng.uniform(DEFAULT_BOUNDS.lo - margin, DEFAULT_BOUNDS.hi + margin, size=(count, 3))
+        counts = self.assert_same_multiview(pyr, rig, pts)
+        # The set covers unseen points, one-camera points and overlaps.
+        assert (counts == 0).any() and (counts > 0).any()
+        behind = np.array([project_points(pts, cam)[1] <= 0 for cam in rig])
+        assert behind.any(axis=0).all()
+
+    def test_positions_on_last_row_and_column(self):
+        # fx = 64 and depth 2 make the projection exact, so these points land
+        # exactly on u == W-1 or v == H-1 of every level.
+        cam = CameraModel(
+            intrinsics=CameraIntrinsics(fx=64.0, fy=64.0, cx=48.0, cy=32.0, width=96, height=64),
+            extrinsics=CameraExtrinsics(rotation=np.eye(3), translation=np.zeros(3)),
+            id="c0",
+        )
+        rig = CameraRig(cameras=(cam,))
+        pyr = random_pyramid(rig, (1, 2, 4, 8), channels=3, seed=13)
+        pts = []
+        for level in pyr.levels(0):
+            u_last = (level.width - 1) * level.stride
+            v_last = (level.height - 1) * level.stride
+            for u, v in [(u_last, 0.0), (u_last, 13.5), (0.0, v_last), (21.25, v_last), (u_last, v_last)]:
+                pts.append([(u - 48.0) / 32.0, (v - 32.0) / 32.0, 2.0])
+        pts = np.array(pts)
+        pixels, _ = project_points(pts, cam)
+        for level in pyr.levels(0):
+            pos = pixels / level.stride
+            assert (pos[:, 0] == level.width - 1).any() and (pos[:, 1] == level.height - 1).any()
+        counts = self.assert_same_multiview(pyr, rig, pts)
+        assert counts.min() >= 1
+
+    def test_per_camera_image_scale(self):
+        rig = gen_rig("nuscenes-like")
+        pyr = random_pyramid(rig, (8, 16), channels=4, seed=14)
+        rng = np.random.default_rng(15)
+        pts = rng.uniform(DEFAULT_BOUNDS.lo, DEFAULT_BOUNDS.hi, size=(1500, 3))
+        scale = np.array([[1.0, 1.0], [0.5, 0.75], [1.25, 1.0], [0.8, 0.8], [1.0, 0.6], [0.3, 1.1]])
+        self.assert_same_multiview(pyr, rig, pts, scale)
+
+    def test_no_points(self):
+        rig = gen_rig("nuscenes-like")
+        pyr = random_pyramid(rig, (8,), channels=2, seed=16)
+        feats, counts = sample_multiview_many(pyr, rig, np.zeros((0, 3)))
+        assert feats.shape == (0, 2) and counts.shape == (0,)
+        self.assert_same_multiview(pyr, rig, np.zeros((0, 3)))
+
+    def test_bilinear_sample_many_nan_and_border(self):
+        level = random_pyramid(CameraRig(cameras=(make_ident_cam(),)), (4,), channels=3, seed=17).levels(0)[0]
+        w, h = level.width, level.height
+        rng = np.random.default_rng(18)
+        pos = np.concatenate([
+            rng.uniform((-2, -2), (w + 1, h + 1), size=(400, 2)),
+            [[w - 1, h - 1], [w - 1, 0.5], [0.25, h - 1], [np.nan, 1.0], [1.0, np.nan],
+             [np.nan, np.nan], [np.inf, 1.0], [-np.inf, 1.0]],
+        ])
+        feats, inside = bilinear_sample_many(level, pos)
+        ref_feats, ref_inside = dense_bilinear(level, pos)
+        assert feats.tobytes() == ref_feats.tobytes()
+        assert inside.tobytes() == ref_inside.tobytes()
+        assert not inside[-5:].any() and inside[-8:-5].all()
+
+    def test_bilinear_sample_many_no_positions(self):
+        level = level_2x2()
+        feats, inside = bilinear_sample_many(level, np.zeros((0, 2)))
+        ref_feats, ref_inside = dense_bilinear(level, np.zeros((0, 2)))
+        assert feats.shape == (0, 1) and inside.shape == (0,)
+        assert feats.tobytes() == ref_feats.tobytes()
+        assert inside.tobytes() == ref_inside.tobytes()
+
+    def test_bilinear_grad_matches_widened_level(self):
+        level = random_pyramid(CameraRig(cameras=(make_ident_cam(),)), (2,), channels=3, seed=19).levels(0)[0]
+        data = level.data.astype(np.float64)
+        rng = np.random.default_rng(20)
+        for u, v in rng.uniform((0, 0), (level.width - 1, level.height - 1), size=(50, 2)):
+            x0, y0 = int(np.floor(u)), int(np.floor(v))
+            x1, y1 = x0 + 1, y0 + 1
+            fu, fv = u - x0, v - y0
+            du = (1 - fv) * (data[:, y0, x1] - data[:, y0, x0]) + fv * (data[:, y1, x1] - data[:, y1, x0])
+            dv = (1 - fu) * (data[:, y1, x0] - data[:, y0, x0]) + fu * (data[:, y1, x1] - data[:, y0, x1])
+            grad, _ = bilinear_grad(level, (u, v))
+            assert grad.tobytes() == np.stack([du, dv], axis=-1).tobytes()
+
+
 class TestTensorFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -300,6 +463,33 @@ class TestTensorFiles:
         write_tensor(path, np.zeros((4, 4), dtype=np.float32))
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
+        with pytest.raises(TensorFormatError):
+            read_tensor(path)
+
+    def test_huge_declared_dim_rejected(self, tmp_path):
+        # 40 bytes that declare 2^40 floats: rejected before any payload read.
+        path = tmp_path / "huge.gdt3"
+        path.write_bytes(b"GDT3" + struct.pack("<IIQ", 1, 1, 2**40) + b"\x00" * 20)
+        assert path.stat().st_size == 40
+        with pytest.raises(TensorFormatError, match="truncated payload"):
+            read_tensor(path)
+
+    def test_wrapping_dim_product_rejected(self, tmp_path):
+        # 2^32 x 2^32 wraps a 64-bit product to 0.
+        path = tmp_path / "wrap.gdt3"
+        path.write_bytes(b"GDT3" + struct.pack("<IIQQ", 1, 2, 2**32, 2**32) + b"\x00" * 16)
+        with pytest.raises(TensorFormatError, match="truncated payload"):
+            read_tensor(path)
+
+    def test_huge_ndim_rejected(self, tmp_path):
+        path = tmp_path / "ndim.gdt3"
+        path.write_bytes(b"GDT3" + struct.pack("<II", 1, 2**32 - 1) + b"\x00" * 28)
+        with pytest.raises(TensorFormatError, match="ndim"):
+            read_tensor(path)
+
+    def test_unindexable_empty_shape_rejected(self, tmp_path):
+        path = tmp_path / "empty.gdt3"
+        path.write_bytes(b"GDT3" + struct.pack("<IIQQ", 1, 2, 0, 2**63))
         with pytest.raises(TensorFormatError):
             read_tensor(path)
 
