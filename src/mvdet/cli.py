@@ -318,9 +318,9 @@ def _cmd_bench(args) -> int:
     # Node-feature sampling isolated: the per-neighbor cost of one layer.
     layer = layers[0]
     emb = qs.embeddings
-    refs0 = bounds.lo + decoder.sigmoid(layer.ref_net(emb)) * bounds.extent
-    offsets = 2.0 * np.tanh(layer.offset_net(emb)).reshape(len(qs), args.neighbors, 3)
-    nodes = (refs0[:, None, :] + offsets).reshape(-1, 3)
+    refs0 = decoder.decode_reference_point(emb, layer.ref_net, bounds)
+    nodes, _, _ = decoder.graph_nodes(emb, refs0, layer.offset_net, layer.weight_net, 2.0)
+    nodes = nodes.reshape(-1, 3)
 
     def run_sampling():
         sample_multiview_many(pyramid, rig, nodes)
@@ -336,7 +336,6 @@ def _cmd_bench(args) -> int:
             "levels": args.levels,
             "dim": args.dim,
             "layers": args.layers,
-            "threads": args.threads,
             "seed": args.seed,
         },
         "node_count": int(nodes.shape[0]),
@@ -356,12 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mvdet",
         description="Multi-view 3D detection toolkit: synthetic scenes, projection, "
         "augmentation, decoding, gradient checks, evaluation, benchmarks.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("MVDET_THREADS", "1")),
-        help="worker thread budget; results are identical for any value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

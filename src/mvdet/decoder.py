@@ -27,24 +27,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import Box3D, CameraRig, DetectionResult, SceneBounds, box_corners
-from .featcore import FeaturePyramid, bilinear_grad, sample_multiview_many, write_tensor, read_tensor
+from .camgeo import Box3D, CameraRig, DetectionResult, SceneBounds, box_corners, project_points
+from .featcore import (
+    FeaturePyramid,
+    _inside_rows,
+    bilinear_grad,
+    read_tensor,
+    sample_multiview_many,
+    write_tensor,
+)
 
 __all__ = [
     "DecoderError",
     "Mlp",
-    "ObjectQuery",
     "QuerySet",
     "AttentionParams",
-    "DynamicGraph",
     "DecoderLayer",
     "PredictionHead",
     "AggregationMode",
     "decode_reference_point",
-    "baseline_aggregate",
-    "build_graph",
-    "node_features",
-    "propagate",
+    "graph_nodes",
     "self_attention",
     "decoder_forward",
     "decode_predictions",
@@ -178,21 +180,6 @@ class Mlp:
 
 
 @dataclass(frozen=True)
-class ObjectQuery:
-    """Latent vector that gathers image evidence and decodes into one box."""
-
-    embedding: np.ndarray
-
-    def __post_init__(self):
-        emb = np.asarray(self.embedding, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(emb)):
-            raise DecoderError("query embedding must be finite")
-        emb = emb.copy()
-        emb.flags.writeable = False
-        object.__setattr__(self, "embedding", emb)
-
-
-@dataclass(frozen=True)
 class QuerySet:
     """M object queries stored row-wise plus the scene box used to
     denormalize reference points."""
@@ -217,9 +204,6 @@ class QuerySet:
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
-    def query(self, i: int) -> ObjectQuery:
-        return ObjectQuery(embedding=self.embeddings[i])
-
 
 def init_queries(seed: int, count: int, dim: int, bounds: SceneBounds) -> QuerySet:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(10,))))
@@ -227,110 +211,41 @@ def init_queries(seed: int, count: int, dim: int, bounds: SceneBounds) -> QueryS
     return QuerySet(embeddings=rng.uniform(-bound, bound, size=(count, dim)), scene_bounds=bounds)
 
 
-def _embedding(q) -> np.ndarray:
-    if isinstance(q, ObjectQuery):
-        return q.embedding
-    return np.asarray(q, dtype=np.float64).reshape(-1)
-
-
 # ---------------------------------------------------------------------------
-# Reference points and single-point aggregation
+# Reference points and dynamic graphs
 
 
-def decode_reference_point(q, ref_net: Mlp, bounds: SceneBounds) -> np.ndarray:
-    """Map a query to a 3D point strictly inside ``bounds`` via a sigmoid."""
+def decode_reference_point(emb: np.ndarray, ref_net: Mlp, bounds: SceneBounds) -> np.ndarray:
+    """Map query embeddings (..., C) to 3D points (..., 3) strictly inside
+    ``bounds`` via a sigmoid."""
     if ref_net.out_dim != 3:
         raise DecoderError(f"reference net must output 3 values, got {ref_net.out_dim}")
-    emb = _embedding(q)
     return bounds.lo + sigmoid(ref_net(emb)) * bounds.extent
 
 
-def baseline_aggregate(q, c, pyr: FeaturePyramid, rig: CameraRig, image_scale=None) -> ObjectQuery:
-    """Residual update from the visibility-normalized sample at the reference
-    point; the query is unchanged when the point is nowhere visible."""
-    emb = _embedding(q)
-    feats, _ = sample_multiview_many(pyr, rig, np.asarray(c, dtype=np.float64).reshape(1, 3), image_scale)
-    return ObjectQuery(embedding=emb + feats[0])
+def graph_nodes(
+    emb: np.ndarray, refs: np.ndarray, offset_net: Mlp, weight_net: Mlp, offset_scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Predict each query's K graph nodes and edge weights.
 
+    Offsets are ``offset_scale * tanh(offset_net(q))`` so nodes stay within
+    a bounded walk of the reference point; weights pass through a per-edge
+    sigmoid.
 
-# ---------------------------------------------------------------------------
-# Dynamic graphs
+    Args:
+        emb: (..., C) query embeddings.
+        refs: (..., 3) reference points.
 
-
-@dataclass(frozen=True)
-class DynamicGraph:
-    """Learned neighborhood of one query: K offset nodes with edge weights.
-
-    ``nodes`` always equals ``reference + offsets``; ``features`` is filled
-    by :func:`node_features` before propagation.
+    Returns:
+        (nodes, offsets, weights): nodes ``refs + offsets`` and offsets
+        (..., K, 3), weights (..., K).
     """
-
-    reference: np.ndarray
-    offsets: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    features: np.ndarray | None = None
-
-    def __post_init__(self):
-        ref = np.asarray(self.reference, dtype=np.float64).reshape(3)
-        offs = np.asarray(self.offsets, dtype=np.float64)
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if offs.ndim != 2 or offs.shape[1] != 3 or offs.shape[0] < 1:
-            raise DecoderError(f"offsets must be (K, 3) with K >= 1, got {offs.shape}")
-        if nodes.shape != offs.shape or w.shape != (offs.shape[0],):
-            raise DecoderError("nodes/weights shapes inconsistent with offsets")
-        if not np.array_equal(nodes, ref + offs):
-            raise DecoderError("nodes must equal reference + offsets")
-        object.__setattr__(self, "reference", ref)
-        object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def k(self) -> int:
-        return self.offsets.shape[0]
-
-
-def build_graph(q, c, offset_net: Mlp, weight_net: Mlp, k: int, offset_scale: float = 2.0) -> DynamicGraph:
-    """Predict K neighbor nodes and edge weights from one query.
-
-    Offsets are ``offset_scale * tanh(offset_net(q))`` so neighbors stay
-    within a bounded walk of the reference point; weights pass through a
-    per-edge sigmoid.
-    """
-    if k < 1:
-        raise DecoderError(f"k must be >= 1, got {k}")
+    k = weight_net.out_dim
     if offset_net.out_dim != 3 * k:
         raise DecoderError(f"offset net must output {3 * k} values, got {offset_net.out_dim}")
-    if weight_net.out_dim != k:
-        raise DecoderError(f"weight net must output {k} values, got {weight_net.out_dim}")
-    emb = _embedding(q)
-    reference = np.asarray(c, dtype=np.float64).reshape(3)
-    offsets = offset_scale * np.tanh(offset_net(emb)).reshape(k, 3)
+    offsets = offset_scale * np.tanh(offset_net(emb)).reshape(*np.shape(emb)[:-1], k, 3)
     weights = sigmoid(weight_net(emb))
-    return DynamicGraph(reference=reference, offsets=offsets, nodes=reference + offsets, weights=weights)
-
-
-def node_features(g: DynamicGraph, pyr: FeaturePyramid, rig: CameraRig, image_scale=None) -> np.ndarray:
-    """Visibility-normalized multi-view sample per node; (K, C), zero rows
-    for nodes not visible anywhere."""
-    feats, _ = sample_multiview_many(pyr, rig, g.nodes, image_scale)
-    return feats
-
-
-def propagate(q, g: DynamicGraph) -> ObjectQuery:
-    """Residual graph update: q + sum_j features_j * weight_j in node order."""
-    if g.features is None:
-        raise DecoderError("node features must be computed before propagation")
-    feats = np.asarray(g.features, dtype=np.float64)
-    if feats.shape[0] != g.k:
-        raise DecoderError(f"expected {g.k} feature rows, got {feats.shape[0]}")
-    emb = _embedding(q)
-    update = np.zeros_like(emb)
-    for j in range(g.k):
-        update = update + feats[j] * g.weights[j]
-    return ObjectQuery(embedding=emb + update)
+    return refs[..., None, :] + offsets, offsets, weights
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +394,16 @@ def _aggregate(
         feats, _ = sample_multiview_many(pyr, rig, refs, image_scale)
         return emb + feats
     if mode is AggregationMode.FIXED_POINTS:
-        nodes = np.empty((m, 9, 3))
-        for i in range(m):
-            box = Box3D(center=refs[i], size=FIXED_POINTS_BOX_SIZE, yaw=0.0)
-            nodes[i, 0] = refs[i]
-            nodes[i, 1:] = box_corners(box)
+        corners = box_corners(Box3D(center=np.zeros(3), size=FIXED_POINTS_BOX_SIZE, yaw=0.0))
+        nodes = refs[:, None, :] + np.vstack([np.zeros(3), corners])
         feats, _ = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3), image_scale)
         return emb + feats.reshape(m, 9, -1).sum(axis=1)
     if mode is AggregationMode.DYNAMIC_GRAPH:
-        k = layer.neighbors
-        offsets = offset_scale * np.tanh(layer.offset_net(emb)).reshape(m, k, 3)
-        weights = sigmoid(layer.weight_net(emb))
-        nodes = refs[:, None, :] + offsets
+        nodes, _, weights = graph_nodes(emb, refs, layer.offset_net, layer.weight_net, offset_scale)
         feats, _ = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3), image_scale)
-        feats = feats.reshape(m, k, -1)
+        feats = feats.reshape(m, layer.neighbors, -1)
         update = np.zeros_like(emb)
-        for j in range(k):
+        for j in range(layer.neighbors):
             update = update + feats[:, j, :] * weights[:, j : j + 1]
         return emb + update
     raise DecoderError(f"unknown aggregation mode {mode!r}")
@@ -525,7 +434,7 @@ def decoder_forward(
         current = self_attention(current, layer.attention)
         emb = current.embeddings
         bounds = current.scene_bounds
-        refs = bounds.lo + sigmoid(layer.ref_net(emb)) * bounds.extent
+        refs = decode_reference_point(emb, layer.ref_net, bounds)
         all_refs[li] = refs
         emb = _aggregate(emb, refs, layer, pyr, rig, mode, offset_scale, image_scale)
         emb = emb + layer.ffn(emb)
@@ -750,7 +659,7 @@ class _GradProbe:
     and the weighted residual update.
     """
 
-    def __init__(self, pyr, rig, ref_net, offset_net, weight_net, bounds, offset_scale, k):
+    def __init__(self, pyr, rig, ref_net, offset_net, weight_net, bounds, offset_scale):
         self.pyr = pyr
         self.rig = rig
         self.ref_net = ref_net
@@ -758,15 +667,13 @@ class _GradProbe:
         self.weight_net = weight_net
         self.bounds = bounds
         self.offset_scale = offset_scale
-        self.k = k
 
     # -- forward pieces ----------------------------------------------------
 
     def derive(self, q: np.ndarray):
+        """(reference, nodes, offsets, weights) of one query's graph."""
         c = decode_reference_point(q, self.ref_net, self.bounds)
-        offsets = self.offset_scale * np.tanh(self.offset_net(q)).reshape(self.k, 3)
-        weights = sigmoid(self.weight_net(q))
-        return c, offsets, weights
+        return (c, *graph_nodes(q, c, self.offset_net, self.weight_net, self.offset_scale))
 
     def loss_free(self, q: np.ndarray, c: np.ndarray, offsets: np.ndarray, weights: np.ndarray) -> float:
         nodes = c + offsets
@@ -774,49 +681,34 @@ class _GradProbe:
         return float(np.sum(q) + np.sum(weights @ feats))
 
     def loss_query(self, q: np.ndarray) -> float:
-        c, offsets, weights = self.derive(q)
+        c, _, offsets, weights = self.derive(q)
         return self.loss_free(q, c, offsets, weights)
 
     # -- analytic gradients -------------------------------------------------
 
     def node_grads(self, nodes: np.ndarray):
         """Per-node S_j (channel-summed feature) and dS_j/dnode (K, 3)."""
-        k = nodes.shape[0]
-        sums = np.zeros((k, 3))
+        sums = np.zeros((len(nodes), 3))
         for ci, cam in enumerate(self.rig):
-            rot = cam.extrinsics.rotation
-            trans = cam.extrinsics.translation
-            intr = cam.intrinsics
-            cam_pts = nodes @ rot.T + trans
-            depths = cam_pts[:, 2]
+            intr, rot = cam.intrinsics, cam.extrinsics.rotation
+            pixels, depths = project_points(nodes, cam)
+            # d(u, v)/dnode = (f * R_row - (pixel - principal point) * R_2) / depth;
+            # rows behind the camera are NaN and never inside a level.
+            centered = pixels - (intr.cx, intr.cy)
+            focal = np.array([[intr.fx], [intr.fy]])
+            jac = (focal * rot[:2] - centered[:, :, None] * rot[2]) / depths[:, None, None]
             for level in self.pyr.levels(ci):
-                for j in range(k):
-                    if depths[j] <= 0:
-                        continue
-                    x_c, y_c, z_c = cam_pts[j]
-                    u = intr.fx * x_c / z_c + intr.cx
-                    v = intr.fy * y_c / z_c + intr.cy
-                    pos = np.array([u, v]) / level.stride
-                    if not (0 <= pos[0] <= level.width - 1 and 0 <= pos[1] <= level.height - 1):
-                        continue
-                    grad, _ = bilinear_grad(level, pos)
-                    g = grad.sum(axis=0)  # (2,) summed over channels
-                    du_dnode = intr.fx * (rot[0] - (x_c / z_c) * rot[2]) / z_c
-                    dv_dnode = intr.fy * (rot[1] - (y_c / z_c) * rot[2]) / z_c
-                    jac = np.stack([du_dnode / level.stride, dv_dnode / level.stride])
-                    sums[j] += g @ jac
-        feats, mask_counts = sample_multiview_many(self.pyr, self.rig, nodes)
-        s = feats.sum(axis=1)
-        ds = np.zeros((k, 3))
-        for j in range(k):
-            if mask_counts[j] > 0:
-                ds[j] = sums[j] / mask_counts[j]
-        return s, ds
+                pos = pixels / level.stride
+                for j in _inside_rows(level, pos):
+                    grad, _ = bilinear_grad(level, pos[j])
+                    sums[j] += grad.sum(axis=0) @ jac[j] / level.stride
+        feats, counts = sample_multiview_many(self.pyr, self.rig, nodes)
+        ds = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+        return feats.sum(axis=1), ds
 
     def analytic(self, q: np.ndarray):
         """Gradients of the loss w.r.t. offsets (K,3), weights (K,), query (C,)."""
-        c, offsets, weights = self.derive(q)
-        nodes = c + offsets
+        _, nodes, _, weights = self.derive(q)
         s, ds = self.node_grads(nodes)
         grad_offsets = weights[:, None] * ds
         grad_weights = s
@@ -830,7 +722,7 @@ class _GradProbe:
         sig_w = sigmoid(z_w)
         dw_dq = (sig_w * (1 - sig_w))[:, None] * self.weight_net.jacobian(q)
         grad_q = np.ones_like(q)
-        for j in range(self.k):
+        for j in range(len(weights)):
             grad_q = grad_q + s[j] * dw_dq[j]
             dnode_dq = dc_dq + doff_dq[3 * j : 3 * j + 3]
             grad_q = grad_q + weights[j] * (ds[j] @ dnode_dq)
@@ -854,31 +746,21 @@ class _GradProbe:
         return False
 
     def min_level_margin(self, nodes: np.ndarray) -> float:
-        """Smallest distance of any visible sample position to an integer
-        coordinate line or a level border, in level pixels."""
+        """Smallest distance of any sample position to a level border or,
+        inside the level, to an integer coordinate line, in level pixels.
+        A node at a depth in (0, 1e-3] in some camera gives 0."""
         margin = np.inf
         for ci, cam in enumerate(self.rig):
-            rot, trans, intr = cam.extrinsics.rotation, cam.extrinsics.translation, cam.intrinsics
-            cam_pts = nodes @ rot.T + trans
-            for j in range(nodes.shape[0]):
-                if cam_pts[j, 2] <= 1e-3:
-                    if cam_pts[j, 2] > 0:
-                        margin = min(margin, 0.0)
-                    continue
-                u = intr.fx * cam_pts[j, 0] / cam_pts[j, 2] + intr.cx
-                v = intr.fy * cam_pts[j, 1] / cam_pts[j, 2] + intr.cy
-                for level in self.pyr.levels(ci):
-                    pos = np.array([u, v]) / level.stride
-                    inside = 0 <= pos[0] <= level.width - 1 and 0 <= pos[1] <= level.height - 1
-                    border = min(
-                        abs(pos[0]), abs(level.width - 1 - pos[0]),
-                        abs(pos[1]), abs(level.height - 1 - pos[1]),
-                    )
-                    if not inside:
-                        margin = min(margin, border)
-                        continue
-                    frac = np.abs(pos - np.round(pos))
-                    margin = min(margin, float(frac.min()), border)
+            pixels, depths = project_points(nodes, cam)
+            if np.any((depths > 0) & (depths <= 1e-3)):
+                return 0.0
+            pixels = pixels[depths > 1e-3]
+            for level in self.pyr.levels(ci):
+                pos = pixels / level.stride
+                border = np.abs(np.hstack([pos, (level.width - 1, level.height - 1) - pos]))
+                inside = pos[_inside_rows(level, pos)]
+                frac = np.abs(inside - np.round(inside))
+                margin = min(margin, border.min(initial=np.inf), frac.min(initial=np.inf))
         return float(margin)
 
 
@@ -924,7 +806,6 @@ def grad_check(
         weight_net=Mlp.seeded([dim, k], net_rng),
         bounds=bounds,
         offset_scale=1.0,
-        k=k,
     )
     stats = {name: [0, 0, 0.0, 0.0] for name in components}  # checked, jittered, abs, rel
     kink_margin = 1e-3
@@ -933,15 +814,15 @@ def grad_check(
         q = rng.uniform(-1.0, 1.0, size=dim)
         jittered = 0
         for _attempt in range(8):
-            c, offsets, weights = probe.derive(q)
-            if probe.min_level_margin(c + offsets) > kink_margin and not probe.near_relu_kink(q, eps):
+            _, nodes, _, _ = probe.derive(q)
+            if probe.min_level_margin(nodes) > kink_margin and not probe.near_relu_kink(q, eps):
                 break
             q = q + rng.uniform(-0.05, 0.05, size=dim)
             jittered += 1
         for slot in stats.values():
             slot[1] += jittered
         grad_offsets, grad_weights, grad_q = probe.analytic(q)
-        c, offsets, weights = probe.derive(q)
+        c, _, offsets, weights = probe.derive(q)
 
         if "offset" in stats:
             for j in range(k):

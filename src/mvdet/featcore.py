@@ -33,11 +33,8 @@ __all__ = [
     "TensorFormatError",
     "FeatureLevel",
     "FeaturePyramid",
-    "SampleResult",
-    "bilinear_sample",
     "bilinear_sample_many",
     "bilinear_grad",
-    "sample_multiview",
     "sample_multiview_many",
     "write_tensor",
     "read_tensor",
@@ -127,21 +124,16 @@ class FeaturePyramid:
         return iter(self._cams)
 
 
-@dataclass(frozen=True)
-class SampleResult:
-    """Visibility-normalized multi-view sample.
-
-    ``feature`` is all-zeros and ``valid`` is False when the point was not
-    visible in any (camera, level) pair.
-    """
-
-    feature: np.ndarray
-    visible_count: int
-    valid: bool
-
-
 # ---------------------------------------------------------------------------
 # Bilinear interpolation
+
+
+def _inside_rows(level: FeatureLevel, pos: np.ndarray) -> np.ndarray:
+    """Ascending indices of the (N, 2) level positions inside
+    [0, W-1] x [0, H-1]; NaN positions are outside."""
+    u = pos[:, 0]
+    v = pos[:, 1]
+    return np.flatnonzero((u >= 0) & (u <= level.width - 1) & (v >= 0) & (v <= level.height - 1))
 
 
 def _bilinear_inside(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,12 +152,12 @@ def _bilinear_inside(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, 
         (rows, feats): rows (M,) ascending indices into ``pos`` of the
         positions inside [0, W-1] x [0, H-1], and feats (M, C) float64.
     """
+    rows = _inside_rows(level, pos)
+    if not len(rows):
+        return rows, np.empty((0, level.channels))
     w, h = level.width, level.height
-    u = pos[:, 0]
-    v = pos[:, 1]
-    rows = np.flatnonzero((u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1))
-    u = u[rows]
-    v = v[rows]
+    u = pos[:, 0][rows]
+    v = pos[:, 1][rows]
     # floor keeps integer positions exact (frac 0); at u == width-1 the
     # second support column collapses onto the first.
     x0 = np.floor(u).astype(np.int64)
@@ -209,12 +201,6 @@ def bilinear_sample_many(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarr
     inside = np.zeros(len(pos), dtype=bool)
     inside[rows] = True
     return feats, inside
-
-
-def bilinear_sample(level: FeatureLevel, pos) -> tuple[np.ndarray, bool]:
-    """Sample one position; returns (feature (C,), inside)."""
-    feats, inside = bilinear_sample_many(level, np.asarray(pos, dtype=np.float64).reshape(1, 2))
-    return feats[0], bool(inside[0])
 
 
 def bilinear_grad(level: FeatureLevel, pos) -> tuple[np.ndarray, bool]:
@@ -321,15 +307,6 @@ def sample_multiview_many(
     # Rows without a visible sample stay zero.
     np.divide(total, counts[:, None], out=total, where=counts[:, None] > 0)
     return total, counts
-
-
-def sample_multiview(pyr: FeaturePyramid, rig: CameraRig, p, image_scale=None) -> SampleResult:
-    """Single-point variant of :func:`sample_multiview_many`."""
-    feats, counts = sample_multiview_many(
-        pyr, rig, np.asarray(p, dtype=np.float64).reshape(1, 3), image_scale
-    )
-    count = int(counts[0])
-    return SampleResult(feature=feats[0], visible_count=count, valid=count > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,11 @@ def _scale_error(pred: Box3D, gt: Box3D) -> float:
 def tp_errors(matched: Sequence[tuple[DetectionResult, Box3D]]) -> TpErrors:
     """Mean errors over matched (prediction, ground truth) pairs.
 
+    Each error is one plain mean pooled over all matched pairs of every
+    class.  This simplifies the nuScenes devkit, which averages each TP
+    error per class over the recall >= 0.1 range (excluding some
+    class/error pairs) and then averages across classes.
+
     Zero matches yields the worst-case value 1.0 for every term with the
     fallback flag set.
     """

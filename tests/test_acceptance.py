@@ -319,14 +319,12 @@ def test_criterion_9_neighbor_scaling_benchmark():
 
 
 def _run_twice_and_compare(argv_factory, tmp_path, name):
-    """Run a CLI invocation twice (different thread flags) and byte-compare
-    every produced file."""
+    """Run a CLI invocation twice and byte-compare every produced file."""
     trees = []
-    for run, threads in (("a", "1"), ("b", "4")):
+    for run in ("a", "b"):
         out_dir = tmp_path / name / run
         os.makedirs(out_dir, exist_ok=True)
-        argv = ["--threads", threads] + argv_factory(out_dir)
-        code, _ = run_cli(argv)
+        code, _ = run_cli(argv_factory(out_dir))
         assert code == 0, f"{name} run {run} failed"
         tree = {}
         for dirpath, _, files in os.walk(out_dir):
@@ -403,18 +401,17 @@ def test_criterion_10_cli_determinism(tmp_path):
         "evaluate",
     )
     # bench writes no files; its deterministic payload (timings stripped)
-    # must match across reruns and thread counts.
+    # must match across reruns.
     payloads = []
-    for threads in ("1", "4"):
+    for _ in range(2):
         code, out = run_cli([
-            "--threads", threads, "bench", "--queries", "16", "--neighbors", "2",
+            "bench", "--queries", "16", "--neighbors", "2",
             "--cameras", "2", "--levels", "2", "--dim", "8", "--layers", "1",
             "--repeats", "1", "--json",
         ])
         assert code == 0
         payload = json.loads(out)
         payload.pop("timing")
-        payload["config"].pop("threads")
         payloads.append(payload)
     assert payloads[0] == payloads[1]
-    report(10, "CLI determinism across reruns and thread counts", started, 120)
+    report(10, "CLI determinism across reruns", started, 120)

@@ -4,33 +4,56 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvdet.camgeo import SceneBounds, project_point
+from mvdet.camgeo import SceneBounds, back_project, project_point
 from mvdet.decoder import (
     AggregationMode,
     AttentionParams,
     DecoderError,
     DecoderLayer,
-    DynamicGraph,
     Mlp,
     PredictionHead,
     QuerySet,
-    baseline_aggregate,
-    build_graph,
+    _aggregate,
+    _GradProbe,
     decode_predictions,
     decode_reference_point,
     decoder_forward,
     grad_check,
+    graph_nodes,
     init_decoder,
     init_queries,
     load_params,
-    node_features,
-    propagate,
     save_params,
     self_attention,
 )
+from mvdet.featcore import FeatureLevel, FeaturePyramid, sample_multiview_many
 from mvdet.synth import AnalyticField, gen_rig, make_scene, render_pyramid
 
 BOUNDS = SceneBounds(lo=(-30.0, -30.0, 0.0), hi=(30.0, 30.0, 3.0))
+
+
+def const_net(dim: int, values) -> Mlp:
+    """A one-layer net that ignores its input and outputs ``values``."""
+    values = np.asarray(values, dtype=np.float64)
+    return Mlp(weights=(np.zeros((len(values), dim)),), biases=(values,), activations=("identity",))
+
+
+def graph_layer(offset_net: Mlp, weight_net: Mlp) -> DecoderLayer:
+    """A layer carrying the given graph nets; its other nets are unused by
+    aggregation."""
+    dim = weight_net.in_dim
+    attention = AttentionParams.seeded(dim, 1, np.random.Generator(np.random.PCG64(0)))
+    return DecoderLayer(
+        ref_net=Mlp.zeros([dim, 3]), offset_net=offset_net, weight_net=weight_net,
+        attention=attention, ffn=Mlp.zeros([dim, dim]),
+    )
+
+
+def aggregate(emb, refs, pyr, rig, mode=AggregationMode.DYNAMIC_GRAPH, layer=None, offset_scale=2.0):
+    """Batched aggregation of (M, C) queries at (M, 3) reference points."""
+    emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
+    refs = np.atleast_2d(np.asarray(refs, dtype=np.float64))
+    return _aggregate(emb, refs, layer, pyr, rig, mode, offset_scale, None)
 
 
 def degenerate_layer(layer: DecoderLayer, dim: int) -> DecoderLayer:
@@ -117,20 +140,35 @@ class TestReferencePoints:
         with pytest.raises(DecoderError):
             decode_reference_point(np.zeros(8), Mlp.zeros([8, 4]), BOUNDS)
 
+    def test_batch_matches_rows(self):
+        rng = np.random.Generator(np.random.PCG64(13))
+        net = Mlp.seeded([16, 16, 3], rng)
+        emb = rng.uniform(-1, 1, (24, 16))
+        batch = decode_reference_point(emb, net, BOUNDS)
+        assert batch.shape == (24, 3)
+        # Leading axes are batch axes: a (4, 6, C) stack decodes to the same bytes.
+        stacked = decode_reference_point(emb.reshape(4, 6, 16), net, BOUNDS)
+        assert stacked.reshape(24, 3).tobytes() == batch.tobytes()
+        rows = np.stack([decode_reference_point(e, net, BOUNDS) for e in emb])
+        one_row = np.concatenate([decode_reference_point(emb[i : i + 1], net, BOUNDS) for i in range(24)])
+        assert one_row.tobytes() == rows.tobytes()
+        # A multi-row matmul may round differently from a one-row one (BLAS
+        # picks another kernel), so rows agree with the batch to rounding only.
+        assert np.abs(batch - rows).max() <= 1e-13 * BOUNDS.extent.max()
+
 
 class TestBaselineAggregate:
     def test_invisible_point_identity(self):
         scene = make_scene(1, object_count=0, channels=4, strides=(8,))
         q = np.arange(4.0)
-        out = baseline_aggregate(q, (0.0, 0.0, 0.0), scene.pyramid, scene.rig)
-        assert np.array_equal(out.embedding, q)
+        out = aggregate(q, (0.0, 0.0, 0.0), scene.pyramid, scene.rig, AggregationMode.SINGLE_POINT)
+        assert np.array_equal(out[0], q)
 
     def test_constant_field_adds_constant(self):
         rig = gen_rig("single")
         pyr = render_pyramid(AnalyticField.constant([2.0, -1.0]), rig, strides=(8, 16))
-        q = np.zeros(2)
-        out = baseline_aggregate(q, (20.0, 0.0, 1.5), pyr, rig)
-        assert np.array_equal(out.embedding, np.array([2.0, -1.0]))
+        out = aggregate(np.zeros(2), (20.0, 0.0, 1.5), pyr, rig, AggregationMode.SINGLE_POINT)
+        assert np.array_equal(out[0], np.array([2.0, -1.0]))
 
     def test_linear_field_matches_analytic_sample(self):
         # Oracle: evaluate the field formula at the projected coordinates.
@@ -140,40 +178,46 @@ class TestBaselineAggregate:
         p = np.array([15.0, 1.0, 1.8])
         pixel, _ = project_point(p, rig[0])
         expected = field.evaluate(pixel[0], pixel[1])
-        q = np.zeros(2)
-        out = baseline_aggregate(q, p, pyr, rig)
-        assert np.all(np.abs(out.embedding - expected) <= 1e-5 * np.maximum(1, np.abs(expected)))
+        out = aggregate(np.zeros(2), p, pyr, rig, AggregationMode.SINGLE_POINT)
+        assert np.all(np.abs(out[0] - expected) <= 1e-5 * np.maximum(1, np.abs(expected)))
 
 
 class TestDynamicGraph:
     def test_zero_offset_net_collapses_nodes(self):
         off = Mlp.zeros([8, 8, 12])
         w = Mlp.zeros([8, 4])
-        g = build_graph(np.ones(8), (1.0, 2.0, 1.0), off, w, k=4)
-        assert np.all(g.nodes == np.array([1.0, 2.0, 1.0]))
-        assert np.all(g.offsets == 0.0)
+        nodes, offsets, _ = graph_nodes(np.ones(8), np.array([1.0, 2.0, 1.0]), off, w, 2.0)
+        assert np.all(nodes == np.array([1.0, 2.0, 1.0]))
+        assert np.all(offsets == 0.0)
 
     def test_zero_weight_net_gives_half(self):
         off = Mlp.zeros([8, 8, 12])
         w = Mlp.zeros([8, 4])
-        g = build_graph(np.ones(8), (0.0, 0.0, 1.0), off, w, k=4)
-        assert np.all(g.weights == 0.5)
+        _, _, weights = graph_nodes(np.ones((3, 8)), np.zeros((3, 3)), off, w, 2.0)
+        assert weights.shape == (3, 4)
+        assert np.all(weights == 0.5)
 
     def test_default_neighbor_count(self):
         rng = np.random.Generator(np.random.PCG64(5))
         k = 16
         off = Mlp.seeded([8, 8, 3 * k], rng)
         w = Mlp.seeded([8, k], rng)
-        g = build_graph(np.ones(8), (0.0, 0.0, 1.0), off, w, k=k)
-        assert g.k == 16 and g.nodes.shape == (16, 3)
+        nodes, offsets, weights = graph_nodes(np.ones(8), np.array([0.0, 0.0, 1.0]), off, w, 2.0)
+        assert nodes.shape == offsets.shape == (16, 3) and weights.shape == (16,)
+        nodes, _, weights = graph_nodes(np.ones((5, 8)), np.zeros((5, 3)), off, w, 2.0)
+        assert nodes.shape == (5, 16, 3) and weights.shape == (5, 16)
+        with pytest.raises(DecoderError):
+            graph_nodes(np.ones(8), np.zeros(3), Mlp.seeded([8, 8, 3 * k - 1], rng), w, 2.0)
 
     def test_offsets_bounded_by_scale(self):
         rng = np.random.Generator(np.random.PCG64(6))
         off = Mlp.seeded([8, 8, 6], rng)
         w = Mlp.seeded([8, 2], rng)
         for scale in (0.5, 2.0, 4.0):
-            g = build_graph(rng.uniform(-3, 3, 8), (0, 0, 1), off, w, k=2, offset_scale=scale)
-            assert np.abs(g.offsets).max() <= scale
+            refs = np.tile([0.0, 0.0, 1.0], (10, 1))
+            nodes, offsets, _ = graph_nodes(rng.uniform(-3, 3, (10, 8)), refs, off, w, scale)
+            assert np.abs(offsets).max() <= scale
+            assert np.array_equal(nodes, refs[:, None, :] + offsets)
 
     def test_node_feature_mean_across_two_cameras(self):
         from mvdet.camgeo import CameraRig
@@ -181,24 +225,15 @@ class TestDynamicGraph:
 
         rig = CameraRig(cameras=(make_ident_cam("a"), make_ident_cam("b")))
         pyr = constant_pyramid(rig, [1.0, 3.0])
-        g = DynamicGraph(
-            reference=np.array([0.0, 0.0, 10.0]),
-            offsets=np.zeros((1, 3)),
-            nodes=np.array([[0.0, 0.0, 10.0]]),
-            weights=np.ones(1),
-        )
-        feats = node_features(g, pyr, rig)
-        assert np.all(feats == 2.0)
+        layer = graph_layer(Mlp.zeros([1, 3]), const_net(1, [1e6]))
+        out = aggregate(np.zeros(1), (0.0, 0.0, 10.0), pyr, rig, layer=layer)
+        assert np.all(out == 2.0)
 
     def test_invisible_node_zero_feature(self):
         scene = make_scene(2, object_count=0, channels=4, strides=(8,))
-        g = DynamicGraph(
-            reference=np.zeros(3),
-            offsets=np.zeros((1, 3)),
-            nodes=np.zeros((1, 3)),
-            weights=np.ones(1),
-        )
-        assert np.all(node_features(g, scene.pyramid, scene.rig) == 0.0)
+        layer = graph_layer(Mlp.zeros([4, 3]), const_net(4, [1e6]))
+        q = np.arange(4.0)
+        assert np.array_equal(aggregate(q, np.zeros(3), scene.pyramid, scene.rig, layer=layer)[0], q)
 
     def test_node_features_match_field_closed_form(self):
         # Oracle: evaluate the analytic field at each node's projection.
@@ -212,71 +247,46 @@ class TestDynamicGraph:
         )
         pyr = render_pyramid(field, rig, strides=(8, 16))
         c = np.array([16.0, 0.5, 1.6])
-        offsets = rng.uniform(-1, 1, size=(3, 3))
-        g = DynamicGraph(reference=c, offsets=offsets, nodes=c + offsets, weights=np.ones(3))
-        feats = node_features(g, pyr, rig)
-        for j, node in enumerate(g.nodes):
+        nodes, _, _ = graph_nodes(
+            rng.uniform(-1, 1, 3), c, Mlp.seeded([3, 3, 9], rng), Mlp.seeded([3, 3], rng), 1.0
+        )
+        feats, _ = sample_multiview_many(pyr, rig, nodes)
+        for j, node in enumerate(nodes):
             pixel, depth = project_point(node, rig[0])
             assert depth > 0
             expected = field.evaluate(pixel[0], pixel[1])
             assert np.all(np.abs(feats[j] - expected) <= 1e-5 * np.maximum(1, np.abs(expected)))
 
     def test_propagate_zero_weights_identity(self):
+        rig = gen_rig("single")
+        pyr = render_pyramid(AnalyticField.constant(np.ones(6)), rig, strides=(8,))
+        layer = graph_layer(Mlp.zeros([6, 6, 9]), const_net(6, [-1e6] * 3))
         q = np.arange(6.0)
-        g = DynamicGraph(
-            reference=np.zeros(3),
-            offsets=np.zeros((3, 3)),
-            nodes=np.zeros((3, 3)),
-            weights=np.zeros(3),
-            features=np.ones((3, 6)),
-        )
-        assert np.array_equal(propagate(q, g).embedding, q)
+        assert np.array_equal(aggregate(q, (20.0, 0.0, 1.5), pyr, rig, layer=layer)[0], q)
 
     def test_propagate_degenerates_to_baseline(self):
         scene = make_scene(3, object_count=0, channels=4, strides=(8, 16))
+        layer = degenerate_layer(init_decoder(3, layers=1, dim=4, neighbors=1, heads=2)[0], 4)
         c = np.array([18.0, 1.0, 1.5])
         q = np.arange(4.0)
-        g = DynamicGraph(
-            reference=c,
-            offsets=np.zeros((1, 3)),
-            nodes=c[None, :].copy(),
-            weights=np.ones(1),
-        )
-        feats = node_features(g, scene.pyramid, scene.rig)
-        g = replace(g, features=feats)
-        graph_out = propagate(q, g)
-        base_out = baseline_aggregate(q, c, scene.pyramid, scene.rig)
-        assert np.array_equal(graph_out.embedding, base_out.embedding)
+        graph_out = aggregate(q, c, scene.pyramid, scene.rig, layer=layer)
+        base_out = aggregate(q, c, scene.pyramid, scene.rig, AggregationMode.SINGLE_POINT)
+        assert not np.array_equal(base_out, q[None])
+        assert np.array_equal(graph_out, base_out)
 
     def test_propagate_two_nodes_direct_formula(self):
-        q = np.zeros(2)
-        x = np.array([[1.0, 2.0], [3.0, -1.0]])
+        rig = gen_rig("single")
+        field = AnalyticField.linear([1.0, -0.5], [1e-3, 2e-3], [-1e-3, 5e-4])
+        pyr = render_pyramid(field, rig, strides=(8,))
         w = np.array([0.25, 0.5])
-        g = DynamicGraph(
-            reference=np.zeros(3),
-            offsets=np.zeros((2, 3)),
-            nodes=np.zeros((2, 3)),
-            weights=w,
-            features=x,
-        )
-        assert np.allclose(propagate(q, g).embedding, w[0] * x[0] + w[1] * x[1])
-
-    def test_propagate_requires_features(self):
-        g = DynamicGraph(
-            reference=np.zeros(3), offsets=np.zeros((1, 3)), nodes=np.zeros((1, 3)), weights=np.ones(1)
-        )
-        with pytest.raises(DecoderError):
-            propagate(np.zeros(2), g)
-
-    def test_nodes_must_equal_reference_plus_offsets(self):
-        with pytest.raises(DecoderError):
-            DynamicGraph(
-                reference=np.zeros(3),
-                offsets=np.ones((1, 3)),
-                nodes=np.zeros((1, 3)),
-                weights=np.ones(1),
-            )
-
+        offsets = np.array([[0.0, 0.5, 0.0], [0.0, -1.0, 0.25]])
+        layer = graph_layer(const_net(2, np.arctanh(offsets.ravel() / 2.0)), const_net(2, np.log(w / (1 - w))))
+        c = np.array([18.0, 0.0, 1.5])
+        q = np.array([0.5, -2.0])
+        out = aggregate(q, c, pyr, rig, layer=layer)[0]
+        x, counts = sample_multiview_many(pyr, rig, c + offsets)
+        assert np.all(counts > 0) and not np.allclose(x[0], x[1])
+        assert np.allclose(out, q + w[0] * x[0] + w[1] * x[1])
 
 class TestSelfAttention:
     def test_single_query_formula(self):
@@ -382,27 +392,29 @@ class TestDecoderForward:
         digest = hashlib.sha256(out.embeddings.tobytes() + refs.tobytes()).hexdigest()
         assert digest == "9de257aabb18c022d62b7d0fc2217b334213273f8fdeea16e7ca21d32a468f22"
 
+    def test_fixed_points_regression_hash(self):
+        scene = make_scene(4, object_count=0, channels=8, strides=(8, 16))
+        layers = init_decoder(4, layers=2, dim=8, neighbors=2, heads=2)
+        qs = init_queries(4, count=16, dim=8, bounds=BOUNDS)
+        out, refs = decoder_forward(qs, layers, scene.pyramid, scene.rig, mode=AggregationMode.FIXED_POINTS)
+        digest = hashlib.sha256(out.embeddings.tobytes() + refs.tobytes()).hexdigest()
+        assert digest == "79cf63e646d7ef13ba14909f8dcb7fda361270272f07798dd610e70b799a7764"
+
     def test_locality_of_propagation(self):
         # Pixels outside every node's 2x2 support must not influence the output.
-        dim = 4
+        dim = 8
         rig = gen_rig("single")
         rng = np.random.Generator(np.random.PCG64(10))
         data = rng.uniform(-1, 1, size=(dim, 113, 200)).astype(np.float32)
-        from mvdet.featcore import FeatureLevel, FeaturePyramid
-
         pyr = FeaturePyramid([[FeatureLevel(data=data, stride=8)]])
         c = np.array([20.0, 0.3, 1.4])
-        off = Mlp.seeded([8, 8, 6], rng)
-        wnet = Mlp.seeded([8, 2], rng)
-        q8 = rng.uniform(-1, 1, 8)
-        g = build_graph(q8, c, off, wnet, k=2)
-        feats = node_features(g, pyr, rig)
-        g = replace(g, features=feats)
-        q = np.zeros(dim)
-        base = propagate(q, g).embedding
+        layer = graph_layer(Mlp.seeded([dim, dim, 6], rng), Mlp.seeded([dim, 2], rng))
+        q = rng.uniform(-1, 1, dim)
+        base = aggregate(q, c, pyr, rig, layer=layer)
+        nodes, _, _ = graph_nodes(q, c, layer.offset_net, layer.weight_net, 2.0)
 
         support = set()
-        for node in g.nodes:
+        for node in nodes:
             pixel, depth = project_point(node, rig[0])
             assert depth > 0
             pos = pixel / 8
@@ -416,9 +428,7 @@ class TestDecoderForward:
             mask[y, x] = False
         tampered[:, mask] += 5.0
         pyr2 = FeaturePyramid([[FeatureLevel(data=tampered, stride=8)]])
-        feats2 = node_features(g, pyr2, rig)
-        g2 = replace(g, features=feats2)
-        assert np.array_equal(propagate(q, g2).embedding, base)
+        assert np.array_equal(aggregate(q, c, pyr2, rig, layer=layer), base)
 
 
 class TestPredictions:
@@ -455,8 +465,6 @@ class TestGradCheck:
     def test_constant_field_offset_gradient_exactly_zero(self):
         # Offsets only matter through the sampled field; a constant field has
         # no spatial gradient anywhere.
-        from mvdet.decoder import _GradProbe
-
         rig = gen_rig("nuscenes-like")
         pyr = render_pyramid(AnalyticField.constant(np.full(4, 1.5)), rig, strides=(8, 16))
         rng = np.random.Generator(np.random.PCG64(11))
@@ -468,7 +476,6 @@ class TestGradCheck:
             weight_net=Mlp.seeded([8, 2], rng),
             bounds=SceneBounds(lo=(5, -6, 0.5), hi=(25, 6, 2.5)),
             offset_scale=1.0,
-            k=2,
         )
         q = rng.uniform(-1, 1, 8)
         grad_offsets, _, _ = probe.analytic(q)
@@ -477,8 +484,6 @@ class TestGradCheck:
     def test_linear_field_gradient_equals_slope(self):
         # For a field linear in u, dS/du equals the slope exactly; checked
         # through the image-plane chain at one node on a single camera.
-        from mvdet.decoder import _GradProbe
-
         rig = gen_rig("single")
         slope = 0.02
         pyr = render_pyramid(AnalyticField.linear([0.0], [slope], [0.0]), rig, strides=(8,))
@@ -491,7 +496,6 @@ class TestGradCheck:
             weight_net=Mlp.zeros([4, 1]),
             bounds=SceneBounds(lo=(10, -1, 1.0), hi=(20, 1, 2.0)),
             offset_scale=1.0,
-            k=1,
         )
         node = np.array([[15.0, 0.37, 1.53]])
         s, ds = probe.node_grads(node)
@@ -507,6 +511,42 @@ class TestGradCheck:
         # 32-bit level storage rounds the rendered ramp, bounding agreement
         # with the infinite-precision slope at the f32 epsilon scale.
         assert np.all(np.abs(ds[0] - expected) <= 2e-5 * np.maximum(1.0, np.abs(expected)))
+
+    @staticmethod
+    def margin_probe():
+        rig = gen_rig("single")
+        pyr = render_pyramid(AnalyticField.constant([1.0]), rig, strides=(8,))
+        probe = _GradProbe(
+            pyr=pyr,
+            rig=rig,
+            ref_net=Mlp.zeros([2, 3]),
+            offset_net=Mlp.zeros([2, 3]),
+            weight_net=Mlp.zeros([2, 1]),
+            bounds=BOUNDS,
+            offset_scale=1.0,
+        )
+        return probe, rig[0], pyr.levels(0)[0]
+
+    def test_min_level_margin_fractional_pixel(self):
+        # Level position (10.3, 7.8) is 0.2 from the line v = 8 and far from
+        # every border; a node behind the camera adds no sample.
+        probe, cam, level = self.margin_probe()
+        node = back_project(np.array([10.3, 7.8]) * level.stride, 15.0, cam)
+        behind = np.array([-20.0, 0.0, 1.5])
+        assert probe.min_level_margin(np.stack([node, behind])) == pytest.approx(0.2, abs=1e-9)
+
+    def test_min_level_margin_outside_level_gives_border_distance(self):
+        probe, cam, level = self.margin_probe()
+        left = back_project(np.array([-0.7, 5.5]) * level.stride, 15.0, cam)
+        assert probe.min_level_margin(left[None]) == pytest.approx(0.7, abs=1e-9)
+        right = back_project(np.array([level.width - 1 + 0.4, 5.5]) * level.stride, 15.0, cam)
+        assert probe.min_level_margin(right[None]) == pytest.approx(0.4, abs=1e-9)
+
+    def test_min_level_margin_near_camera_plane_is_zero(self):
+        probe, cam, level = self.margin_probe()
+        node = back_project(np.array([10.3, 7.8]) * level.stride, 5e-4, cam)
+        far = back_project(np.array([10.3, 7.8]) * level.stride, 15.0, cam)
+        assert probe.min_level_margin(np.stack([far, node])) == 0.0
 
     def test_default_config_passes(self):
         report = grad_check(seed=42, probes=8)

@@ -12,11 +12,9 @@ from mvdet.featcore import (
     FeaturePyramid,
     TensorFormatError,
     bilinear_grad,
-    bilinear_sample,
     bilinear_sample_many,
     load_pyramid,
     read_tensor,
-    sample_multiview,
     sample_multiview_many,
     save_pyramid,
     write_tensor,
@@ -49,33 +47,37 @@ def constant_pyramid(rig, values, strides=(2, 4)):
     return FeaturePyramid(cams)
 
 
+def central_difference(level, pos, h):
+    """(C, 2) central differences of the sampled feature along u and v."""
+    steps = np.array([[h, 0.0], [0.0, h]])
+    plus, _ = bilinear_sample_many(level, pos + steps)
+    minus, _ = bilinear_sample_many(level, pos - steps)
+    return ((plus - minus) / (2 * h)).T
+
+
 class TestBilinearSample:
     def test_center_of_four_cells(self):
-        feat, inside = bilinear_sample(level_2x2(), (0.5, 0.5))
-        assert inside
-        assert feat[0] == pytest.approx(1.5)
+        feats, inside = bilinear_sample_many(level_2x2(), [(0.5, 0.5)])
+        assert inside[0]
+        assert feats[0, 0] == pytest.approx(1.5)
 
     def test_grid_point_identity(self):
-        level = level_2x2()
-        for (u, v), expected in [((0, 0), 0.0), ((1, 0), 1.0), ((0, 1), 2.0), ((1, 1), 3.0)]:
-            feat, inside = bilinear_sample(level, (u, v))
-            assert inside and feat[0] == expected
+        feats, inside = bilinear_sample_many(level_2x2(), [(0, 0), (1, 0), (0, 1), (1, 1)])
+        assert inside.all()
+        assert np.array_equal(feats[:, 0], [0.0, 1.0, 2.0, 3.0])
 
     def test_constant_field(self):
         level = FeatureLevel(data=np.full((3, 5, 7), 2.25), stride=1)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            pos = rng.uniform((0, 0), (6, 4))
-            feat, inside = bilinear_sample(level, pos)
-            assert inside
-            assert np.all(feat == 2.25)
+        feats, inside = bilinear_sample_many(level, rng.uniform((0, 0), (6, 4), size=(20, 2)))
+        assert inside.all()
+        assert np.all(feats == 2.25)
 
     def test_outside_is_zero_and_flagged(self):
-        level = level_2x2()
-        for pos in [(-0.01, 0.5), (1.01, 0.5), (0.5, -2), (0.5, 1.5), (np.nan, 0.5)]:
-            feat, inside = bilinear_sample(level, pos)
-            assert not inside
-            assert np.all(feat == 0.0)
+        pos = [(-0.01, 0.5), (1.01, 0.5), (0.5, -2), (0.5, 1.5), (np.nan, 0.5)]
+        feats, inside = bilinear_sample_many(level_2x2(), pos)
+        assert not inside.any()
+        assert np.all(feats == 0.0)
 
     def test_exact_on_bilinear_field_f32(self):
         # Random bilinear field; f32 storage bounds the error at ~1e-6 relative.
@@ -108,9 +110,9 @@ class TestBilinearSample:
         rng = np.random.default_rng(3)
         data = rng.uniform(-5, 5, size=(2, 6, 8))
         level = FeatureLevel(data=data, stride=1)
-        for _ in range(100):
-            pos = rng.uniform((0, 0), (7, 5))
-            feat, _ = bilinear_sample(level, pos)
+        positions = rng.uniform((0, 0), (7, 5), size=(100, 2))
+        feats, _ = bilinear_sample_many(level, positions)
+        for pos, feat in zip(positions, feats):
             x0, y0 = int(pos[0]), int(pos[1])
             x1, y1 = min(x0 + 1, 7), min(y0 + 1, 5)
             support = level.data[:, [y0, y0, y1, y1], [x0, x1, x0, x1]].astype(np.float64)
@@ -139,12 +141,11 @@ class TestBilinearGrad:
         level = level_2x2()
         h = 1e-5
         pos = np.array([0.5, 0.5])
-        fd_u = (bilinear_sample(level, pos + [h, 0])[0] - bilinear_sample(level, pos - [h, 0])[0]) / (2 * h)
-        fd_v = (bilinear_sample(level, pos + [0, h])[0] - bilinear_sample(level, pos - [0, h])[0]) / (2 * h)
+        fd = central_difference(level, pos, h)
         grad, at_kink = bilinear_grad(level, pos)
         assert not at_kink
-        assert grad[0, 0] == pytest.approx(fd_u[0], abs=1e-9)
-        assert grad[0, 1] == pytest.approx(fd_v[0], abs=1e-9)
+        assert grad[0, 0] == pytest.approx(fd[0, 0], abs=1e-9)
+        assert grad[0, 1] == pytest.approx(fd[0, 1], abs=1e-9)
         assert (grad[0, 0], grad[0, 1]) == (1.0, 2.0)
 
     def test_kink_flagged_on_integer_lines(self):
@@ -167,9 +168,7 @@ class TestBilinearGrad:
                 continue
             grad, at_kink = bilinear_grad(level, pos)
             assert not at_kink
-            fd_u = (bilinear_sample(level, pos + [h, 0])[0] - bilinear_sample(level, pos - [h, 0])[0]) / (2 * h)
-            fd_v = (bilinear_sample(level, pos + [0, h])[0] - bilinear_sample(level, pos - [0, h])[0]) / (2 * h)
-            fd = np.stack([fd_u, fd_v], axis=-1)
+            fd = central_difference(level, pos, h)
             assert np.all(np.abs(grad - fd) <= 1e-6 + 1e-6 * np.abs(grad))
             checked += 1
 
@@ -179,29 +178,26 @@ class TestSampleMultiview:
         cam = make_ident_cam()
         rig = CameraRig(cameras=(cam,))
         pyr = constant_pyramid(rig, [4.5], strides=(2, 4, 8))
-        result = sample_multiview(pyr, rig, (0, 0, 10))
-        assert result.valid
-        assert result.visible_count == 3  # one camera, L=3 levels
-        assert np.all(result.feature == 4.5)
+        feats, counts = sample_multiview_many(pyr, rig, [(0, 0, 10)])
+        assert counts[0] == 3  # one camera, L=3 levels
+        assert np.all(feats[0] == 4.5)
 
     def test_two_camera_mean(self):
         # Two co-located cameras with constant maps a and b see everything twice.
         cams = (make_ident_cam("a"), make_ident_cam("b"))
         rig = CameraRig(cameras=cams)
         pyr = constant_pyramid(rig, [1.0, 5.0])
-        result = sample_multiview(pyr, rig, (0, 0, 10))
-        assert result.valid
-        assert result.visible_count == 4
-        assert np.all(result.feature == 3.0)  # (a + b) / 2
+        feats, counts = sample_multiview_many(pyr, rig, [(0, 0, 10)])
+        assert counts[0] == 4
+        assert np.all(feats[0] == 3.0)  # (a + b) / 2
 
     def test_behind_everything_invalid(self):
         cam = make_ident_cam()
         rig = CameraRig(cameras=(cam,))
         pyr = constant_pyramid(rig, [7.0])
-        result = sample_multiview(pyr, rig, (0, 0, -10))
-        assert not result.valid
-        assert result.visible_count == 0
-        assert np.all(result.feature == 0.0)
+        feats, counts = sample_multiview_many(pyr, rig, [(0, 0, -10)])
+        assert counts[0] == 0
+        assert np.all(feats[0] == 0.0)
 
     def test_visible_count_matches_exhaustive_mask(self):
         rig = gen_rig("nuscenes-like")
@@ -233,23 +229,23 @@ class TestSampleMultiview:
         )
         pyr = render_pyramid(field, rig, strides=(8, 16))
         pts = rng.uniform((-30, -30, 0), (30, 30, 3), size=(100, 3))
-        for p in pts:
+        feats, counts = sample_multiview_many(pyr, rig, pts)
+        for p, feature, count in zip(pts, feats, counts):
             contributions = []
             for ci, cam in enumerate(rig):
                 pixel, depth = project_point(p, cam)
                 if depth <= 0:
                     continue
                 for level in pyr.levels(ci):
-                    feat, inside = bilinear_sample(level, pixel / level.stride)
-                    if inside:
-                        contributions.append(feat)
-            result = sample_multiview(pyr, rig, p)
+                    feat, inside = bilinear_sample_many(level, pixel / level.stride)
+                    if inside[0]:
+                        contributions.append(feat[0])
             if not contributions:
-                assert not result.valid
+                assert count == 0
                 continue
             arr = np.array(contributions)
-            assert np.all(result.feature >= arr.min(axis=0) - 1e-12)
-            assert np.all(result.feature <= arr.max(axis=0) + 1e-12)
+            assert np.all(feature >= arr.min(axis=0) - 1e-12)
+            assert np.all(feature <= arr.max(axis=0) + 1e-12)
 
     def test_scalar_matches_batch_bitwise(self):
         rig = gen_rig("nuscenes-like")
@@ -258,16 +254,16 @@ class TestSampleMultiview:
         pts = rng.uniform((-30, -30, 0), (30, 30, 3), size=(32, 3))
         feats, counts = sample_multiview_many(pyr, rig, pts)
         for i in range(len(pts)):
-            single = sample_multiview(pyr, rig, pts[i])
-            assert np.array_equal(single.feature, feats[i])
-            assert single.visible_count == counts[i]
+            single, count = sample_multiview_many(pyr, rig, pts[i])
+            assert single.tobytes() == feats[i : i + 1].tobytes()
+            assert count[0] == counts[i]
 
     def test_camera_count_mismatch_rejected(self):
         rig = gen_rig("nuscenes-like")
         cam = make_ident_cam()
         pyr = constant_pyramid(CameraRig(cameras=(cam,)), [1.0])
         with pytest.raises(FeatureError):
-            sample_multiview(pyr, rig, (0, 0, 10))
+            sample_multiview_many(pyr, rig, [(0, 0, 10)])
 
 
 def dense_bilinear(level, pos):

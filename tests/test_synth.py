@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvdet.camgeo import RegionLabel, classify_regions, is_visible, visible_cameras, visible_counts
-from mvdet.featcore import bilinear_sample, sample_multiview
+from mvdet.featcore import bilinear_sample_many, sample_multiview_many
 from mvdet.metrics import evaluate, match_detections
 from mvdet.synth import (
     AnalyticField,
@@ -93,9 +93,9 @@ class TestRenderPyramid:
         pyr = render_pyramid(field, rig, strides=(8, 16, 32, 64))
         for level in pyr.levels(0):
             pos = rng.uniform((0, 0), (level.width - 1, level.height - 1), size=(500, 2))
-            for p in pos[:50]:
-                feat, inside = bilinear_sample(level, p)
-                assert inside
+            feats, inside = bilinear_sample_many(level, pos[:50])
+            assert inside.all()
+            for p, feat in zip(pos[:50], feats):
                 expected = field.evaluate(p[0] * level.stride, p[1] * level.stride)
                 assert np.all(np.abs(feat - expected) <= 1e-5 * np.maximum(1.0, np.abs(expected)))
 
@@ -216,10 +216,10 @@ class TestSceneDeterminism:
     def test_sampling_oracle_through_scene(self):
         scene = make_scene(14, object_count=0, channels=4)
         p = np.array([18.0, 2.0, 1.5])
-        result = sample_multiview(scene.pyramid, scene.rig, p)
-        assert result.valid
+        feats, counts = sample_multiview_many(scene.pyramid, scene.rig, p)
+        assert counts[0] > 0
         from mvdet.camgeo import project_point
 
         pixel, _ = project_point(p, scene.rig[0])
         expected = scene.field.evaluate(pixel[0], pixel[1])
-        assert np.all(np.abs(result.feature - expected) <= 1e-5 * np.maximum(1.0, np.abs(expected)))
+        assert np.all(np.abs(feats[0] - expected) <= 1e-5 * np.maximum(1.0, np.abs(expected)))
