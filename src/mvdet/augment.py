@@ -30,6 +30,9 @@ from .camgeo import (
     CameraModel,
     CameraRig,
     GeometryError,
+    _box_from_json,
+    _json_fields,
+    _json_records,
     pixel_size,
     rig_from_dict,
     rig_to_dict,
@@ -287,15 +290,8 @@ def _object_to_dict(obj: AnnotatedObject) -> dict:
 
 
 def _object_from_dict(data: dict) -> AnnotatedObject:
-    box = Box3D(
-        center=np.asarray(data["center"], dtype=np.float64),
-        size=np.asarray(data["size"], dtype=np.float64),
-        yaw=float(data["yaw"]),
-        velocity=np.asarray(data.get("velocity", (0.0, 0.0)), dtype=np.float64),
-        class_id=int(data.get("class", 0)),
-        attribute_id=int(data.get("attribute", 0)),
-    )
-    return AnnotatedObject(box=box, depth=float(data["depth"]))
+    box = _box_from_json(data, AugmentError, "annotated object")
+    return AnnotatedObject(box=box, **_json_fields(data, {"depth": float}, AugmentError, "annotated object"))
 
 
 def frame_to_dict(frame: AnnotatedFrame) -> dict:
@@ -309,14 +305,18 @@ def frame_to_dict(frame: AnnotatedFrame) -> dict:
     return out
 
 
+def _image_sizes(sizes) -> tuple[tuple[int, int], ...] | None:
+    return tuple((int(w), int(h)) for w, h in sizes) if sizes else None
+
+
 def frame_from_dict(data: dict) -> AnnotatedFrame:
     rig = rig_from_dict(data["calib"])
-    objects = tuple(_object_from_dict(o) for o in data.get("objects", []))
-    sizes = data.get("image_sizes")
+    records = _json_records({"objects": [], **data}, "objects", AugmentError, "annotation frame")
+    sizes = _json_fields({"image_sizes": None, **data}, {"image_sizes": _image_sizes}, AugmentError, "annotation frame")
     return AnnotatedFrame(
         rig=rig,
-        objects=objects,
-        image_sizes=tuple((int(w), int(h)) for w, h in sizes) if sizes else None,
+        objects=tuple(_object_from_dict(o) for o in records),
+        image_sizes=sizes["image_sizes"],
         regression_mask=bool(data.get("regression_mask", True)),
     )
 
@@ -331,4 +331,4 @@ def save_frames(path, frames: Sequence[AnnotatedFrame]) -> None:
 def load_frames(path) -> list[AnnotatedFrame]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return [frame_from_dict(f) for f in data["frames"]]
+    return [frame_from_dict(f) for f in _json_records(data, "frames", AugmentError, f"annotation file {path}")]

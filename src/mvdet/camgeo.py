@@ -413,26 +413,77 @@ def rig_to_dict(rig: CameraRig) -> dict:
     }
 
 
-def rig_from_dict(data: dict) -> CameraRig:
+# Parsed JSON input is checked with these helpers; each loader passes its
+# module's own error type, which the CLI reports with exit code 2.
+
+
+def _json_records(data, key: str, error: type[Exception], what: str) -> list[dict]:
+    """``data[key]``, checked to be a list of objects."""
+    items = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise error(f"{what} must be an object with a {key!r} list of objects")
+    return items
+
+
+def _json_fields(entry: dict, kinds: dict, error: type[Exception], what: str) -> dict:
+    """``kind(entry[key])`` for each ``key: kind`` in ``kinds``."""
     try:
-        entries = data["cameras"]
-    except (KeyError, TypeError) as exc:
-        raise GeometryError("calibration data must contain a 'cameras' list") from exc
+        return {key: kind(entry[key]) for key, kind in kinds.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{what}: missing or malformed field ({exc!r})") from exc
+
+
+def _json_text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _json_floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+_BOX_FIELDS = {
+    "center": _json_floats,
+    "size": _json_floats,
+    "yaw": float,
+    "velocity": _json_floats,
+    "class": int,
+    "attribute": int,
+}
+
+
+def _box_from_json(entry: dict, error: type[Exception], what: str) -> Box3D:
+    """The box of a prediction or annotation record; velocity, class and
+    attribute default to zero."""
+    f = _json_fields({"velocity": (0.0, 0.0), "class": 0, "attribute": 0, **entry}, _BOX_FIELDS, error, what)
+    return Box3D(
+        center=f["center"],
+        size=f["size"],
+        yaw=f["yaw"],
+        velocity=f["velocity"],
+        class_id=f["class"],
+        attribute_id=f["attribute"],
+    )
+
+
+_CAMERA_FIELDS = {
+    **dict.fromkeys(("fx", "fy", "cx", "cy"), float),
+    "width": int,
+    "height": int,
+    "rotation": lambda value: _json_floats(value).reshape(3, 3),
+    "translation": _json_floats,
+    "id": str,
+}
+
+
+def rig_from_dict(data: dict) -> CameraRig:
     cameras = []
-    for entry in entries:
-        intr = CameraIntrinsics(
-            fx=float(entry["fx"]),
-            fy=float(entry["fy"]),
-            cx=float(entry["cx"]),
-            cy=float(entry["cy"]),
-            width=int(entry["width"]),
-            height=int(entry["height"]),
-        )
-        extr = CameraExtrinsics(
-            rotation=np.asarray(entry["rotation"], dtype=np.float64).reshape(3, 3),
-            translation=np.asarray(entry["translation"], dtype=np.float64),
-        )
-        cameras.append(CameraModel(intrinsics=intr, extrinsics=extr, id=str(entry["id"])))
+    for entry in _json_records(data, "cameras", GeometryError, "calibration data"):
+        f = _json_fields(entry, _CAMERA_FIELDS, GeometryError, "calibration camera")
+        intr = CameraIntrinsics(**{key: f[key] for key in ("fx", "fy", "cx", "cy", "width", "height")})
+        extr = CameraExtrinsics(rotation=f["rotation"], translation=f["translation"])
+        cameras.append(CameraModel(intrinsics=intr, extrinsics=extr, id=f["id"]))
     return CameraRig(cameras=tuple(cameras))
 
 

@@ -27,7 +27,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import Box3D, CameraRig, DetectionResult, SceneBounds, box_corners, project_points
+from .camgeo import (
+    Box3D,
+    CameraRig,
+    DetectionResult,
+    SceneBounds,
+    _json_fields,
+    _json_records,
+    _json_text,
+    box_corners,
+    project_points,
+)
 from .featcore import (
     FeaturePyramid,
     _inside_rows,
@@ -563,17 +573,28 @@ def save_params(
     return manifest_path
 
 
+_PARAM_ENTRY_FIELDS = {"name": _json_text, "file": _json_text, "shape": list}
+_PARAM_META_FIELDS = {
+    "layers": int,
+    "heads": int,
+    "activations": lambda table: {net: tuple(acts) for net, acts in dict(table).items()},
+}
+
+
 def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead | None]:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         bundle = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))
+    entries = _json_records(bundle, "entries", DecoderError, f"parameter manifest {manifest_path}")
+    meta = _json_fields(bundle, {"meta": dict}, DecoderError, str(manifest_path))["meta"]
+    meta.update(_json_fields(meta, _PARAM_META_FIELDS, DecoderError, f"the meta of {manifest_path}"))
     arrays = {}
-    for entry in bundle["entries"]:
+    for entry in entries:
+        entry = _json_fields(entry, _PARAM_ENTRY_FIELDS, DecoderError, f"an entry of {manifest_path}")
         arr = read_tensor(os.path.join(base, entry["file"])).astype(np.float64)
         if list(arr.shape) != entry["shape"]:
             raise DecoderError(f"parameter {entry['name']}: shape mismatch")
         arrays[entry["name"]] = arr
-    meta = bundle["meta"]
 
     def load_mlp(prefix: str) -> Mlp:
         ws, bs = [], []
@@ -651,6 +672,9 @@ class GradCheckReport:
         }
 
 
+_GRAD_COMPONENTS = ("offset", "weight", "query")
+
+
 class _GradProbe:
     """One propagation pipeline with analytic gradients of loss = sum(q_new).
 
@@ -675,14 +699,30 @@ class _GradProbe:
         c = decode_reference_point(q, self.ref_net, self.bounds)
         return (c, *graph_nodes(q, c, self.offset_net, self.weight_net, self.offset_scale))
 
-    def loss_free(self, q: np.ndarray, c: np.ndarray, offsets: np.ndarray, weights: np.ndarray) -> float:
-        nodes = c + offsets
-        feats, _ = sample_multiview_many(self.pyr, self.rig, nodes)
-        return float(np.sum(q) + np.sum(weights @ feats))
+    def signed_steps(self, q: np.ndarray, derived, component: str, eps: float):
+        """(qs, nodes, weights) of one component's central-difference cases:
+        a step of +eps along each of its axes, then one of -eps along each."""
+        c, nodes, offsets, weights = derived
+        if component == "query":
+            qs = np.concatenate([q + eps * np.eye(len(q)), q - eps * np.eye(len(q))])
+            # One row at a time: a stacked MLP matmul rounds differently.
+            _, nodes, _, weights = zip(*map(self.derive, qs))
+            return qs, np.array(nodes), np.array(weights)
+        if component == "offset":
+            unit = eps * np.eye(offsets.size).reshape(-1, *offsets.shape)
+            nodes = c + np.concatenate([offsets + unit, offsets - unit])
+        else:
+            unit = eps * np.eye(len(weights))
+            weights = np.concatenate([weights + unit, weights - unit])
+        n = 2 * len(unit)
+        qs = np.tile(q, (n, 1))
+        return qs, np.broadcast_to(nodes, (n, *offsets.shape)), np.broadcast_to(weights, (n, len(offsets)))
 
-    def loss_query(self, q: np.ndarray) -> float:
-        c, _, offsets, weights = self.derive(q)
-        return self.loss_free(q, c, offsets, weights)
+    def losses(self, qs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Loss of each case (one sampling call; a node's feature does not
+        depend on the other nodes of the call)."""
+        feats = sample_multiview_many(self.pyr, self.rig, nodes)[0].reshape(*weights.shape, -1)
+        return np.array([np.sum(qb) + np.sum(wb @ fb) for qb, wb, fb in zip(qs, weights, feats)])
 
     # -- analytic gradients -------------------------------------------------
 
@@ -698,29 +738,27 @@ class _GradProbe:
             focal = np.array([[intr.fx], [intr.fy]])
             jac = (focal * rot[:2] - centered[:, :, None] * rot[2]) / depths[:, None, None]
             for level in self.pyr.levels(ci):
-                pos = pixels / level.stride
-                for j in _inside_rows(level, pos):
-                    grad, _ = bilinear_grad(level, pos[j])
-                    sums[j] += grad.sum(axis=0) @ jac[j] / level.stride
+                rows, grads = bilinear_grad(level, pixels / level.stride)
+                # A stacked (1, 2) @ (2, 3) matmul rounds as the one-row product.
+                sums[rows] += (grads.sum(axis=1)[:, None, :] @ jac[rows])[:, 0] / level.stride
         feats, counts = sample_multiview_many(self.pyr, self.rig, nodes)
         ds = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
         return feats.sum(axis=1), ds
 
-    def analytic(self, q: np.ndarray):
-        """Gradients of the loss w.r.t. offsets (K,3), weights (K,), query (C,)."""
-        _, nodes, _, weights = self.derive(q)
+    def analytic(self, q: np.ndarray, derived):
+        """Gradients of the loss w.r.t. offsets (K,3), weights (K,), query (C,),
+        given the query's graph ``derived = self.derive(q)``."""
+        _, nodes, _, weights = derived
         s, ds = self.node_grads(nodes)
         grad_offsets = weights[:, None] * ds
         grad_weights = s
         # Query gradient: residual + weight path + offset path + reference path.
-        z_ref = self.ref_net(q)
-        sig_ref = sigmoid(z_ref)
+        sig_ref = sigmoid(self.ref_net(q))
         dc_dq = (self.bounds.extent * sig_ref * (1 - sig_ref))[:, None] * self.ref_net.jacobian(q)
         z_off = self.offset_net(q)
         doff_dq = (self.offset_scale * (1 - np.tanh(z_off) ** 2))[:, None] * self.offset_net.jacobian(q)
-        z_w = self.weight_net(q)
-        sig_w = sigmoid(z_w)
-        dw_dq = (sig_w * (1 - sig_w))[:, None] * self.weight_net.jacobian(q)
+        # The edge weights are the weight net's sigmoid outputs.
+        dw_dq = (weights * (1 - weights))[:, None] * self.weight_net.jacobian(q)
         grad_q = np.ones_like(q)
         for j in range(len(weights)):
             grad_q = grad_q + s[j] * dw_dq[j]
@@ -771,7 +809,7 @@ def grad_check(
     probes: int = 32,
     dim: int = 16,
     k: int = 4,
-    components: Sequence[str] = ("offset", "weight", "query"),
+    components: Sequence[str] = _GRAD_COMPONENTS,
 ) -> GradCheckReport:
     """Compare analytic gradients of the propagation loss against central
     finite differences.
@@ -780,10 +818,16 @@ def grad_check(
     kink, or whose query steps can cross a ReLU kink of the ref, offset or
     weight net, is jittered by a small deterministic amount and retried;
     jitters are counted in the report.  Relative deviation is
-    |analytic - fd| / (1 + |analytic|).
+    |analytic - fd| / (1 + |analytic|).  ``probes`` must be at least 1 and
+    ``components`` a nonempty subset of ("offset", "weight", "query").
     """
     if eps <= 0:
         raise DecoderError(f"eps must be positive, got {eps}")
+    if probes < 1:
+        raise DecoderError(f"probes must be at least 1, got {probes}")
+    unknown = [name for name in components if name not in _GRAD_COMPONENTS]
+    if unknown or not components:
+        raise DecoderError(f"components must name some of {_GRAD_COMPONENTS}, got {tuple(components)}")
     from .synth import AnalyticField, gen_rig, render_pyramid
 
     rig = gen_rig("nuscenes-like")
@@ -807,63 +851,40 @@ def grad_check(
         bounds=bounds,
         offset_scale=1.0,
     )
-    stats = {name: [0, 0, 0.0, 0.0] for name in components}  # checked, jittered, abs, rel
+    checked = {name: [] for name in components}  # per probe: (analytic, fd) arrays
+    n_jittered = 0
     kink_margin = 1e-3
 
     for _ in range(probes):
         q = rng.uniform(-1.0, 1.0, size=dim)
-        jittered = 0
+        derived = probe.derive(q)
         for _attempt in range(8):
-            _, nodes, _, _ = probe.derive(q)
-            if probe.min_level_margin(nodes) > kink_margin and not probe.near_relu_kink(q, eps):
+            if probe.min_level_margin(derived[1]) > kink_margin and not probe.near_relu_kink(q, eps):
                 break
             q = q + rng.uniform(-0.05, 0.05, size=dim)
-            jittered += 1
-        for slot in stats.values():
-            slot[1] += jittered
-        grad_offsets, grad_weights, grad_q = probe.analytic(q)
-        c, _, offsets, weights = probe.derive(q)
+            n_jittered += 1
+            derived = probe.derive(q)
+        grads = dict(zip(_GRAD_COMPONENTS, probe.analytic(q, derived)))
+        steps = [probe.signed_steps(q, derived, name, eps) for name in checked]
+        losses = probe.losses(*(np.concatenate(parts) for parts in zip(*steps)))
+        start = 0
+        for name, (qs, _, _) in zip(checked, steps):
+            lp, lm = losses[start : start + len(qs)].reshape(2, -1)
+            checked[name].append((grads[name].ravel(), (lp - lm) / (2 * eps)))
+            start += len(qs)
 
-        if "offset" in stats:
-            for j in range(k):
-                for axis in range(3):
-                    step = np.zeros((k, 3))
-                    step[j, axis] = eps
-                    lp = probe.loss_free(q, c, offsets + step, weights)
-                    lm = probe.loss_free(q, c, offsets - step, weights)
-                    fd = (lp - lm) / (2 * eps)
-                    _record(stats["offset"], grad_offsets[j, axis], fd)
-        if "weight" in stats:
-            for j in range(k):
-                step = np.zeros(k)
-                step[j] = eps
-                lp = probe.loss_free(q, c, offsets, weights + step)
-                lm = probe.loss_free(q, c, offsets, weights - step)
-                fd = (lp - lm) / (2 * eps)
-                _record(stats["weight"], grad_weights[j], fd)
-        if "query" in stats:
-            for idx in range(dim):
-                step = np.zeros(dim)
-                step[idx] = eps
-                fd = (probe.loss_query(q + step) - probe.loss_query(q - step)) / (2 * eps)
-                _record(stats["query"], grad_q[idx], fd)
-
-    reports = tuple(
-        ComponentReport(
-            component=name,
-            n_checked=vals[0],
-            n_jittered=vals[1],
-            max_abs_dev=vals[2],
-            max_rel_dev=vals[3],
-            tol=tol,
+    reports = []
+    for name, pairs in checked.items():
+        analytic, fd = map(np.concatenate, zip(*pairs))
+        dev = np.abs(analytic - fd)
+        reports.append(
+            ComponentReport(
+                component=name,
+                n_checked=len(dev),
+                n_jittered=n_jittered,
+                max_abs_dev=max(0.0, *dev),
+                max_rel_dev=max(0.0, *(dev / (1.0 + np.abs(analytic)))),
+                tol=tol,
+            )
         )
-        for name, vals in stats.items()
-    )
-    return GradCheckReport(components=reports)
-
-
-def _record(slot: list, analytic: float, fd: float) -> None:
-    dev = abs(analytic - fd)
-    slot[0] += 1
-    slot[2] = max(slot[2], dev)
-    slot[3] = max(slot[3], dev / (1.0 + abs(analytic)))
+    return GradCheckReport(components=tuple(reports))

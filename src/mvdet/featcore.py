@@ -13,6 +13,7 @@ Multi-view sampling gathers only the in-view samples: for each
 (camera, level) pair only the points in front of that camera whose position
 falls inside that level are interpolated and accumulated.  A real scene puts
 each point in one or two of the cameras, so most pairs are skipped.
+``bilinear_grad``, the sampling gradient, selects and gathers the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import CameraRig, project_points
+from .camgeo import CameraRig, _json_fields, _json_records, _json_text, project_points
 
 __all__ = [
     "FeatureError",
@@ -203,30 +204,33 @@ def bilinear_sample_many(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarr
     return feats, inside
 
 
-def bilinear_grad(level: FeatureLevel, pos) -> tuple[np.ndarray, bool]:
-    """Analytic derivative of the sampled feature w.r.t. the sample position.
+def bilinear_grad(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic derivative of the sampled feature w.r.t. the sample position,
+    at the rows and from the corners that ``_bilinear_inside`` samples.
+
+    On an integer coordinate line, where the interpolant has a kink, this is
+    the one-sided derivative of the cell to the right or below (to the left
+    or above on the last column or row).
 
     Args:
         level: feature map.
-        pos: (u, v) position, expected strictly inside the grid and away from
-            integer coordinate lines where the interpolant has a kink.
+        pos: (N, 2) positions in the level's own pixel grid; NaN is outside.
 
     Returns:
-        (grad, at_kink): grad is (C, 2) with columns d/du and d/dv; at_kink is
-        True when the position sits on an integer coordinate line (or outside
-        the grid), in which case the one-sided derivative of the enclosing
-        cell is returned and the caller should treat the point as
-        non-differentiable.
+        (rows, grads): rows (M,) ascending indices into ``pos`` of the
+        positions inside [0, W-1] x [0, H-1]; grads (M, C, 2) float64 with
+        columns d/du and d/dv.
     """
-    pos = np.asarray(pos, dtype=np.float64).reshape(2)
-    u, v = pos
+    pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
+    rows = _inside_rows(level, pos)
+    if not len(rows):
+        return rows, np.empty((0, level.channels, 2))
     w, h = level.width, level.height
-    inside = 0 <= u <= w - 1 and 0 <= v <= h - 1
-    at_kink = (not inside) or float(u).is_integer() or float(v).is_integer()
-    x0 = int(np.clip(np.floor(u), 0, max(w - 2, 0)))
-    y0 = int(np.clip(np.floor(v), 0, max(h - 2, 0)))
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
+    u, v = pos[rows].T
+    x0 = np.clip(np.floor(u), 0, max(w - 2, 0)).astype(np.int64)
+    y0 = np.clip(np.floor(v), 0, max(h - 2, 0)).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
     fu = u - x0
     fv = v - y0
     data = level.data
@@ -236,7 +240,7 @@ def bilinear_grad(level: FeatureLevel, pos) -> tuple[np.ndarray, bool]:
     f11 = data[:, y1, x1].astype(np.float64)
     du = (1 - fv) * (f10 - f00) + fv * (f11 - f01)
     dv = (1 - fu) * (f01 - f00) + fu * (f11 - f10)
-    return np.stack([du, dv], axis=-1), at_kink
+    return rows, np.stack([du.T, dv.T], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +387,10 @@ def load_pyramid(manifest_path) -> FeaturePyramid:
         manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))
     cams = []
-    for cam_entry in manifest["cameras"]:
+    for cam_entry in _json_records(manifest, "cameras", FeatureError, f"pyramid manifest {manifest_path}"):
         levels = []
-        for lv in cam_entry["levels"]:
-            data = read_tensor(os.path.join(base, lv["file"]))
-            levels.append(FeatureLevel(data=data, stride=int(lv["stride"])))
+        for lv in _json_records(cam_entry, "levels", FeatureError, f"a camera of {manifest_path}"):
+            lv = _json_fields(lv, {"file": _json_text, "stride": int}, FeatureError, f"a level of {manifest_path}")
+            levels.append(FeatureLevel(data=read_tensor(os.path.join(base, lv["file"])), stride=lv["stride"]))
         cams.append(levels)
     return FeaturePyramid(cams)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import Box3D, DetectionResult
+from .camgeo import Box3D, DetectionResult, _box_from_json, _json_fields, _json_records
 
 __all__ = [
     "MatchingError",
@@ -391,16 +391,10 @@ def predictions_to_dict(preds: Sequence[DetectionResult]) -> dict:
 
 def predictions_from_dict(data: dict) -> list[DetectionResult]:
     preds = []
-    for entry in data["predictions"]:
-        box = Box3D(
-            center=np.asarray(entry["center"], dtype=np.float64),
-            size=np.asarray(entry["size"], dtype=np.float64),
-            yaw=float(entry["yaw"]),
-            velocity=np.asarray(entry.get("velocity", (0.0, 0.0)), dtype=np.float64),
-            class_id=int(entry.get("class", 0)),
-            attribute_id=int(entry.get("attribute", 0)),
-        )
-        preds.append(DetectionResult(box=box, score=float(entry["score"])))
+    for entry in _json_records(data, "predictions", MatchingError, "prediction data"):
+        box = _box_from_json(entry, MatchingError, "prediction")
+        score = _json_fields(entry, {"score": float}, MatchingError, "prediction")["score"]
+        preds.append(DetectionResult(box=box, score=score))
     return preds
 
 

@@ -2,10 +2,12 @@ import json
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from mvdet.cli import main
 from mvdet import decoder
+from mvdet.featcore import write_tensor
 from mvdet.matching import load_predictions
 
 
@@ -209,6 +211,10 @@ class TestGradcheckCommand:
     def test_zero_tolerance_fails(self):
         assert main(["gradcheck", "--probes", "2", "--tol", "0"]) == 1
 
+    def test_zero_probes_usage_error(self, capsys):
+        assert main(["gradcheck", "--probes", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_constant_field_reports_zero_offset_gradient(self, capsys):
         # Covered analytically in unit tests; at the CLI level the offset
         # component must pass with zero jitters on the default field.
@@ -216,6 +222,83 @@ class TestGradcheckCommand:
         payload = json.loads(capsys.readouterr().out)
         offset = next(c for c in payload["components"] if c["component"] == "offset")
         assert offset["passed"]
+
+
+def _calib_with_null_fx(scene_dir):
+    calib = json.loads((scene_dir / "calib.json").read_text())
+    calib["cameras"][0]["fx"] = None
+    return calib
+
+
+def _frame_with(**fields):
+    def build(scene_dir):
+        ann = json.loads((scene_dir / "annotations.json").read_text())
+        ann["frames"][0].update(fields)
+        return ann
+
+    return build
+
+
+def _object_with(**fields):
+    def build(scene_dir):
+        ann = json.loads((scene_dir / "annotations.json").read_text())
+        ann["frames"][0]["objects"][0].update(fields)
+        return ann
+
+    return build
+
+
+_LEVEL = {"file": "level.gdt3", "stride": 8}
+_PRED = {"center": [10.0, 0.0, 1.0], "size": [2.0, 4.0, 1.5], "yaw": 0.0, "score": 0.5}
+_MALFORMED = {
+    "pyramid-list": ("pyramid", []),
+    "pyramid-cameras-int": ("pyramid", {"cameras": 3}),
+    "pyramid-stride-null": ("pyramid", {"cameras": [{"levels": [dict(_LEVEL, stride=None)]}]}),
+    "pyramid-stride-list": ("pyramid", {"cameras": [{"levels": [dict(_LEVEL, stride=[8])]}]}),
+    "pyramid-file-int": ("pyramid", {"cameras": [{"levels": [dict(_LEVEL, file=5)]}]}),
+    "params-list": ("params", []),
+    "params-entries-int": ("params", {"meta": {}, "entries": 3}),
+    "params-file-int": ("params", {"meta": {}, "entries": [{"name": "x", "file": 5, "shape": [1]}]}),
+    "params-meta-int": ("params", {"meta": 5, "entries": []}),
+    "params-layers-list": ("params", {"meta": {"layers": [1], "heads": 1, "activations": {}}, "entries": []}),
+    "calib-fx-null": ("calib", _calib_with_null_fx),
+    "predictions-list": ("pred", []),
+    "predictions-int": ("pred", {"predictions": 5}),
+    "predictions-item-int": ("pred", {"predictions": [1]}),
+    "predictions-yaw-null": ("pred", {"predictions": [dict(_PRED, yaw=None)]}),
+    "predictions-score-null": ("pred", {"predictions": [dict(_PRED, score=None)]}),
+    "predictions-center-object": ("pred", {"predictions": [dict(_PRED, center={"x": 1})]}),
+    "annotations-list": ("annotations", []),
+    "annotations-frames-int": ("annotations", {"frames": 5}),
+    "annotations-item-int": ("annotations", {"frames": [1]}),
+    "annotations-objects-int": ("annotations", _frame_with(objects=5)),
+    "annotations-image-sizes-int": ("annotations", _frame_with(image_sizes=[5])),
+    "annotations-depth-null": ("annotations", _object_with(depth=None)),
+    "annotations-class-list": ("annotations", _object_with(**{"class": [1]})),
+}
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_exits_with_usage_error(self, scene_dir, tmp_path, capsys, case):
+        kind, content = _MALFORMED[case]
+        bad = tmp_path / "bad.json"
+        write_tensor(tmp_path / "level.gdt3", np.zeros((8, 4, 4)))
+        bad.write_text(json.dumps(content(scene_dir) if callable(content) else content))
+        pyramid, calib = str(scene_dir / "pyramid" / "pyramid.json"), str(scene_dir / "calib.json")
+        gt, out = str(scene_dir / "annotations.json"), str(tmp_path / "out")
+        argv = {
+            "pyramid": ["decode", "--pyramid", str(bad), "--calib", calib, "--seed", "1", "--out", out],
+            "params": ["decode", "--pyramid", pyramid, "--calib", calib, "--params", str(bad),
+                       "--seed", "1", "--out", out],
+            "calib": ["project", "--calib", str(bad), "--point", "10,0,1"],
+            "pred": ["evaluate", "--gt", gt, "--pred", str(bad), "--calib", calib, "--out", out],
+            "annotations": ["augment", "--annotations", str(bad), "--scale-min", "1", "--scale-max", "1",
+                            "--seed", "1", "--out", out],
+        }[kind]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestEvaluateCommand:

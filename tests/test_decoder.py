@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -478,7 +479,7 @@ class TestGradCheck:
             offset_scale=1.0,
         )
         q = rng.uniform(-1, 1, 8)
-        grad_offsets, _, _ = probe.analytic(q)
+        grad_offsets, _, _ = probe.analytic(q, probe.derive(q))
         assert np.all(grad_offsets == 0.0)
 
     def test_linear_field_gradient_equals_slope(self):
@@ -569,3 +570,57 @@ class TestGradCheck:
     def test_invalid_eps_rejected(self):
         with pytest.raises(DecoderError):
             grad_check(eps=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"probes": 0}, {"probes": -1}, {"components": ("offsets",)}, {"components": ()}]
+    )
+    def test_check_of_nothing_rejected(self, kwargs):
+        with pytest.raises(DecoderError):
+            grad_check(**kwargs)
+
+    def test_components_subset_checks_only_those(self):
+        report = grad_check(seed=3, probes=2, components=("weight",))
+        assert [c.component for c in report.components] == ["weight"]
+        assert report.components[0].n_checked == 2 * 4
+        assert report.passed
+
+    def test_grad_check_report_regression_hash(self):
+        # sha256 of the sorted-JSON reports, computed before the oracle was
+        # rebuilt on batched sampling; the rebuild must not change a byte.
+        expected = {
+            42: "13540405cdcffcbe876fe2f9acd75cb025c5bb701b8328485e588f4966ab19d5",
+            236352767: "dd87ad0af85aa835112c75d580255349a73767a71e8de669b2e34ba525dfb9c0",
+        }
+        for seed, digest in expected.items():
+            blob = json.dumps(grad_check(seed=seed, probes=8).to_dict(), sort_keys=True)
+            assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    def test_jacobians_taken_once_per_net_per_probe(self, monkeypatch):
+        # Order and count matter to tooling that maps each Jacobian call to
+        # its probe: ref, offset, weight, once each per probe.
+        calls = []
+        jacobian = Mlp.jacobian
+
+        def record(mlp, x):
+            calls.append(mlp.out_dim)
+            return jacobian(mlp, x)
+
+        monkeypatch.setattr(Mlp, "jacobian", record)
+        grad_check(seed=5, probes=2, k=4)
+        assert calls == [3, 12, 4, 3, 12, 4]
+
+    def test_one_sampling_call_per_probe_for_all_differences(self, monkeypatch):
+        from mvdet import decoder
+
+        calls = []
+        sample = decoder.sample_multiview_many
+
+        def record(pyr, rig, points, *args):
+            calls.append(len(np.asarray(points).reshape(-1, 3)))
+            return sample(pyr, rig, points, *args)
+
+        monkeypatch.setattr(decoder, "sample_multiview_many", record)
+        grad_check(seed=5, probes=8)
+        # Per probe: the analytic gradient samples the K = 4 nodes, then one
+        # call samples the nodes of all 2 * (12 + 4 + 16) signed steps.
+        assert calls == [4, 64 * 4] * 8

@@ -120,19 +120,25 @@ class TestBilinearSample:
             assert np.all(feat <= support.max(axis=1) + 1e-12)
 
 
+def grad_at(level, pos):
+    """bilinear_grad of one inside position: its (C, 2) gradient."""
+    rows, grads = bilinear_grad(level, np.array([pos]))
+    assert rows.tolist() == [0]
+    return grads[0]
+
+
 class TestBilinearGrad:
     def test_constant_zero_gradient(self):
         level = FeatureLevel(data=np.full((2, 4, 4), 3.0), stride=1)
-        grad, at_kink = bilinear_grad(level, (1.5, 2.5))
-        assert not at_kink
+        grad = grad_at(level, (1.5, 2.5))
+        assert grad.shape == (2, 2)
         assert np.all(grad == 0.0)
 
     def test_linear_ramp_slope(self):
         s = 0.75
         data = (s * np.arange(6, dtype=float))[None, None, :].repeat(5, axis=1)
         level = FeatureLevel(data=data, stride=1)
-        grad, at_kink = bilinear_grad(level, (2.25, 3.5))
-        assert not at_kink
+        grad = grad_at(level, (2.25, 3.5))
         assert grad[0, 0] == pytest.approx(s, abs=1e-12)
         assert grad[0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -142,18 +148,21 @@ class TestBilinearGrad:
         h = 1e-5
         pos = np.array([0.5, 0.5])
         fd = central_difference(level, pos, h)
-        grad, at_kink = bilinear_grad(level, pos)
-        assert not at_kink
+        grad = grad_at(level, pos)
         assert grad[0, 0] == pytest.approx(fd[0, 0], abs=1e-9)
         assert grad[0, 1] == pytest.approx(fd[0, 1], abs=1e-9)
         assert (grad[0, 0], grad[0, 1]) == (1.0, 2.0)
 
-    def test_kink_flagged_on_integer_lines(self):
+    def test_outside_positions_not_in_rows(self):
         level = FeatureLevel(data=np.arange(12, dtype=float).reshape(1, 3, 4), stride=1)
-        assert bilinear_grad(level, (1.0, 0.5))[1]
-        assert bilinear_grad(level, (0.5, 2.0))[1]
-        assert bilinear_grad(level, (-0.5, 0.5))[1]
-        assert not bilinear_grad(level, (0.5, 0.5))[1]
+        pos = np.array([[-0.5, 0.5], [0.5, 0.5], [3.5, 1.0], [np.nan, 1.0], [3.0, 2.0]])
+        rows, grads = bilinear_grad(level, pos)
+        assert rows.tolist() == [1, 4]
+        assert grads.shape == (2, 1, 2)
+        # The last column and row take the one-sided slope of the cell before.
+        assert grads[1, 0].tolist() == [1.0, 4.0]
+        rows, grads = bilinear_grad(level, np.zeros((0, 2)))
+        assert rows.shape == (0,) and grads.shape == (0, 1, 2)
 
     def test_matches_fd_at_random_non_kink_points(self):
         rng = np.random.default_rng(4)
@@ -166,8 +175,7 @@ class TestBilinearGrad:
             frac = np.abs(pos - np.round(pos))
             if frac.min() < 0.01:
                 continue
-            grad, at_kink = bilinear_grad(level, pos)
-            assert not at_kink
+            grad = grad_at(level, pos)
             fd = central_difference(level, pos, h)
             assert np.all(np.abs(grad - fd) <= 1e-6 + 1e-6 * np.abs(grad))
             checked += 1
@@ -417,13 +425,15 @@ class TestSparseSamplingBitIdentity:
         level = random_pyramid(CameraRig(cameras=(make_ident_cam(),)), (2,), channels=3, seed=19).levels(0)[0]
         data = level.data.astype(np.float64)
         rng = np.random.default_rng(20)
-        for u, v in rng.uniform((0, 0), (level.width - 1, level.height - 1), size=(50, 2)):
+        pos = rng.uniform((0, 0), (level.width - 1, level.height - 1), size=(50, 2))
+        rows, grads = bilinear_grad(level, pos)
+        assert rows.tolist() == list(range(50))
+        for (u, v), grad in zip(pos, grads):
             x0, y0 = int(np.floor(u)), int(np.floor(v))
             x1, y1 = x0 + 1, y0 + 1
             fu, fv = u - x0, v - y0
             du = (1 - fv) * (data[:, y0, x1] - data[:, y0, x0]) + fv * (data[:, y1, x1] - data[:, y1, x0])
             dv = (1 - fu) * (data[:, y1, x0] - data[:, y0, x0]) + fu * (data[:, y1, x1] - data[:, y0, x1])
-            grad, _ = bilinear_grad(level, (u, v))
             assert grad.tobytes() == np.stack([du, dv], axis=-1).tobytes()
 
 
