@@ -33,6 +33,7 @@ from .camgeo import (
     _box_from_json,
     _json_fields,
     _json_records,
+    _json_write,
     pixel_size,
     rig_from_dict,
     rig_to_dict,
@@ -322,10 +323,7 @@ def frame_from_dict(data: dict) -> AnnotatedFrame:
 
 
 def save_frames(path, frames: Sequence[AnnotatedFrame]) -> None:
-    payload = {"frames": [frame_to_dict(f) for f in frames]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _json_write(path, {"frames": [frame_to_dict(f) for f in frames]})
 
 
 def load_frames(path) -> list[AnnotatedFrame]:

@@ -31,15 +31,11 @@ __all__ = [
     "DetectionResult",
     "SceneBounds",
     "RegionLabel",
-    "project_point",
     "project_points",
     "back_project",
-    "is_visible",
     "visible_mask",
-    "visible_cameras",
     "visible_counts",
     "box_corners",
-    "classify_region",
     "classify_regions",
     "pixel_size",
     "rig_to_dict",
@@ -270,15 +266,6 @@ def project_points(points: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np
     return pixels, depths
 
 
-def project_point(p, cam: CameraModel) -> tuple[np.ndarray, float]:
-    """Single-point variant of :func:`project_points`.
-
-    Returns (pixel, depth); pixel is NaN when depth <= 0.
-    """
-    pixels, depths = project_points(np.asarray(p, dtype=np.float64).reshape(1, 3), cam)
-    return pixels[0], float(depths[0])
-
-
 def back_project(pixel, depth: float, cam: CameraModel) -> np.ndarray:
     """Invert projection at a known positive depth; returns the ego-frame point."""
     if depth <= 0:
@@ -305,10 +292,6 @@ def visible_mask(points: np.ndarray, cam: CameraModel) -> np.ndarray:
     return (depths > 0) & inside
 
 
-def is_visible(p, cam: CameraModel) -> bool:
-    return bool(visible_mask(np.asarray(p, dtype=np.float64).reshape(1, 3), cam)[0])
-
-
 def visible_counts(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     """Number of rig cameras in which each point is visible; (N,) ints."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -316,12 +299,6 @@ def visible_counts(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     for cam in rig:
         counts += visible_mask(pts, cam)
     return counts
-
-
-def visible_cameras(p, rig: CameraRig) -> set[int]:
-    """Indices of rig cameras in which the point is visible."""
-    pts = np.asarray(p, dtype=np.float64).reshape(1, 3)
-    return {i for i, cam in enumerate(rig) if visible_mask(pts, cam)[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +356,6 @@ def classify_regions(boxes: Sequence[Box3D], rig: CameraRig) -> list[RegionLabel
     return labels
 
 
-def classify_region(b: Box3D, rig: CameraRig) -> RegionLabel:
-    return classify_regions([b], rig)[0]
-
-
 def pixel_size(intr: CameraIntrinsics) -> float:
     """Pixel size sqrt(1/fx^2 + 1/fy^2); converts metric depth to pixel-level depth."""
     if intr.fx <= 0 or intr.fy <= 0:
@@ -411,6 +384,14 @@ def rig_to_dict(rig: CameraRig) -> dict:
             for cam in rig
         ]
     }
+
+
+def _json_write(path, payload) -> None:
+    """Write ``payload`` as sorted, 2-space-indented JSON plus a newline;
+    every JSON file the package writes goes through here."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # Parsed JSON input is checked with these helpers; each loader passes its
@@ -488,9 +469,7 @@ def rig_from_dict(data: dict) -> CameraRig:
 
 
 def save_rig(path, rig: CameraRig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rig_to_dict(rig), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _json_write(path, rig_to_dict(rig))
 
 
 def load_rig(path) -> CameraRig:

@@ -42,12 +42,6 @@ _ERRORS = (
 )
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -70,10 +64,10 @@ def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
 def _object_depth(box: camgeo.Box3D, rig: camgeo.CameraRig) -> float:
     """Depth channel for an annotation: optical-axis range in the first
     camera that sees the centroid, else the planar range from the origin."""
+    center = box.center.reshape(1, 3)
     for cam in rig:
-        if camgeo.is_visible(box.center, cam):
-            _, depth = camgeo.project_point(box.center, cam)
-            return float(depth)
+        if camgeo.visible_mask(center, cam)[0]:
+            return float(camgeo.project_points(center, cam)[1][0])
     return float(np.linalg.norm(box.center[:2]))
 
 
@@ -115,30 +109,31 @@ def _cmd_synth(args) -> int:
 def _cmd_project(args) -> int:
     rig = camgeo.load_rig(args.calib)
     point = _parse_floats(args.point, 3, "--point")
+    points = point.reshape(1, 3)
     cameras = []
     for i, cam in enumerate(rig):
-        pixel, depth = camgeo.project_point(point, cam)
-        visible = camgeo.is_visible(point, cam)
+        pixels, depths = camgeo.project_points(points, cam)
+        depth = float(depths[0])
         cameras.append(
             {
                 "id": cam.id,
                 "index": i,
-                "pixel": None if depth <= 0 else [float(pixel[0]), float(pixel[1])],
-                "depth": float(depth),
-                "visible": visible,
+                "pixel": None if depth <= 0 else [float(pixels[0, 0]), float(pixels[0, 1])],
+                "depth": depth,
+                "visible": bool(camgeo.visible_mask(points, cam)[0]),
             }
         )
     payload = {
         "point": [float(x) for x in point],
         "cameras": cameras,
-        "visible_cameras": sorted(camgeo.visible_cameras(point, rig)),
+        "visible_cameras": [c["index"] for c in cameras if c["visible"]],
     }
     if args.box:
         vals = _parse_floats(args.box, 7, "--box")
         box = camgeo.Box3D(center=vals[:3], size=vals[3:6], yaw=float(vals[6]))
-        payload["region"] = camgeo.classify_region(box, rig).value
+        payload["region"] = camgeo.classify_regions([box], rig)[0].value
     if args.out:
-        _write_json(args.out, payload)
+        camgeo._json_write(args.out, payload)
     _emit(payload, args.json)
     return 0
 
@@ -166,7 +161,7 @@ def _cmd_augment(args) -> int:
     out_frames = os.path.join(args.out, "annotations.json")
     aug.save_frames(out_frames, transformed)
     out_log = os.path.join(args.out, "augment_log.json")
-    _write_json(out_log, {"mode": args.mode, "seed": args.seed, "frames": log})
+    camgeo._json_write(out_log, {"mode": args.mode, "seed": args.seed, "frames": log})
     _emit({"annotations": out_frames, "log": out_log, "scales": [e["scale"] for e in log]}, args.json)
     return 0
 
@@ -221,7 +216,7 @@ def _cmd_gradcheck(args) -> int:
     )
     payload = report.to_dict()
     if args.out:
-        _write_json(args.out, payload)
+        camgeo._json_write(args.out, payload)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

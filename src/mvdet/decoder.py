@@ -35,6 +35,7 @@ from .camgeo import (
     _json_fields,
     _json_records,
     _json_text,
+    _json_write,
     box_corners,
     project_points,
 )
@@ -72,6 +73,12 @@ __all__ = [
 
 class DecoderError(ValueError):
     """Decoder configuration or numeric state is invalid."""
+
+
+def _check_sizes(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise DecoderError(f"{name} must be at least 1, got {value}")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -165,16 +172,16 @@ class Mlp:
         return jac
 
     @classmethod
-    def seeded(cls, sizes: Sequence[int], rng: np.random.Generator, final_identity: bool = True) -> "Mlp":
-        """Uniform(+-1/sqrt(fan_in)) init; ReLU on hidden layers."""
+    def seeded(cls, sizes: Sequence[int], rng: np.random.Generator) -> "Mlp":
+        """Uniform(+-1/sqrt(fan_in)) init; ReLU on hidden layers, identity on
+        the last."""
         ws, bs, acts = [], [], []
         for i in range(len(sizes) - 1):
             fan_in = sizes[i]
             bound = 1.0 / math.sqrt(fan_in)
             ws.append(rng.uniform(-bound, bound, size=(sizes[i + 1], fan_in)))
             bs.append(rng.uniform(-bound, bound, size=sizes[i + 1]))
-            last = i == len(sizes) - 2
-            acts.append("identity" if (last and final_identity) else "relu")
+            acts.append("identity" if i == len(sizes) - 2 else "relu")
         return cls(weights=tuple(ws), biases=tuple(bs), activations=tuple(acts))
 
     @classmethod
@@ -216,6 +223,7 @@ class QuerySet:
 
 
 def init_queries(seed: int, count: int, dim: int, bounds: SceneBounds) -> QuerySet:
+    _check_sizes(count=count, dim=dim)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(10,))))
     bound = 1.0 / math.sqrt(dim)
     return QuerySet(embeddings=rng.uniform(-bound, bound, size=(count, dim)), scene_bounds=bounds)
@@ -278,6 +286,8 @@ class AttentionParams:
 
     def __post_init__(self):
         dim = np.asarray(self.w_q).shape[0]
+        if self.heads < 1:
+            raise DecoderError(f"heads must be at least 1, got {self.heads}")
         if dim % self.heads != 0:
             raise DecoderError(f"dim {dim} not divisible by heads {self.heads}")
         for name in ("w_q", "w_k", "w_v", "w_o"):
@@ -371,9 +381,9 @@ def init_decoder(
     dim: int = 256,
     neighbors: int = 16,
     heads: int = 8,
-    ffn_multiplier: int = 4,
 ) -> list[DecoderLayer]:
     """Deterministic seeded decoder stack."""
+    _check_sizes(layers=layers, dim=dim, neighbors=neighbors, heads=heads)
     built = []
     for li in range(layers):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(20, li))))
@@ -383,7 +393,7 @@ def init_decoder(
                 offset_net=Mlp.seeded([dim, dim, 3 * neighbors], rng),
                 weight_net=Mlp.seeded([dim, neighbors], rng),
                 attention=AttentionParams.seeded(dim, heads, rng),
-                ffn=Mlp.seeded([dim, ffn_multiplier * dim, dim], rng),
+                ffn=Mlp.seeded([dim, 4 * dim, dim], rng),
             )
         )
     return built
@@ -397,20 +407,19 @@ def _aggregate(
     rig: CameraRig,
     mode: AggregationMode,
     offset_scale: float,
-    image_scale,
 ) -> np.ndarray:
     m = emb.shape[0]
     if mode is AggregationMode.SINGLE_POINT:
-        feats, _ = sample_multiview_many(pyr, rig, refs, image_scale)
+        feats, _ = sample_multiview_many(pyr, rig, refs)
         return emb + feats
     if mode is AggregationMode.FIXED_POINTS:
         corners = box_corners(Box3D(center=np.zeros(3), size=FIXED_POINTS_BOX_SIZE, yaw=0.0))
         nodes = refs[:, None, :] + np.vstack([np.zeros(3), corners])
-        feats, _ = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3), image_scale)
+        feats, _ = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3))
         return emb + feats.reshape(m, 9, -1).sum(axis=1)
     if mode is AggregationMode.DYNAMIC_GRAPH:
         nodes, _, weights = graph_nodes(emb, refs, layer.offset_net, layer.weight_net, offset_scale)
-        feats, _ = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3), image_scale)
+        feats, _ = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3))
         feats = feats.reshape(m, layer.neighbors, -1)
         update = np.zeros_like(emb)
         for j in range(layer.neighbors):
@@ -426,7 +435,6 @@ def decoder_forward(
     rig: CameraRig,
     mode: AggregationMode = AggregationMode.DYNAMIC_GRAPH,
     offset_scale: float = 2.0,
-    image_scale=None,
 ) -> tuple[QuerySet, np.ndarray]:
     """Run the full layer stack.
 
@@ -434,6 +442,8 @@ def decoder_forward(
     shape (num_layers, M, 3).  Reference points are re-decoded from the
     updated queries at every layer.
     """
+    if not layers:
+        raise DecoderError("the decoder needs at least one layer")
     if pyr.channels != qs.dim:
         raise DecoderError(
             f"pyramid channels ({pyr.channels}) must match query dim ({qs.dim})"
@@ -446,7 +456,7 @@ def decoder_forward(
         bounds = current.scene_bounds
         refs = decode_reference_point(emb, layer.ref_net, bounds)
         all_refs[li] = refs
-        emb = _aggregate(emb, refs, layer, pyr, rig, mode, offset_scale, image_scale)
+        emb = _aggregate(emb, refs, layer, pyr, rig, mode, offset_scale)
         emb = emb + layer.ffn(emb)
         current = QuerySet(embeddings=emb, scene_bounds=bounds)
     return current, all_refs
@@ -540,7 +550,6 @@ def save_params(
     directory,
     layers: Sequence[DecoderLayer],
     head: PredictionHead | None = None,
-    manifest_name: str = "params.json",
 ) -> str:
     """Write the parameter bundle; tensors are stored as 32-bit floats, so a
     load returns the stored (truncated) values rather than the in-memory
@@ -566,10 +575,8 @@ def save_params(
     if head is not None:
         meta["activations"]["head.reg_net"] = list(head.reg_net.activations)
         meta["activations"]["head.cls_net"] = list(head.cls_net.activations)
-    manifest_path = os.path.join(directory, manifest_name)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump({"version": 1, "meta": meta, "entries": entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest_path = os.path.join(directory, "params.json")
+    _json_write(manifest_path, {"version": 1, "meta": meta, "entries": entries})
     return manifest_path
 
 
@@ -588,6 +595,7 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead | Non
     entries = _json_records(bundle, "entries", DecoderError, f"parameter manifest {manifest_path}")
     meta = _json_fields(bundle, {"meta": dict}, DecoderError, str(manifest_path))["meta"]
     meta.update(_json_fields(meta, _PARAM_META_FIELDS, DecoderError, f"the meta of {manifest_path}"))
+    _check_sizes(layers=meta["layers"])
     arrays = {}
     for entry in entries:
         entry = _json_fields(entry, _PARAM_ENTRY_FIELDS, DecoderError, f"an entry of {manifest_path}")

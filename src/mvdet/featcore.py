@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import CameraRig, _json_fields, _json_records, _json_text, project_points
+from .camgeo import CameraRig, _json_fields, _json_records, _json_text, _json_write, project_points
 
 __all__ = [
     "FeatureError",
@@ -363,7 +363,7 @@ def read_tensor(path) -> np.ndarray:
             raise TensorFormatError(f"{path}: unsupported shape {dims}: {exc}") from exc
 
 
-def save_pyramid(directory, pyr: FeaturePyramid, manifest_name: str = "pyramid.json") -> str:
+def save_pyramid(directory, pyr: FeaturePyramid) -> str:
     """Write one tensor file per (camera, level) plus a manifest; returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
     cameras = []
@@ -374,11 +374,8 @@ def save_pyramid(directory, pyr: FeaturePyramid, manifest_name: str = "pyramid.j
             write_tensor(os.path.join(directory, fname), level.data)
             entries.append({"file": fname, "stride": level.stride})
         cameras.append({"levels": entries})
-    manifest = {"version": TENSOR_VERSION, "cameras": cameras}
-    manifest_path = os.path.join(directory, manifest_name)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest_path = os.path.join(directory, "pyramid.json")
+    _json_write(manifest_path, {"version": TENSOR_VERSION, "cameras": cameras})
     return manifest_path
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import Box3D, DetectionResult, _box_from_json, _json_fields, _json_records
+from .camgeo import Box3D, DetectionResult, _box_from_json, _json_fields, _json_records, _json_write
 
 __all__ = [
     "MatchingError",
@@ -399,9 +399,7 @@ def predictions_from_dict(data: dict) -> list[DetectionResult]:
 
 
 def save_predictions(path, preds: Sequence[DetectionResult]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(predictions_to_dict(preds), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _json_write(path, predictions_to_dict(preds))
 
 
 def load_predictions(path) -> list[DetectionResult]:

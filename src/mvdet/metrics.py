@@ -11,14 +11,13 @@ error terms.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .camgeo import Box3D, CameraRig, DetectionResult, RegionLabel, classify_regions
+from .camgeo import Box3D, CameraRig, DetectionResult, RegionLabel, _json_write, classify_regions
 
 __all__ = [
     "MetricsError",
@@ -37,6 +36,9 @@ __all__ = [
 ]
 
 _INTERP_POINTS = 101
+# The nuScenes floors: AP integrates recall >= 0.1 and precision above 0.1.
+_MIN_RECALL = 0.1
+_MIN_PRECISION = 0.1
 
 
 class MetricsError(ValueError):
@@ -50,9 +52,6 @@ class EvalConfig:
     dist_thresholds: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
     tp_threshold: float = 2.0
     classes: tuple[int, ...] | None = None
-    region: RegionLabel | None = None
-    min_recall: float = 0.1
-    min_precision: float = 0.1
 
     def __post_init__(self):
         ths = tuple(float(t) for t in self.dist_thresholds)
@@ -198,8 +197,6 @@ def ap_at_threshold(
     gts: Sequence[Box3D],
     class_id: int,
     threshold: float,
-    min_recall: float = 0.1,
-    min_precision: float = 0.1,
 ) -> float:
     """Average precision of one class at one center-distance threshold."""
     npos = sum(1 for g in gts if g.class_id == class_id)
@@ -214,9 +211,9 @@ def ap_at_threshold(
     precision = tp / (tp + fp)
     rec_grid = np.linspace(0.0, 1.0, _INTERP_POINTS)
     prec_interp = np.interp(rec_grid, recall, precision, right=0.0)
-    start = round(100 * min_recall) + 1
-    clipped = np.clip(prec_interp[start:] - min_precision, 0.0, None)
-    return min(1.0, float(clipped.mean() / (1.0 - min_precision)))
+    start = round(100 * _MIN_RECALL) + 1
+    clipped = np.clip(prec_interp[start:] - _MIN_PRECISION, 0.0, None)
+    return min(1.0, float(clipped.mean() / (1.0 - _MIN_PRECISION)))
 
 
 def _smallest_yaw_diff(a: float, b: float) -> float:
@@ -269,44 +266,22 @@ def nds(mean_ap: float, mtps: Sequence[float]) -> float:
 # Full evaluation
 
 
-def _filter_by_region(
-    preds: Sequence[DetectionResult],
-    gts: Sequence[Box3D],
-    rig: CameraRig,
-    region: RegionLabel,
-) -> tuple[list[DetectionResult], list[Box3D]]:
-    gt_labels = classify_regions(list(gts), rig)
-    pred_labels = classify_regions([p.box for p in preds], rig)
-    kept_gts = [g for g, lab in zip(gts, gt_labels) if lab is region]
-    kept_preds = [p for p, lab in zip(preds, pred_labels) if lab is region]
-    return kept_preds, kept_gts
-
-
 def evaluate(
     preds: Sequence[DetectionResult],
     gts: Sequence[Box3D],
     cfg: EvalConfig = EvalConfig(),
-    rig: CameraRig | None = None,
 ) -> MetricsReport:
-    """Score predictions against ground truths.
-
-    With ``cfg.region`` set, both sets are first restricted to boxes whose
-    own classification matches that region (requires ``rig``).  Classes
-    default to those present in the ground truths.
-    """
+    """Score predictions against ground truths.  Classes default to those
+    present in the ground truths."""
     preds = list(preds)
     gts = list(gts)
-    if cfg.region is not None:
-        if rig is None:
-            raise MetricsError("region-filtered evaluation requires a camera rig")
-        preds, gts = _filter_by_region(preds, gts, rig, cfg.region)
     classes = cfg.classes if cfg.classes is not None else tuple(sorted({g.class_id for g in gts}))
     ap_table: dict[int, dict[float, float]] = {}
     ap_values = []
     for cid in classes:
         per = {}
         for th in cfg.dist_thresholds:
-            per[th] = ap_at_threshold(preds, gts, cid, th, cfg.min_recall, cfg.min_precision)
+            per[th] = ap_at_threshold(preds, gts, cid, th)
             ap_values.append(per[th])
         ap_table[cid] = per
     mean_ap = float(np.mean(ap_values)) if ap_values else 0.0
@@ -336,14 +311,23 @@ def evaluate_region_split(
 
     Region reports keep only ground truths classified into that region and
     predictions whose own boxes classify the same way; boxes invisible to
-    every camera appear only in the overall report.
+    every camera appear only in the overall report.  Each box set is
+    classified once.
     """
-    if cfg.region is not None:
-        raise MetricsError("evaluate_region_split requires cfg.region=None")
+    preds = list(preds)
+    gts = list(gts)
+    gt_labels = classify_regions(gts, rig)
+    pred_labels = classify_regions([p.box for p in preds], rig)
+
+    def region_report(region: RegionLabel) -> MetricsReport:
+        kept_preds = [p for p, lab in zip(preds, pred_labels) if lab is region]
+        kept_gts = [g for g, lab in zip(gts, gt_labels) if lab is region]
+        return evaluate(kept_preds, kept_gts, cfg)
+
     return RegionSplitReport(
         overall=evaluate(preds, gts, cfg),
-        overlapping=evaluate(preds, gts, replace(cfg, region=RegionLabel.OVERLAPPING), rig),
-        non_overlapping=evaluate(preds, gts, replace(cfg, region=RegionLabel.NON_OVERLAPPING), rig),
+        overlapping=region_report(RegionLabel.OVERLAPPING),
+        non_overlapping=region_report(RegionLabel.NON_OVERLAPPING),
     )
 
 
@@ -352,9 +336,7 @@ def evaluate_region_split(
 
 
 def save_report(path, report: MetricsReport | RegionSplitReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _json_write(path, report.to_dict())
 
 
 def save_report_csv(path, report: MetricsReport | RegionSplitReport) -> None:

@@ -41,7 +41,8 @@ from mvdet.synth import (
     random_field,
     render_pyramid,
 )
-from tests.test_augment import make_frame
+
+from helpers import make_frame
 
 
 def report(number, name, started, budget_s):

@@ -19,25 +19,10 @@ from mvdet.augment import (
     save_frames,
     vanilla_transform,
 )
-from mvdet.camgeo import Box3D, CameraIntrinsics, pixel_size, project_point
-from mvdet.synth import derived_rng, gen_objects, gen_rig
+from mvdet.camgeo import Box3D, CameraIntrinsics, pixel_size, project_points
+from mvdet.synth import derived_rng, gen_rig
 
-
-def make_frame(objects=None, images=False, rig=None):
-    rig = rig or gen_rig("nuscenes-like")
-    if objects is None:
-        objects = tuple(
-            AnnotatedObject(box=b, depth=float(np.linalg.norm(b.center[:2])))
-            for b in gen_objects(1, 12)
-        )
-    imgs = None
-    if images:
-        rng = np.random.default_rng(0)
-        imgs = tuple(
-            (rng.uniform(0, 1, size=(2, cam.intrinsics.height // 8, cam.intrinsics.width // 8)),)
-            for cam in rig
-        )
-    return AnnotatedFrame(rig=rig, objects=objects, images=imgs)
+from helpers import make_frame
 
 
 class TestSampleScale:
@@ -189,8 +174,8 @@ class TestVanilla:
         out = vanilla_transform(frame, r)
         p = np.array([20.0, 1.0, 1.5])
         for cam_a, cam_b in zip(frame.rig, out.rig):
-            pa, da = project_point(p, cam_a)
-            pb, db = project_point(p, cam_b)
+            (pa,), (da,) = project_points([p], cam_a)
+            (pb,), (db,) = project_points([p], cam_b)
             if da > 0:
                 assert np.all(np.abs(pb - r * pa) <= 1e-9 * np.maximum(1, np.abs(r * pa)))
                 assert db == da

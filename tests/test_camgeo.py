@@ -13,19 +13,19 @@ from mvdet.camgeo import (
     RegionLabel,
     back_project,
     box_corners,
-    classify_region,
     classify_regions,
-    is_visible,
     load_rig,
     pixel_size,
-    project_point,
     project_points,
     rig_from_dict,
     rig_to_dict,
     save_rig,
-    visible_cameras,
+    visible_counts,
+    visible_mask,
 )
 from mvdet.synth import adjacent_seam_azimuths, gen_objects
+
+from helpers import seen_by
 
 
 def seam_probe(rig, az_deg, dist=30.0, z=1.5):
@@ -35,19 +35,19 @@ def seam_probe(rig, az_deg, dist=30.0, z=1.5):
 
 class TestProjection:
     def test_optical_axis_point(self, ident_cam):
-        pixel, depth = project_point((0, 0, 10), ident_cam)
-        assert np.allclose(pixel, (800, 450))
-        assert depth == 10.0
+        pixels, depths = project_points([(0, 0, 10)], ident_cam)
+        assert np.allclose(pixels[0], (800, 450))
+        assert depths[0] == 10.0
 
     def test_pinhole_arithmetic(self, ident_cam):
-        pixel, depth = project_point((1, 0, 10), ident_cam)
-        assert np.allclose(pixel, (900, 450))
-        assert depth == 10.0
+        pixels, depths = project_points([(1, 0, 10)], ident_cam)
+        assert np.allclose(pixels[0], (900, 450))
+        assert depths[0] == 10.0
 
     def test_behind_camera_sign(self, ident_cam):
-        pixel, depth = project_point((0, 0, -5), ident_cam)
-        assert depth == -5.0
-        assert np.all(np.isnan(pixel))
+        pixels, depths = project_points([(0, 0, -5)], ident_cam)
+        assert depths[0] == -5.0
+        assert np.all(np.isnan(pixels[0]))
 
     def test_intrinsic_scaling_invariant(self, ident_cam):
         rng = np.random.default_rng(3)
@@ -62,8 +62,8 @@ class TestProjection:
                 extrinsics=ident_cam.extrinsics,
                 id="scaled",
             )
-            base, _ = project_point(p, ident_cam)
-            up, _ = project_point(p, scaled)
+            base = project_points([p], ident_cam)[0][0]
+            up = project_points([p], scaled)[0][0]
             assert np.all(np.abs(up - r * base) <= 1e-9 * np.maximum(1.0, np.abs(r * base)))
 
     def test_back_projection_round_trip(self, ident_cam, rig6):
@@ -74,7 +74,7 @@ class TestProjection:
                 pixel = rng.uniform((0, 0), (cam.intrinsics.width - 1, cam.intrinsics.height - 1))
                 depth = float(rng.uniform(0.5, 60.0))
                 p = back_project(pixel, depth, cam)
-                round_trip, rt_depth = project_point(p, cam)
+                (round_trip,), (rt_depth,) = project_points([p], cam)
                 assert np.all(np.abs(round_trip - pixel) <= 1e-9 * np.maximum(1.0, np.abs(pixel)))
                 assert abs(rt_depth - depth) <= 1e-9 * depth
 
@@ -88,42 +88,43 @@ class TestProjection:
         for cam in rig6:
             pixels, depths = project_points(pts, cam)
             for i in range(len(pts)):
-                pixel_i, depth_i = project_point(pts[i], cam)
-                assert depth_i == depths[i]
-                if depth_i > 0:
-                    assert np.array_equal(pixel_i, pixels[i])
+                pixel_i, depth_i = project_points(pts[i : i + 1], cam)
+                assert depth_i[0] == depths[i]
+                if depth_i[0] > 0:
+                    assert np.array_equal(pixel_i[0], pixels[i])
 
 
 class TestVisibility:
     def test_on_axis_visible(self, ident_cam):
-        assert is_visible((0, 0, 10), ident_cam)
+        assert visible_mask([(0, 0, 10)], ident_cam)[0]
 
     def test_behind_invisible(self, ident_cam):
-        assert not is_visible((0, 0, -5), ident_cam)
+        assert not visible_mask([(0, 0, -5)], ident_cam)[0]
 
     def test_out_of_bounds_invisible(self, ident_cam):
         # u = 1000*8.05/10 + 800 = 1605 = width + 5
-        assert not is_visible((8.05, 0, 10), ident_cam)
+        assert not visible_mask([(8.05, 0, 10)], ident_cam)[0]
 
     def test_half_open_bounds(self, ident_cam):
         # u exactly at width is out; u = 0 is in.
-        assert not is_visible(back_project((1600.0, 450.0), 10.0, ident_cam), ident_cam)
-        assert is_visible(back_project((0.0, 450.0), 10.0, ident_cam), ident_cam)
+        assert not visible_mask([back_project((1600.0, 450.0), 10.0, ident_cam)], ident_cam)[0]
+        assert visible_mask([back_project((0.0, 450.0), 10.0, ident_cam)], ident_cam)[0]
 
     def test_seam_point_seen_by_both_adjacent_cameras(self, rig6):
         # Oracle: exhaustive per-camera projection.
         for i, j, az in adjacent_seam_azimuths():
             p = seam_probe(rig6, az)
-            expected = {k for k, cam in enumerate(rig6) if is_visible(p, cam)}
-            assert visible_cameras(p, rig6) == expected == {i, j}
+            expected = seen_by(p, rig6)
+            assert visible_counts([p], rig6)[0] == len(expected) and expected == {i, j}
 
     def test_exclusive_frustum_singleton(self, rig6):
         p = np.array([20.0, 0.0, 1.5])
-        expected = {k for k, cam in enumerate(rig6) if is_visible(p, cam)}
-        assert visible_cameras(p, rig6) == expected == {0}
+        expected = seen_by(p, rig6)
+        assert visible_counts([p], rig6)[0] == len(expected) and expected == {0}
 
     def test_rig_origin_invisible(self, rig6):
-        assert visible_cameras(np.zeros(3), rig6) == set()
+        assert seen_by(np.zeros(3), rig6) == set()
+        assert visible_counts([np.zeros(3)], rig6)[0] == 0
 
 
 class TestBoxCorners:
@@ -168,21 +169,21 @@ class TestRegionClassification:
     def test_seam_centroid_overlapping(self, rig6):
         _, _, az = adjacent_seam_azimuths()[2]
         box = Box3D(center=seam_probe(rig6, az), size=(1, 1, 1), yaw=0.0)
-        assert classify_region(box, rig6) is RegionLabel.OVERLAPPING
+        assert classify_regions([box], rig6) == [RegionLabel.OVERLAPPING]
 
     def test_exclusive_box_non_overlapping(self, rig6):
         box = Box3D(center=(20.0, 0.0, 1.5), size=(0.5, 0.5, 0.5), yaw=0.0)
-        assert classify_region(box, rig6) is RegionLabel.NON_OVERLAPPING
+        assert classify_regions([box], rig6) == [RegionLabel.NON_OVERLAPPING]
 
     def test_box_outside_every_frustum_invisible(self, rig6):
         # Directly above the rig: outside the vertical FOV of every camera.
         box = Box3D(center=(0.0, 0.0, 50.0), size=(1, 1, 1), yaw=0.0)
-        assert all(len(visible_cameras(c, rig6)) == 0 for c in box_corners(box))
-        assert classify_region(box, rig6) is RegionLabel.INVISIBLE
+        assert all(len(seen_by(c, rig6)) == 0 for c in box_corners(box))
+        assert classify_regions([box], rig6) == [RegionLabel.INVISIBLE]
 
     def test_box_behind_single_camera_invisible(self, ident_rig):
         box = Box3D(center=(0.0, 0.0, -25.0), size=(1, 1, 1), yaw=0.0)
-        assert classify_region(box, ident_rig) is RegionLabel.INVISIBLE
+        assert classify_regions([box], ident_rig) == [RegionLabel.INVISIBLE]
 
     def test_partition_and_permutation_invariance(self, rig6):
         boxes = gen_objects(17, 200)
@@ -197,9 +198,9 @@ class TestRegionClassification:
         _, _, az = adjacent_seam_azimuths()[2]
         center = seam_probe(rig6, az + 4.0)
         box = Box3D(center=center, size=(8.0, 8.0, 1.0), yaw=0.0)
-        corner_counts = [len(visible_cameras(c, rig6)) for c in box_corners(box)]
+        corner_counts = [len(seen_by(c, rig6)) for c in box_corners(box)]
         assert max(corner_counts) >= 2  # geometry sanity for this probe
-        assert classify_region(box, rig6) is RegionLabel.OVERLAPPING
+        assert classify_regions([box], rig6) == [RegionLabel.OVERLAPPING]
 
 
 class TestPixelSize:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -9,6 +10,8 @@ from mvdet.cli import main
 from mvdet import decoder
 from mvdet.featcore import write_tensor
 from mvdet.matching import load_predictions
+
+from helpers import degenerate_layer
 
 
 def read_bytes_tree(root):
@@ -49,6 +52,12 @@ class TestSynthCommand:
             ]) == 0
         assert read_bytes_tree(out_a) == read_bytes_tree(out_b)
 
+    def test_annotations_bytes(self, scene_dir):
+        # sha256 computed when each object's depth came from the single-point
+        # projection helpers; the annotation file must not change a byte.
+        blob = (scene_dir / "annotations.json").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == "5b002e576144ebefcddfd50fe01eedf963130a9b084ed459c5a4ea9378851211"
+
     def test_invalid_style_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["synth", "--style", "warped", "--seed", "1", "--out", str(tmp_path)])
@@ -75,6 +84,22 @@ class TestProjectCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["region"] == "non_overlapping"
+
+    def test_two_camera_point_json_bytes(self, scene_dir, capsys):
+        # A point on the seam of front_right and back_right, and a box around
+        # it; the stdout sha256 was computed with the single-point helpers.
+        point = "3.915785766601551,-29.74334584121431,1.5"
+        code = main([
+            "project", "--calib", str(scene_dir / "calib.json"),
+            "--point", point, "--box", point + ",2,4,1.5,0.3", "--json",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert payload["visible_cameras"] == [2, 4]
+        assert payload["region"] == "overlapping"
+        assert [c["pixel"] is None for c in payload["cameras"]] == [False, True, False, True, False, True]
+        assert hashlib.sha256(out.encode()).hexdigest() == "7934869c6e7e2cb9b4b3f5965e26a682134ff47fe0d6da84c51b597e9637cc8f"
 
     def test_missing_calib_io_error(self, tmp_path):
         assert main(["project", "--calib", str(tmp_path / "nope.json"), "--point", "1,2,3"]) == 2
@@ -155,8 +180,6 @@ class TestDecodeCommand:
         # plain center sampling; the two modes must write identical bytes.
         dim = 8
         layers = decoder.init_decoder(3, layers=2, dim=dim, neighbors=1, heads=2)
-        from tests.test_decoder import degenerate_layer
-
         layers = [degenerate_layer(l, dim) for l in layers]
         head = decoder.PredictionHead.seeded(3, dim=dim)
         bundle = decoder.save_params(tmp_path / "params", layers, head)
@@ -200,6 +223,24 @@ class TestDecodeCommand:
             "--seed", "1", "--out", str(tmp_path / "p.json"),
         ]) == 2
         assert "truncated payload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("decode", "--heads"), ("decode", "--layers"), ("decode", "--dim"), ("bench", "--heads"), ("bench", "--layers")],
+)
+def test_nonpositive_decoder_size_usage_error(scene_dir, tmp_path, capsys, command, flag):
+    argv = {
+        "decode": ["decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
+                   "--calib", str(scene_dir / "calib.json"), "--dim", "8", "--queries", "4",
+                   "--layers", "1", "--heads", "2", "--seed", "1", "--out", str(tmp_path / "p.json")],
+        "bench": ["bench", "--queries", "4", "--neighbors", "2", "--cameras", "1", "--levels", "1",
+                  "--dim", "8", "--layers", "1", "--heads", "2", "--repeats", "1"],
+    }[command]
+    argv[argv.index(flag) + 1] = "0"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestGradcheckCommand:
@@ -248,6 +289,22 @@ def _object_with(**fields):
     return build
 
 
+def _params_with(**meta):
+    """A real one-layer bundle with ``meta`` overriding its metadata; its
+    tensor files are referenced by absolute path."""
+    def build(scene_dir):
+        params = scene_dir / "params-one-layer"
+        layers = decoder.init_decoder(1, layers=1, dim=8, neighbors=1, heads=1)
+        head = decoder.PredictionHead.seeded(1, dim=8)
+        bundle = json.loads(open(decoder.save_params(params, layers, head)).read())
+        bundle["meta"].update(meta)
+        for entry in bundle["entries"]:
+            entry["file"] = str(params / entry["file"])
+        return bundle
+
+    return build
+
+
 _LEVEL = {"file": "level.gdt3", "stride": 8}
 _PRED = {"center": [10.0, 0.0, 1.0], "size": [2.0, 4.0, 1.5], "yaw": 0.0, "score": 0.5}
 _MALFORMED = {
@@ -261,6 +318,8 @@ _MALFORMED = {
     "params-file-int": ("params", {"meta": {}, "entries": [{"name": "x", "file": 5, "shape": [1]}]}),
     "params-meta-int": ("params", {"meta": 5, "entries": []}),
     "params-layers-list": ("params", {"meta": {"layers": [1], "heads": 1, "activations": {}}, "entries": []}),
+    "params-layers-zero": ("params", _params_with(layers=0)),
+    "params-heads-zero": ("params", _params_with(heads=0)),
     "calib-fx-null": ("calib", _calib_with_null_fx),
     "predictions-list": ("pred", []),
     "predictions-int": ("pred", {"predictions": 5}),

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvdet.camgeo import SceneBounds, back_project, project_point
+from mvdet.camgeo import SceneBounds, back_project, project_points
 from mvdet.decoder import (
     AggregationMode,
     AttentionParams,
@@ -29,6 +29,8 @@ from mvdet.decoder import (
 )
 from mvdet.featcore import FeatureLevel, FeaturePyramid, sample_multiview_many
 from mvdet.synth import AnalyticField, gen_rig, make_scene, render_pyramid
+
+from helpers import constant_pyramid, degenerate_layer, make_ident_cam
 
 BOUNDS = SceneBounds(lo=(-30.0, -30.0, 0.0), hi=(30.0, 30.0, 3.0))
 
@@ -54,17 +56,7 @@ def aggregate(emb, refs, pyr, rig, mode=AggregationMode.DYNAMIC_GRAPH, layer=Non
     """Batched aggregation of (M, C) queries at (M, 3) reference points."""
     emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
     refs = np.atleast_2d(np.asarray(refs, dtype=np.float64))
-    return _aggregate(emb, refs, layer, pyr, rig, mode, offset_scale, None)
-
-
-def degenerate_layer(layer: DecoderLayer, dim: int) -> DecoderLayer:
-    """Zero offsets and exactly-unit edge weights (sigmoid saturates to 1.0)."""
-    k = 1
-    off = Mlp.zeros([dim, dim, 3 * k])
-    w = Mlp(weights=(np.zeros((k, dim)),), biases=(np.array([1e6]),), activations=("identity",))
-    return DecoderLayer(
-        ref_net=layer.ref_net, offset_net=off, weight_net=w, attention=layer.attention, ffn=layer.ffn
-    )
+    return _aggregate(emb, refs, layer, pyr, rig, mode, offset_scale)
 
 
 class TestMlp:
@@ -177,7 +169,7 @@ class TestBaselineAggregate:
         field = AnalyticField.linear([0.1, -0.2], [1e-3, 2e-3], [-1e-3, 5e-4])
         pyr = render_pyramid(field, rig, strides=(8, 16))
         p = np.array([15.0, 1.0, 1.8])
-        pixel, _ = project_point(p, rig[0])
+        pixel = project_points([p], rig[0])[0][0]
         expected = field.evaluate(pixel[0], pixel[1])
         out = aggregate(np.zeros(2), p, pyr, rig, AggregationMode.SINGLE_POINT)
         assert np.all(np.abs(out[0] - expected) <= 1e-5 * np.maximum(1, np.abs(expected)))
@@ -222,7 +214,6 @@ class TestDynamicGraph:
 
     def test_node_feature_mean_across_two_cameras(self):
         from mvdet.camgeo import CameraRig
-        from tests.test_featcore import constant_pyramid, make_ident_cam
 
         rig = CameraRig(cameras=(make_ident_cam("a"), make_ident_cam("b")))
         pyr = constant_pyramid(rig, [1.0, 3.0])
@@ -253,7 +244,7 @@ class TestDynamicGraph:
         )
         feats, _ = sample_multiview_many(pyr, rig, nodes)
         for j, node in enumerate(nodes):
-            pixel, depth = project_point(node, rig[0])
+            (pixel,), (depth,) = project_points([node], rig[0])
             assert depth > 0
             expected = field.evaluate(pixel[0], pixel[1])
             assert np.all(np.abs(feats[j] - expected) <= 1e-5 * np.maximum(1, np.abs(expected)))
@@ -321,8 +312,27 @@ class TestSelfAttention:
         with pytest.raises(DecoderError):
             AttentionParams.seeded(10, 4, np.random.Generator(np.random.PCG64(0)))
 
+    def test_zero_heads_rejected(self):
+        with pytest.raises(DecoderError, match="heads"):
+            AttentionParams.seeded(8, 0, np.random.Generator(np.random.PCG64(0)))
+
 
 class TestDecoderForward:
+    @pytest.mark.parametrize("size", ["layers", "dim", "neighbors", "heads"])
+    def test_init_decoder_rejects_nonpositive_sizes(self, size):
+        with pytest.raises(DecoderError, match=size):
+            init_decoder(0, **{"layers": 1, "dim": 4, "neighbors": 1, "heads": 1, size: 0})
+
+    @pytest.mark.parametrize("size", ["count", "dim"])
+    def test_init_queries_rejects_nonpositive_sizes(self, size):
+        with pytest.raises(DecoderError, match=size):
+            init_queries(0, **{"count": 2, "dim": 4, size: 0}, bounds=BOUNDS)
+
+    def test_empty_layer_stack_rejected(self):
+        scene = make_scene(1, object_count=0, channels=4, strides=(16,))
+        with pytest.raises(DecoderError, match="layer"):
+            decoder_forward(init_queries(0, count=2, dim=4, bounds=BOUNDS), [], scene.pyramid, scene.rig)
+
     def test_zero_params_zero_field(self):
         dim = 8
         rig = gen_rig("nuscenes-like")
@@ -416,7 +426,7 @@ class TestDecoderForward:
 
         support = set()
         for node in nodes:
-            pixel, depth = project_point(node, rig[0])
+            (pixel,), (depth,) = project_points([node], rig[0])
             assert depth > 0
             pos = pixel / 8
             x0, y0 = int(np.floor(pos[0])), int(np.floor(pos[1]))

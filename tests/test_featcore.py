@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from mvdet.camgeo import CameraExtrinsics, CameraIntrinsics, CameraModel, CameraRig, project_point, project_points
+from mvdet.camgeo import CameraExtrinsics, CameraIntrinsics, CameraModel, CameraRig, project_points
 from mvdet import featcore
 from mvdet.featcore import (
     FeatureError,
@@ -21,30 +21,11 @@ from mvdet.featcore import (
 )
 from mvdet.synth import DEFAULT_BOUNDS, AnalyticField, gen_rig, render_pyramid
 
+from helpers import constant_pyramid, make_ident_cam
+
 
 def level_2x2():
     return FeatureLevel(data=np.array([[[0.0, 1.0], [2.0, 3.0]]]), stride=1)
-
-
-def make_ident_cam(cam_id="c0", fx=100.0, width=64, height=48):
-    return CameraModel(
-        intrinsics=CameraIntrinsics(fx=fx, fy=fx, cx=width / 2, cy=height / 2, width=width, height=height),
-        extrinsics=CameraExtrinsics(rotation=np.eye(3), translation=np.zeros(3)),
-        id=cam_id,
-    )
-
-
-def constant_pyramid(rig, values, strides=(2, 4)):
-    """Per-camera constant pyramids; values is one scalar per camera."""
-    cams = []
-    for cam, value in zip(rig, values):
-        levels = []
-        for stride in strides:
-            h = math.ceil(cam.intrinsics.height / stride)
-            w = math.ceil(cam.intrinsics.width / stride)
-            levels.append(FeatureLevel(data=np.full((1, h, w), value), stride=stride))
-        cams.append(levels)
-    return FeaturePyramid(cams)
 
 
 def central_difference(level, pos, h):
@@ -217,7 +198,7 @@ class TestSampleMultiview:
         for i, p in enumerate(pts):
             expected = 0
             for ci, cam in enumerate(rig):
-                pixel, depth = project_point(p, cam)
+                (pixel,), (depth,) = project_points([p], cam)
                 if depth <= 0:
                     continue
                 for level in pyr.levels(ci):
@@ -241,7 +222,7 @@ class TestSampleMultiview:
         for p, feature, count in zip(pts, feats, counts):
             contributions = []
             for ci, cam in enumerate(rig):
-                pixel, depth = project_point(p, cam)
+                (pixel,), (depth,) = project_points([p], cam)
                 if depth <= 0:
                     continue
                 for level in pyr.levels(ci):

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from mvdet import metrics
 from mvdet.camgeo import Box3D, DetectionResult, RegionLabel, classify_regions
 from mvdet.metrics import (
     EvalConfig,
@@ -181,10 +183,6 @@ class TestEvaluate:
         full = evaluate(preds, gts, EvalConfig(classes=(0, 1)))
         assert full.mean_ap == pytest.approx(0.5)  # class 1 contributes zero
 
-    def test_region_filter_requires_rig(self):
-        with pytest.raises(MetricsError):
-            evaluate([], [], EvalConfig(region=RegionLabel.OVERLAPPING))
-
 
 class TestRegionSplit:
     def test_single_camera_rig(self):
@@ -222,6 +220,36 @@ class TestRegionSplit:
         assert split.overlapping.gt_count == n_over
         assert split.non_overlapping.gt_count == n_non
         assert split.overall.gt_count == len(gts)
+
+    @staticmethod
+    def seeded_split_inputs():
+        rig = gen_rig("nuscenes-like")
+        gts = gen_objects(8, 120, class_count=3)
+        noise = NoiseSpec(center_sigma=0.4, yaw_sigma=0.2, velocity_sigma=0.3, drop_rate=0.2, false_positive_rate=0.3)
+        return perturb_predictions(gts, noise, seed=9), gts, rig
+
+    def test_report_regression_hash(self):
+        # sha256 of the sorted-JSON report, computed while each region's
+        # subsets were still filtered inside evaluate; both regions hold
+        # ground truths and predictions.
+        preds, gts, rig = self.seeded_split_inputs()
+        report = evaluate_region_split(preds, gts, rig).to_dict()
+        assert [report[r]["gt_count"] for r in ("overall", "overlapping", "non_overlapping")] == [120, 35, 84]
+        assert [report[r]["pred_count"] for r in ("overall", "overlapping", "non_overlapping")] == [127, 36, 91]
+        blob = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == "7a510207bb47a220c61702ae66ac358e2fad8b2c97d1dba9f8b689574219fb33"
+
+    def test_classifies_each_box_set_once(self, monkeypatch):
+        calls = []
+
+        def counting(boxes, rig):
+            calls.append(len(boxes))
+            return classify_regions(boxes, rig)
+
+        monkeypatch.setattr(metrics, "classify_regions", counting)
+        preds, gts, rig = self.seeded_split_inputs()
+        evaluate_region_split(preds, gts, rig)
+        assert sorted(calls) == sorted([len(gts), len(preds)])
 
     def test_invisible_gts_only_in_overall(self):
         rig = gen_rig("single")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvdet.camgeo import RegionLabel, classify_regions, is_visible, visible_cameras, visible_counts
+from mvdet.camgeo import RegionLabel, classify_regions, project_points, visible_counts
 from mvdet.featcore import bilinear_sample_many, sample_multiview_many
 from mvdet.metrics import evaluate, match_detections
 from mvdet.synth import (
@@ -18,6 +18,8 @@ from mvdet.synth import (
     perturb_predictions,
     render_pyramid,
 )
+
+from helpers import seen_by
 
 
 class TestGenRig:
@@ -36,12 +38,11 @@ class TestGenRig:
         for i, j, az in adjacent_seam_azimuths():
             rad = math.radians(az)
             p = np.array([30 * math.cos(rad), 30 * math.sin(rad), 1.5])
-            seen = {k for k, cam in enumerate(rig) if is_visible(p, cam)}
-            assert seen == {i, j}
+            assert seen_by(p, rig) == {i, j}
 
     def test_exclusive_regions_nonempty(self):
         rig = gen_rig("nuscenes-like")
-        assert visible_cameras(np.array([20.0, 0.0, 1.5]), rig) == {0}
+        assert seen_by(np.array([20.0, 0.0, 1.5]), rig) == {0}
 
     def test_duplicated_custom_cameras_double_count(self):
         specs = [
@@ -140,7 +141,7 @@ class TestGenObjects:
 
         for box, label in zip(boxes, labels):
             probes = np.vstack([box.center[None], box_corners(box)])
-            counts = [len(visible_cameras(p, rig)) for p in probes]
+            counts = [len(seen_by(p, rig)) for p in probes]
             if max(counts) >= 2:
                 assert label is RegionLabel.OVERLAPPING
             elif max(counts) == 1:
@@ -218,8 +219,6 @@ class TestSceneDeterminism:
         p = np.array([18.0, 2.0, 1.5])
         feats, counts = sample_multiview_many(scene.pyramid, scene.rig, p)
         assert counts[0] > 0
-        from mvdet.camgeo import project_point
-
-        pixel, _ = project_point(p, scene.rig[0])
+        pixel = project_points([p], scene.rig[0])[0][0]
         expected = scene.field.evaluate(pixel[0], pixel[1])
         assert np.all(np.abs(feats[0] - expected) <= 1e-5 * np.maximum(1.0, np.abs(expected)))
