@@ -31,6 +31,7 @@ from .camgeo import (
     CameraRig,
     GeometryError,
     _box_from_json,
+    _box_to_json,
     _json_fields,
     _json_records,
     _json_write,
@@ -278,16 +279,7 @@ def pixel_depth_decode(z: float, scaler: DepthScaler, intr: CameraIntrinsics) ->
 
 
 def _object_to_dict(obj: AnnotatedObject) -> dict:
-    b = obj.box
-    return {
-        "center": [float(x) for x in b.center],
-        "size": [float(x) for x in b.size],
-        "yaw": float(b.yaw),
-        "velocity": [float(x) for x in b.velocity],
-        "class": b.class_id,
-        "attribute": b.attribute_id,
-        "depth": float(obj.depth),
-    }
+    return {**_box_to_json(obj.box), "depth": float(obj.depth)}
 
 
 def _object_from_dict(data: dict) -> AnnotatedObject:
@@ -311,6 +303,8 @@ def _image_sizes(sizes) -> tuple[tuple[int, int], ...] | None:
 
 
 def frame_from_dict(data: dict) -> AnnotatedFrame:
+    if "calib" not in data:
+        raise AugmentError("annotation frame: missing field 'calib'")
     rig = rig_from_dict(data["calib"])
     records = _json_records({"objects": [], **data}, "objects", AugmentError, "annotation frame")
     sizes = _json_fields({"image_sizes": None, **data}, {"image_sizes": _image_sizes}, AugmentError, "annotation frame")

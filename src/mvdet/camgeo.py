@@ -434,6 +434,18 @@ _BOX_FIELDS = {
 }
 
 
+def _box_to_json(box: Box3D) -> dict:
+    """The box fields of a prediction or annotation record."""
+    return {
+        "center": [float(x) for x in box.center],
+        "size": [float(x) for x in box.size],
+        "yaw": float(box.yaw),
+        "velocity": [float(x) for x in box.velocity],
+        "class": box.class_id,
+        "attribute": box.attribute_id,
+    }
+
+
 def _box_from_json(entry: dict, error: type[Exception], what: str) -> Box3D:
     """The box of a prediction or annotation record; velocity, class and
     attribute default to zero."""
@@ -454,7 +466,7 @@ _CAMERA_FIELDS = {
     "height": int,
     "rotation": lambda value: _json_floats(value).reshape(3, 3),
     "translation": _json_floats,
-    "id": str,
+    "id": _json_text,
 }
 
 

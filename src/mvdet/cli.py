@@ -37,7 +37,6 @@ _ERRORS = (
     synth.ConfigError,
     OSError,
     json.JSONDecodeError,
-    KeyError,
     ValueError,
 )
 
@@ -245,10 +244,9 @@ def _cmd_evaluate(args) -> int:
                 f"annotations have {len(frame.rig)}"
             )
     gts = [obj.box for frame in frames for obj in frame.objects]
-    cfg = metrics.EvalConfig()
     os.makedirs(args.out, exist_ok=True)
     if args.split:
-        report = metrics.evaluate_region_split(preds, gts, rig, cfg)
+        report = metrics.evaluate_region_split(preds, gts, rig)
         summary = {
             "overall_NDS": report.overall.nds,
             "overlapping_NDS": report.overlapping.nds,
@@ -256,7 +254,7 @@ def _cmd_evaluate(args) -> int:
             "overall_mAP": report.overall.mean_ap,
         }
     else:
-        report = metrics.evaluate(preds, gts, cfg)
+        report = metrics.evaluate(preds, gts)
         summary = {"NDS": report.nds, "mAP": report.mean_ap}
     report_path = os.path.join(args.out, "report.json")
     csv_path = os.path.join(args.out, "report.csv")
@@ -289,11 +287,13 @@ def _bench_times(fn, repeats: int) -> dict:
 def _cmd_bench(args) -> int:
     if args.cameras < 1 or args.cameras > 6:
         raise ValueError("--cameras must be between 1 and 6")
+    if args.levels < 1 or args.levels > len(synth.DEFAULT_STRIDES):
+        raise ValueError(f"--levels must be between 1 and {len(synth.DEFAULT_STRIDES)}")
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     specs = synth.SURROUND_SPECS[: args.cameras]
     rig = synth.gen_rig("custom", specs=specs)
     strides = synth.DEFAULT_STRIDES[: args.levels]
-    if len(strides) != args.levels:
-        raise ValueError(f"--levels must be between 1 and {len(synth.DEFAULT_STRIDES)}")
     field = synth.random_field(args.seed, "bilinear", args.dim)
     pyramid = synth.render_pyramid(field, rig, strides)
     layers = decoder.init_decoder(

@@ -604,14 +604,19 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead | Non
             raise DecoderError(f"parameter {entry['name']}: shape mismatch")
         arrays[entry["name"]] = arr
 
+    def need(table: dict, key: str, what: str):
+        if key not in table:
+            raise DecoderError(f"parameter manifest {manifest_path}: missing {what} {key!r}")
+        return table[key]
+
     def load_mlp(prefix: str) -> Mlp:
         ws, bs = [], []
         i = 0
         while f"{prefix}.w{i}" in arrays:
             ws.append(arrays[f"{prefix}.w{i}"])
-            bs.append(arrays[f"{prefix}.b{i}"])
+            bs.append(need(arrays, f"{prefix}.b{i}", "tensor"))
             i += 1
-        acts = meta["activations"][prefix]
+        acts = need(meta["activations"], prefix, "activations of")
         return Mlp(weights=tuple(ws), biases=tuple(bs), activations=tuple(acts))
 
     layers = []
@@ -619,7 +624,10 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead | Non
         basename = f"layer{li:02d}"
         att = AttentionParams(
             heads=meta["heads"],
-            **{n: arrays[f"{basename}.attention.{n}"] for n in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o")},
+            **{
+                n: need(arrays, f"{basename}.attention.{n}", "tensor")
+                for n in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o")
+            },
         )
         layers.append(
             DecoderLayer(

@@ -19,11 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import Box3D, DetectionResult, _box_from_json, _json_fields, _json_records, _json_write
+from .camgeo import Box3D, DetectionResult, _box_from_json, _box_to_json, _json_fields, _json_records, _json_write
 
 __all__ = [
     "MatchingError",
-    "CostMatrix",
     "Assignment",
     "LossBreakdown",
     "box_regression_vector",
@@ -42,27 +41,6 @@ _PROB_FLOOR = 1e-12
 
 class MatchingError(ValueError):
     """Matching inputs violate their contracts."""
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Finite pairwise costs, rows = predictions, columns = ground truths."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise MatchingError(f"cost matrix must be 2-D, got shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise MatchingError("cost matrix entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -188,27 +166,21 @@ def _pairs_total(cost: np.ndarray, pairs: Sequence[tuple[int, int]]) -> float:
     return total
 
 
-def _solve_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
-    rows, cols = cost.shape
-    if rows <= cols:
-        assignment, _, _ = _solve_rows_le_cols(cost)
-        return [(i, int(assignment[i])) for i in range(rows)]
-    assignment, _, _ = _solve_rows_le_cols(cost.T)
-    return sorted((int(assignment[j]), j) for j in range(cols))
+def _solve(cost: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """One optimal assignment of ``cost`` as row-sorted pairs, plus the
+    reduced-cost matrix under its dual potentials.
 
-
-def _reduced_costs(cost: np.ndarray) -> np.ndarray:
-    """Reduced-cost matrix under the optimal dual potentials.
-
-    Entries near zero are the only pairs that can participate in an optimal
-    assignment (complementary slackness); used purely as a candidate prune.
+    Entries near zero in the reduced costs are the only pairs that can
+    participate in an optimal assignment (complementary slackness); they
+    serve purely as a candidate prune.
     """
     rows, cols = cost.shape
     if rows <= cols:
-        _, u, v = _solve_rows_le_cols(cost)
-        return cost - u[:, None] - v[None, :]
-    _, u, v = _solve_rows_le_cols(cost.T)
-    return (cost.T - u[:, None] - v[None, :]).T
+        assignment, u, v = _solve_rows_le_cols(cost)
+        return [(i, int(assignment[i])) for i in range(rows)], cost - u[:, None] - v[None, :]
+    assignment, u, v = _solve_rows_le_cols(cost.T)
+    pairs = sorted((int(assignment[j]), j) for j in range(cols))
+    return pairs, (cost.T - u[:, None] - v[None, :]).T
 
 
 def _optimal_with_constraints(
@@ -229,13 +201,13 @@ def _optimal_with_constraints(
         return None
     if need == 0:
         return sorted(fixed)
-    sub_pairs = _solve_pairs(cost[np.ix_(free_rows, free_cols)])
+    sub_pairs, _ = _solve(cost[np.ix_(free_rows, free_cols)])
     completion = [(free_rows[r], free_cols[c]) for r, c in sub_pairs]
     return sorted(fixed + completion)
 
 
 def _lexicographic_refine(
-    cost: np.ndarray, pairs: list[tuple[int, int]], total: float
+    cost: np.ndarray, pairs: list[tuple[int, int]], reduced: np.ndarray, total: float
 ) -> list[tuple[int, int]]:
     """Smallest pair sequence among assignments with the same exact total.
 
@@ -246,7 +218,7 @@ def _lexicographic_refine(
     """
     rows, cols = cost.shape
     scale = float(np.abs(cost).max()) if cost.size else 0.0
-    admissible = _reduced_costs(cost) <= 1e-9 * (1.0 + scale)
+    admissible = reduced <= 1e-9 * (1.0 + scale)
     incumbent = sorted(pairs)
     fixed: list[tuple[int, int]] = []
     banned_rows: set[int] = set()
@@ -277,20 +249,23 @@ def _lexicographic_refine(
     return incumbent
 
 
-def hungarian(c: CostMatrix | np.ndarray) -> Assignment:
-    """Minimum-cost one-to-one assignment of rows to columns.
+def hungarian(cost: np.ndarray) -> Assignment:
+    """Minimum-cost one-to-one assignment of the rows of a finite 2-D cost
+    matrix to its columns.
 
     Matches min(rows, cols) pairs; among equal-cost optima the
     lexicographically smallest pair sequence is returned.  An empty matrix
     yields an empty assignment.
     """
-    matrix = c.values if isinstance(c, CostMatrix) else CostMatrix(values=np.asarray(c)).values
-    rows, cols = matrix.shape
-    if rows == 0 or cols == 0:
+    matrix = np.asarray(cost, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise MatchingError(f"cost matrix must be 2-D, got shape {matrix.shape}")
+    if matrix.size == 0:
         return Assignment(pairs=(), total_cost=0.0)
-    pairs = _solve_pairs(matrix)
-    total = _pairs_total(matrix, pairs)
-    pairs = _lexicographic_refine(matrix, pairs, total)
+    if not np.all(np.isfinite(matrix)):
+        raise MatchingError("cost matrix entries must be finite")
+    pairs, reduced = _solve(matrix)
+    pairs = _lexicographic_refine(matrix, pairs, reduced, _pairs_total(matrix, pairs))
     return Assignment(pairs=tuple(pairs), total_cost=_pairs_total(matrix, pairs))
 
 
@@ -348,10 +323,7 @@ def set_loss(
     if not preds:
         return LossBreakdown(cls=0.0, reg=0.0), Assignment(pairs=(), total_cost=0.0)
     if gts:
-        cost = CostMatrix(
-            values=np.array([[match_cost(p, g, weights) for g in gts] for p in preds])
-        )
-        assignment = hungarian(cost)
+        assignment = hungarian(np.array([[match_cost(p, g, weights) for g in gts] for p in preds]))
     else:
         assignment = Assignment(pairs=(), total_cost=0.0)
     matched = {r: c for r, c in assignment.pairs}
@@ -373,20 +345,7 @@ def set_loss(
 
 
 def predictions_to_dict(preds: Sequence[DetectionResult]) -> dict:
-    return {
-        "predictions": [
-            {
-                "center": [float(x) for x in p.box.center],
-                "size": [float(x) for x in p.box.size],
-                "yaw": float(p.box.yaw),
-                "velocity": [float(x) for x in p.box.velocity],
-                "score": float(p.score),
-                "class": p.box.class_id,
-                "attribute": p.box.attribute_id,
-            }
-            for p in preds
-        ]
-    }
+    return {"predictions": [{**_box_to_json(p.box), "score": float(p.score)} for p in preds]}
 
 
 def predictions_from_dict(data: dict) -> list[DetectionResult]:

@@ -21,7 +21,8 @@ from .camgeo import Box3D, CameraRig, DetectionResult, RegionLabel, _json_write,
 
 __all__ = [
     "MetricsError",
-    "EvalConfig",
+    "DIST_THRESHOLDS",
+    "TP_THRESHOLD",
     "TpErrors",
     "MetricsReport",
     "RegionSplitReport",
@@ -35,6 +36,11 @@ __all__ = [
     "save_report_csv",
 ]
 
+# AP is reported at each center-distance threshold (meters); the TP errors
+# come from the matches at TP_THRESHOLD, which is one of them.
+DIST_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
+TP_THRESHOLD = 2.0
+
 _INTERP_POINTS = 101
 # The nuScenes floors: AP integrates recall >= 0.1 and precision above 0.1.
 _MIN_RECALL = 0.1
@@ -43,25 +49,6 @@ _MIN_PRECISION = 0.1
 
 class MetricsError(ValueError):
     """Evaluation inputs are inconsistent."""
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Evaluation knobs; defaults follow the common outdoor-detection setup."""
-
-    dist_thresholds: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    tp_threshold: float = 2.0
-    classes: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        ths = tuple(float(t) for t in self.dist_thresholds)
-        if not ths or any(t <= 0 for t in ths) or list(ths) != sorted(ths):
-            raise MetricsError(f"distance thresholds must be positive ascending, got {ths}")
-        if self.tp_threshold <= 0:
-            raise MetricsError(f"tp threshold must be positive, got {self.tp_threshold}")
-        object.__setattr__(self, "dist_thresholds", ths)
-        if self.classes is not None:
-            object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
 
 
 @dataclass(frozen=True)
@@ -127,49 +114,51 @@ class RegionSplitReport:
 # Matching
 
 
-def _center_xy(box: Box3D) -> np.ndarray:
-    return box.center[:2]
-
-
-def _sorted_pred_indices(preds: Sequence[DetectionResult]) -> list[int]:
-    # Descending score; original order breaks score ties deterministically.
-    return sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-
-
-def _greedy_class_match(
+def _greedy_matches(
     preds: Sequence[DetectionResult],
     gts: Sequence[Box3D],
-    class_id: int,
-    threshold: float,
+    classes: Sequence[int],
+    thresholds: Sequence[float],
 ):
-    """One-to-one greedy matching of one class at a distance threshold.
+    """Greedy one-to-one matching of each class at each distance threshold.
 
-    Returns (pairs, tp_flags, scores): pairs of (pred index, gt index) into
-    the original sequences, plus per-prediction hit flags and scores in
-    score-descending order for PR accumulation.
+    The predictions are sorted once by descending score, original order
+    breaking ties.  Per class, one planar center-distance matrix serves every
+    threshold.  Returns one (rows, cols, hits) per class: the class's
+    prediction indices in score order, its ground-truth indices, and per
+    threshold the position in ``cols`` matched by each row, or -1.
     """
-    gt_idx = [i for i, g in enumerate(gts) if g.class_id == class_id]
-    pred_order = [i for i in _sorted_pred_indices(preds) if preds[i].box.class_id == class_id]
-    gt_centers = np.array([_center_xy(gts[i]) for i in gt_idx]) if gt_idx else np.zeros((0, 2))
-    taken = np.zeros(len(gt_idx), dtype=bool)
-    pairs = []
-    tp_flags = []
-    scores = []
-    for pi in pred_order:
-        scores.append(preds[pi].score)
-        if len(gt_idx) == 0:
-            tp_flags.append(False)
-            continue
-        dists = np.linalg.norm(gt_centers - _center_xy(preds[pi].box), axis=1)
-        dists = np.where(taken, np.inf, dists)
-        j = int(np.argmin(dists))
-        if dists[j] < threshold:
-            taken[j] = True
-            pairs.append((pi, gt_idx[j]))
-            tp_flags.append(True)
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    out = []
+    for cid in classes:
+        rows = [i for i in order if preds[i].box.class_id == cid]
+        cols = [j for j, g in enumerate(gts) if g.class_id == cid]
+        pred_xy = np.array([preds[i].box.center[:2] for i in rows]).reshape(-1, 1, 2)
+        gt_xy = np.array([gts[j].center[:2] for j in cols]).reshape(1, -1, 2)
+        dist = np.linalg.norm(gt_xy - pred_xy, axis=2)
+        out.append((rows, cols, {th: _greedy_pass(dist, th) for th in thresholds}))
+    return out
+
+
+def _greedy_pass(dist: np.ndarray, threshold: float) -> list[int]:
+    """Each row in turn takes the nearest untaken column, if strictly
+    closer than ``threshold``; the taken column per row, or -1."""
+    if dist.shape[1] == 0:
+        return [-1] * len(dist)
+    work = dist.copy()
+    hits = []
+    for row in work:
+        j = int(np.argmin(row))
+        if row[j] < threshold:
+            work[:, j] = np.inf
+            hits.append(j)
         else:
-            tp_flags.append(False)
-    return pairs, np.array(tp_flags, dtype=bool), np.array(scores)
+            hits.append(-1)
+    return hits
+
+
+def _matched_pairs(rows: list[int], cols: list[int], hits: list[int]) -> list[tuple[int, int]]:
+    return [(rows[r], cols[j]) for r, j in enumerate(hits) if j >= 0]
 
 
 def match_detections(
@@ -182,9 +171,8 @@ def match_detections(
     if classes is None:
         classes = sorted({g.class_id for g in gts})
     pairs = []
-    for cid in classes:
-        cls_pairs, _, _ = _greedy_class_match(preds, gts, cid, threshold)
-        pairs.extend(cls_pairs)
+    for rows, cols, hits in _greedy_matches(preds, gts, classes, (threshold,)):
+        pairs.extend(_matched_pairs(rows, cols, hits[threshold]))
     return pairs
 
 
@@ -192,19 +180,10 @@ def match_detections(
 # AP and TP errors
 
 
-def ap_at_threshold(
-    preds: Sequence[DetectionResult],
-    gts: Sequence[Box3D],
-    class_id: int,
-    threshold: float,
-) -> float:
-    """Average precision of one class at one center-distance threshold."""
-    npos = sum(1 for g in gts if g.class_id == class_id)
-    if npos == 0:
+def _average_precision(hits: list[int], npos: int) -> float:
+    if npos == 0 or not hits:
         return 0.0
-    _, tp_flags, _ = _greedy_class_match(preds, gts, class_id, threshold)
-    if len(tp_flags) == 0:
-        return 0.0
+    tp_flags = np.array(hits) >= 0
     tp = np.cumsum(tp_flags)
     fp = np.cumsum(~tp_flags)
     recall = tp / npos
@@ -214,6 +193,17 @@ def ap_at_threshold(
     start = round(100 * _MIN_RECALL) + 1
     clipped = np.clip(prec_interp[start:] - _MIN_PRECISION, 0.0, None)
     return min(1.0, float(clipped.mean() / (1.0 - _MIN_PRECISION)))
+
+
+def ap_at_threshold(
+    preds: Sequence[DetectionResult],
+    gts: Sequence[Box3D],
+    class_id: int,
+    threshold: float,
+) -> float:
+    """Average precision of one class at one center-distance threshold."""
+    [(_, cols, hits)] = _greedy_matches(preds, gts, (class_id,), (threshold,))
+    return _average_precision(hits[threshold], len(cols))
 
 
 def _smallest_yaw_diff(a: float, b: float) -> float:
@@ -242,7 +232,7 @@ def tp_errors(matched: Sequence[tuple[DetectionResult, Box3D]]) -> TpErrors:
     """
     if not matched:
         return TpErrors(mate=1.0, mase=1.0, maoe=1.0, mave=1.0, maae=1.0, fallback=True)
-    mate = float(np.mean([np.linalg.norm(_center_xy(p.box) - _center_xy(g)) for p, g in matched]))
+    mate = float(np.mean([np.linalg.norm(p.box.center[:2] - g.center[:2]) for p, g in matched]))
     mase = float(np.mean([_scale_error(p.box, g) for p, g in matched]))
     maoe = float(np.mean([_smallest_yaw_diff(p.box.yaw, g.yaw) for p, g in matched]))
     mave = float(np.mean([np.linalg.norm(p.box.velocity - g.velocity) for p, g in matched]))
@@ -269,28 +259,27 @@ def nds(mean_ap: float, mtps: Sequence[float]) -> float:
 def evaluate(
     preds: Sequence[DetectionResult],
     gts: Sequence[Box3D],
-    cfg: EvalConfig = EvalConfig(),
+    *,
+    classes: Sequence[int] | None = None,
 ) -> MetricsReport:
-    """Score predictions against ground truths.  Classes default to those
-    present in the ground truths."""
+    """Score predictions against ground truths: AP at each of
+    DIST_THRESHOLDS and TP errors over the matches at TP_THRESHOLD.
+    Classes default to those present in the ground truths."""
     preds = list(preds)
     gts = list(gts)
-    classes = cfg.classes if cfg.classes is not None else tuple(sorted({g.class_id for g in gts}))
+    classes = tuple(sorted({g.class_id for g in gts}) if classes is None else (int(c) for c in classes))
     ap_table: dict[int, dict[float, float]] = {}
     ap_values = []
-    for cid in classes:
-        per = {}
-        for th in cfg.dist_thresholds:
-            per[th] = ap_at_threshold(preds, gts, cid, th)
-            ap_values.append(per[th])
-        ap_table[cid] = per
+    pairs = []
+    for cid, (rows, cols, hits) in zip(classes, _greedy_matches(preds, gts, classes, DIST_THRESHOLDS)):
+        ap_table[cid] = {th: _average_precision(hits[th], len(cols)) for th in DIST_THRESHOLDS}
+        ap_values.extend(ap_table[cid].values())
+        pairs.extend(_matched_pairs(rows, cols, hits[TP_THRESHOLD]))
     mean_ap = float(np.mean(ap_values)) if ap_values else 0.0
-    pairs = match_detections(preds, gts, cfg.tp_threshold, classes)
-    matched = [(preds[pi], gts[gi]) for pi, gi in pairs]
-    tp = tp_errors(matched)
+    tp = tp_errors([(preds[pi], gts[gi]) for pi, gi in pairs])
     score = nds(mean_ap, tp.as_tuple())
     return MetricsReport(
-        class_ids=tuple(classes),
+        class_ids=classes,
         ap=ap_table,
         mean_ap=mean_ap,
         tp=tp,
@@ -305,7 +294,6 @@ def evaluate_region_split(
     preds: Sequence[DetectionResult],
     gts: Sequence[Box3D],
     rig: CameraRig,
-    cfg: EvalConfig = EvalConfig(),
 ) -> RegionSplitReport:
     """Overall, overlapping-region, and non-overlapping-region reports.
 
@@ -322,10 +310,10 @@ def evaluate_region_split(
     def region_report(region: RegionLabel) -> MetricsReport:
         kept_preds = [p for p, lab in zip(preds, pred_labels) if lab is region]
         kept_gts = [g for g, lab in zip(gts, gt_labels) if lab is region]
-        return evaluate(kept_preds, kept_gts, cfg)
+        return evaluate(kept_preds, kept_gts)
 
     return RegionSplitReport(
-        overall=evaluate(preds, gts, cfg),
+        overall=evaluate(preds, gts),
         overlapping=region_report(RegionLabel.OVERLAPPING),
         non_overlapping=region_report(RegionLabel.NON_OVERLAPPING),
     )

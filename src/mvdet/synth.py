@@ -219,6 +219,9 @@ def render_pyramid(
         fields = [fields] * len(rig)
     if len(fields) != len(rig):
         raise ConfigError(f"need one field per camera, got {len(fields)} for {len(rig)}")
+    for stride in strides:
+        if stride < 1:
+            raise ConfigError(f"stride must be >= 1, got {stride}")
     cams = []
     for cam, fld in zip(rig, fields):
         w, h = cam.intrinsics.width, cam.intrinsics.height

@@ -10,6 +10,7 @@ from mvdet.augment import (
     apply_transform,
     depth_invariant_transform,
     disentangled_transform,
+    frame_from_dict,
     frame_to_dict,
     load_frames,
     pixel_depth_decode,
@@ -265,6 +266,12 @@ class TestAnnotationJson:
         obj = data["objects"][0]
         assert set(obj) == {"center", "size", "yaw", "velocity", "class", "attribute", "depth"}
         assert "calib" in data and "cameras" in data["calib"]
+
+    def test_missing_calib(self):
+        data = frame_to_dict(make_frame())
+        del data["calib"]
+        with pytest.raises(AugmentError, match="'calib'"):
+            frame_from_dict(data)
 
     def test_images_per_camera_validated(self):
         rig = gen_rig("single")

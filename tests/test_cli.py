@@ -175,6 +175,18 @@ class TestDecodeCommand:
         preds = load_predictions(out)
         assert len(preds) == 12
 
+    def test_predictions_bytes(self, scene_dir, tmp_path):
+        # sha256 computed while predictions and annotations each had their
+        # own box writer; the prediction file must not change a byte.
+        out = tmp_path / "preds.json"
+        assert main([
+            "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
+            "--calib", str(scene_dir / "calib.json"),
+            "--dim", "8", "--queries", "12", "--layers", "2", "--neighbors", "16",
+            "--heads", "2", "--seed", "2", "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == "6da6170b1dfb3af50a0fed35e8222294d3c1ae214dc4aa1eecca4405b35f960c"
+
     def test_degenerate_graph_equals_single_point(self, scene_dir, tmp_path):
         # Zero offsets and saturated unit weights turn the dynamic graph into
         # plain center sampling; the two modes must write identical bytes.
@@ -243,6 +255,29 @@ def test_nonpositive_decoder_size_usage_error(scene_dir, tmp_path, capsys, comma
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, named",
+    [
+        ("synth", "--strides", "8,0", "stride must be >= 1, got 0"),
+        ("bench", "--repeats", "0", "--repeats"),
+        ("bench", "--levels", "0", "--levels"),
+        ("bench", "--levels", "5", "--levels"),
+    ],
+)
+def test_size_flag_usage_error_names_flag(tmp_path, capsys, command, flag, value, named):
+    argv = {
+        "synth": ["synth", "--seed", "1", "--objects", "2", "--channels", "2", "--strides", "8",
+                  "--out", str(tmp_path / "scene")],
+        "bench": ["bench", "--queries", "4", "--neighbors", "2", "--cameras", "1", "--levels", "1",
+                  "--dim", "8", "--layers", "1", "--heads", "2", "--repeats", "1"],
+    }[command]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert named in err
+
+
 class TestGradcheckCommand:
     def test_passes_by_default(self, capsys):
         assert main(["gradcheck", "--probes", "3", "--json"]) == 0
@@ -265,10 +300,13 @@ class TestGradcheckCommand:
         assert offset["passed"]
 
 
-def _calib_with_null_fx(scene_dir):
-    calib = json.loads((scene_dir / "calib.json").read_text())
-    calib["cameras"][0]["fx"] = None
-    return calib
+def _calib_with(**fields):
+    def build(scene_dir):
+        calib = json.loads((scene_dir / "calib.json").read_text())
+        calib["cameras"][0].update(fields)
+        return calib
+
+    return build
 
 
 def _frame_with(**fields):
@@ -289,15 +327,28 @@ def _object_with(**fields):
     return build
 
 
-def _params_with(**meta):
-    """A real one-layer bundle with ``meta`` overriding its metadata; its
-    tensor files are referenced by absolute path."""
+def _frame_without(field):
+    def build(scene_dir):
+        ann = json.loads((scene_dir / "annotations.json").read_text())
+        del ann["frames"][0][field]
+        return ann
+
+    return build
+
+
+def _params_with(drop=(), **meta):
+    """A real one-layer bundle with ``meta`` overriding its metadata and the
+    activations and tensor entries named in ``drop`` left out; its tensor
+    files are referenced by absolute path."""
     def build(scene_dir):
         params = scene_dir / "params-one-layer"
         layers = decoder.init_decoder(1, layers=1, dim=8, neighbors=1, heads=1)
         head = decoder.PredictionHead.seeded(1, dim=8)
         bundle = json.loads(open(decoder.save_params(params, layers, head)).read())
         bundle["meta"].update(meta)
+        for net in drop:
+            bundle["meta"]["activations"].pop(net, None)
+        bundle["entries"] = [e for e in bundle["entries"] if e["name"] not in drop]
         for entry in bundle["entries"]:
             entry["file"] = str(params / entry["file"])
         return bundle
@@ -320,7 +371,11 @@ _MALFORMED = {
     "params-layers-list": ("params", {"meta": {"layers": [1], "heads": 1, "activations": {}}, "entries": []}),
     "params-layers-zero": ("params", _params_with(layers=0)),
     "params-heads-zero": ("params", _params_with(heads=0)),
-    "calib-fx-null": ("calib", _calib_with_null_fx),
+    "params-layers-beyond-entries": ("params", _params_with(layers=2)),
+    "params-activations-missing": ("params", _params_with(drop=("layer00.ffn",))),
+    "params-tensor-missing": ("params", _params_with(drop=("layer00.ffn.b1",))),
+    "calib-fx-null": ("calib", _calib_with(fx=None)),
+    "calib-id-null": ("calib", _calib_with(id=None)),
     "predictions-list": ("pred", []),
     "predictions-int": ("pred", {"predictions": 5}),
     "predictions-item-int": ("pred", {"predictions": [1]}),
@@ -331,6 +386,7 @@ _MALFORMED = {
     "annotations-frames-int": ("annotations", {"frames": 5}),
     "annotations-item-int": ("annotations", {"frames": [1]}),
     "annotations-objects-int": ("annotations", _frame_with(objects=5)),
+    "annotations-calib-missing": ("annotations", _frame_without("calib")),
     "annotations-image-sizes-int": ("annotations", _frame_with(image_sizes=[5])),
     "annotations-depth-null": ("annotations", _object_with(depth=None)),
     "annotations-class-list": ("annotations", _object_with(**{"class": [1]})),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -470,6 +471,24 @@ class TestPredictions:
         for a, b in zip(layers, loaded_layers):
             for wa, wb in zip(a.ffn.weights, b.ffn.weights):
                 assert np.abs(wa - wb).max() <= 2e-7 * max(1.0, np.abs(wa).max())
+
+    @pytest.mark.parametrize(
+        "edit, missing",
+        [
+            (lambda b: b["meta"].update(layers=2), "layer01.attention.w_q"),
+            (lambda b: b["meta"]["activations"].pop("layer00.ffn"), "layer00.ffn"),
+            (lambda b: b.update(entries=[e for e in b["entries"] if e["name"] != "layer00.ffn.b1"]), "layer00.ffn.b1"),
+        ],
+    )
+    def test_incomplete_params_name_the_missing_item(self, tmp_path, edit, missing):
+        layers = init_decoder(3, layers=1, dim=8, neighbors=2, heads=2)
+        manifest = save_params(tmp_path / "params", layers, PredictionHead.seeded(3, dim=8))
+        bundle = json.loads(open(manifest).read())
+        edit(bundle)
+        with open(manifest, "w") as fh:
+            json.dump(bundle, fh)
+        with pytest.raises(DecoderError, match=re.escape(repr(missing))):
+            load_params(manifest)
 
 
 class TestGradCheck:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mvdet import matching
 from mvdet.camgeo import Box3D, DetectionResult
 from mvdet.matching import (
     MatchingError,
@@ -147,6 +148,28 @@ class TestHungarian:
     def test_non_finite_rejected(self):
         with pytest.raises(MatchingError):
             hungarian(np.array([[1.0, np.inf]]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(MatchingError, match="2-D"):
+            hungarian(np.zeros(shape))
+
+    def test_one_solve_per_call(self, monkeypatch):
+        # A unique optimum on the diagonal leaves the tie-break nothing to
+        # re-solve, so the pairs and the prune's potentials come from one
+        # solve.
+        solve = matching._solve_rows_le_cols
+        calls = []
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return solve(cost)
+
+        monkeypatch.setattr(matching, "_solve_rows_le_cols", counting)
+        cost = np.random.default_rng(12).uniform(1.0, 2.0, size=(6, 6))
+        np.fill_diagonal(cost, 0.0)
+        assert hungarian(cost).pairs == tuple((i, i) for i in range(6))
+        assert calls == [(6, 6)]
 
 
 class TestFocalLoss:

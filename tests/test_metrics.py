@@ -9,7 +9,6 @@ import pytest
 from mvdet import metrics
 from mvdet.camgeo import Box3D, DetectionResult, RegionLabel, classify_regions
 from mvdet.metrics import (
-    EvalConfig,
     MetricsError,
     ap_at_threshold,
     evaluate,
@@ -180,7 +179,7 @@ class TestEvaluate:
     def test_explicit_class_list(self):
         gts = [gt((0, 0, 0), class_id=0)]
         preds = [det((0, 0, 0), 1.0, class_id=0)]
-        full = evaluate(preds, gts, EvalConfig(classes=(0, 1)))
+        full = evaluate(preds, gts, classes=(0, 1))
         assert full.mean_ap == pytest.approx(0.5)  # class 1 contributes zero
 
 
@@ -280,6 +279,70 @@ class TestMatchDetections:
         preds = [det((3.0, 0, 0), 0.9)]
         assert match_detections(preds, gts, 2.0) == []
         assert match_detections(preds, gts, 4.0) == [(0, 0)]
+
+
+def reference_greedy_pairs(preds, gts, class_id, threshold):
+    """The greedy matcher written out per prediction: score order with
+    index tie-break, then a scan of the untaken ground truths in index
+    order, where the first of equal distances wins and a match needs a
+    distance strictly below the threshold."""
+    order = sorted((i for i, p in enumerate(preds) if p.box.class_id == class_id), key=lambda i: (-preds[i].score, i))
+    taken = set()
+    pairs = []
+    for pi in order:
+        best, best_d = None, math.inf
+        for gi, g in enumerate(gts):
+            if g.class_id != class_id or gi in taken:
+                continue
+            dx, dy = g.center[:2] - preds[pi].box.center[:2]
+            d = math.sqrt(dx * dx + dy * dy)
+            if d < best_d:
+                best, best_d = gi, d
+        if best_d < threshold:
+            taken.add(best)
+            pairs.append((pi, best))
+    return pairs
+
+
+class TestOneMatchingPass:
+    @staticmethod
+    def tied_inputs(seed):
+        """Seeded predictions with near-duplicate rows, scores rounded into
+        ties, and a duplicated ground truth."""
+        gts = gen_objects(seed, 40, class_count=3)
+        gts.append(gts[0])
+        noise = NoiseSpec(center_sigma=0.8, drop_rate=0.1, false_positive_rate=0.3)
+        base = perturb_predictions(gts, noise, seed=seed + 1, class_count=3)
+        rng = np.random.default_rng(seed)
+        preds = []
+        for p in base:
+            preds.append(DetectionResult(box=p.box, score=round(p.score, 1)))
+            if rng.uniform() < 0.3:
+                box = Box3D(center=p.box.center + rng.normal(0, 1e-9, 3), size=p.box.size, yaw=p.box.yaw,
+                            velocity=p.box.velocity, class_id=p.box.class_id, attribute_id=p.box.attribute_id)
+                preds.append(DetectionResult(box=box, score=round(p.score, 1)))
+        assert len({p.score for p in preds}) < len(preds) // 4
+        return preds, gts
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_evaluate_equals_entry_points(self, seed):
+        preds, gts = self.tied_inputs(seed)
+        report = evaluate(preds, gts)
+        assert report.class_ids == (0, 1, 2)
+        for cid in report.class_ids:
+            assert list(report.ap[cid]) == list(metrics.DIST_THRESHOLDS)
+            for th in metrics.DIST_THRESHOLDS:
+                assert report.ap[cid][th] == ap_at_threshold(preds, gts, cid, th)
+        pairs = match_detections(preds, gts, metrics.TP_THRESHOLD)
+        assert report.tp == tp_errors([(preds[p], gts[g]) for p, g in pairs])
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_matches_equal_per_prediction_reference(self, seed):
+        preds, gts = self.tied_inputs(seed)
+        for th in metrics.DIST_THRESHOLDS:
+            expected = [pair for cid in (0, 1, 2) for pair in reference_greedy_pairs(preds, gts, cid, th)]
+            assert match_detections(preds, gts, th) == expected
+        assert any(p != q for p, q in zip(match_detections(preds, gts, 0.5), match_detections(preds, gts, 4.0)))
 
 
 class TestReportFiles:

@@ -112,6 +112,12 @@ class TestRenderPyramid:
         with pytest.raises(ConfigError):
             render_pyramid([AnalyticField.constant([1.0])] * 2, rig)
 
+    @pytest.mark.parametrize("stride", [0, -8])
+    def test_stride_below_one(self, stride):
+        rig = gen_rig("single")
+        with pytest.raises(ConfigError, match="stride must be >= 1"):
+            render_pyramid(AnalyticField.constant([1.0]), rig, strides=(8, stride))
+
 
 class TestGenObjects:
     def test_zero_count(self):
