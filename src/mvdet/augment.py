@@ -33,6 +33,7 @@ from .camgeo import (
     _box_from_json,
     _box_to_json,
     _json_fields,
+    _json_int,
     _json_records,
     _json_write,
     pixel_size,
@@ -43,7 +44,6 @@ from .camgeo import (
 __all__ = [
     "AugmentError",
     "ScaleMode",
-    "ScaleTransform",
     "DepthScaler",
     "AnnotatedObject",
     "AnnotatedFrame",
@@ -69,24 +69,6 @@ class ScaleMode(enum.Enum):
     VANILLA = "vanilla"
     DEPTH_INVARIANT = "depth-invariant"
     DISENTANGLED = "disentangled"
-
-
-@dataclass(frozen=True)
-class ScaleTransform:
-    """A resolved multi-scale step: one factor and the mode applying it.
-
-    Width and height always share the factor so objects keep their aspect
-    ratio."""
-
-    r: float
-    mode: ScaleMode = ScaleMode.DEPTH_INVARIANT
-
-    def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise AugmentError(f"scale factor must be positive and finite, got {self.r}")
-
-    def apply(self, frame: "AnnotatedFrame") -> "AnnotatedFrame":
-        return apply_transform(frame, self.r, self.mode)
 
 
 @dataclass(frozen=True)
@@ -159,9 +141,9 @@ class AnnotatedFrame:
 
 
 def sample_scale(scale_range: Sequence[float], rng: np.random.Generator) -> float:
-    """Uniform draw from [lo, hi]; requires 0 < lo <= hi."""
+    """Uniform draw from [lo, hi]; requires 0 < lo <= hi < inf."""
     lo, hi = float(scale_range[0]), float(scale_range[1])
-    if not (0 < lo <= hi):
+    if not (0 < lo <= hi < math.inf):
         raise AugmentError(f"invalid scale range [{lo}, {hi}]")
     if lo == hi:
         return lo
@@ -169,6 +151,8 @@ def sample_scale(scale_range: Sequence[float], rng: np.random.Generator) -> floa
 
 
 def _scaled_len(n: int, r: float) -> int:
+    if not math.isfinite(n * r):
+        raise AugmentError(f"resize factor {r} makes dimension {n} non-finite")
     out = round(n * r)  # round-half-even, deterministic across platforms
     if out < 1:
         raise AugmentError(f"resize factor {r} collapses dimension {n} below one pixel")
@@ -299,7 +283,16 @@ def frame_to_dict(frame: AnnotatedFrame) -> dict:
 
 
 def _image_sizes(sizes) -> tuple[tuple[int, int], ...] | None:
-    return tuple((int(w), int(h)) for w, h in sizes) if sizes else None
+    return tuple((_json_int(w), _json_int(h)) for w, h in sizes) if sizes else None
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+_FRAME_FIELDS = {"image_sizes": _image_sizes, "regression_mask": _json_bool}
 
 
 def frame_from_dict(data: dict) -> AnnotatedFrame:
@@ -307,12 +300,12 @@ def frame_from_dict(data: dict) -> AnnotatedFrame:
         raise AugmentError("annotation frame: missing field 'calib'")
     rig = rig_from_dict(data["calib"])
     records = _json_records({"objects": [], **data}, "objects", AugmentError, "annotation frame")
-    sizes = _json_fields({"image_sizes": None, **data}, {"image_sizes": _image_sizes}, AugmentError, "annotation frame")
+    f = _json_fields({"image_sizes": None, "regression_mask": True, **data}, _FRAME_FIELDS, AugmentError, "annotation frame")
     return AnnotatedFrame(
         rig=rig,
         objects=tuple(_object_from_dict(o) for o in records),
-        image_sizes=sizes["image_sizes"],
-        regression_mask=bool(data.get("regression_mask", True)),
+        image_sizes=f["image_sizes"],
+        regression_mask=f["regression_mask"],
     )
 
 

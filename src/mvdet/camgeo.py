@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -96,6 +97,8 @@ class CameraIntrinsics:
         """Intrinsics for an image resized by factor ``r`` (half-even size rounding)."""
         if r <= 0:
             raise GeometryError(f"scale factor must be positive, got {r}")
+        if not (math.isfinite(self.width * r) and math.isfinite(self.height * r)):
+            raise GeometryError(f"scale factor {r} gives a non-finite image size")
         return CameraIntrinsics(
             fx=self.fx * r,
             fy=self.fy * r,
@@ -178,6 +181,8 @@ class Box3D:
         velocity = _as_array(self.velocity, (2,), "velocity")
         if not np.all(size > 0):
             raise GeometryError(f"box size must be positive, got {size}")
+        if not math.isfinite(float(self.yaw)):
+            raise GeometryError(f"box yaw must be finite, got {self.yaw}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "velocity", velocity)
@@ -216,10 +221,6 @@ class SceneBounds:
     @property
     def extent(self) -> np.ndarray:
         return self.hi - self.lo
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
 
 
 class RegionLabel(enum.Enum):
@@ -420,6 +421,15 @@ def _json_text(value) -> str:
     return value
 
 
+def _json_int(value) -> int:
+    """An integer; a float counts only when its value is integral."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _json_floats(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
@@ -429,8 +439,8 @@ _BOX_FIELDS = {
     "size": _json_floats,
     "yaw": float,
     "velocity": _json_floats,
-    "class": int,
-    "attribute": int,
+    "class": _json_int,
+    "attribute": _json_int,
 }
 
 
@@ -462,8 +472,8 @@ def _box_from_json(entry: dict, error: type[Exception], what: str) -> Box3D:
 
 _CAMERA_FIELDS = {
     **dict.fromkeys(("fx", "fy", "cx", "cy"), float),
-    "width": int,
-    "height": int,
+    "width": _json_int,
+    "height": _json_int,
     "rotation": lambda value: _json_floats(value).reshape(3, 3),
     "translation": _json_floats,
     "id": _json_text,

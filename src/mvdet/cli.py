@@ -24,21 +24,11 @@ import numpy as np
 
 from . import augment as aug
 from . import camgeo, decoder, matching, metrics, synth
-from .featcore import FeatureError, TensorFormatError, load_pyramid, sample_multiview_many, save_pyramid
+from .featcore import load_pyramid, sample_multiview_many, save_pyramid
 
-_ERRORS = (
-    camgeo.GeometryError,
-    FeatureError,
-    TensorFormatError,
-    decoder.DecoderError,
-    aug.AugmentError,
-    matching.MatchingError,
-    metrics.MetricsError,
-    synth.ConfigError,
-    OSError,
-    json.JSONDecodeError,
-    ValueError,
-)
+# Every module error type derives from one of these (TensorFormatError from
+# OSError, the rest and json.JSONDecodeError from ValueError).
+_ERRORS = (OSError, ValueError)
 
 
 def _emit(payload: dict, as_json: bool) -> None:

@@ -1,16 +1,20 @@
 """Query-based refinement decoder over multi-view feature pyramids.
 
 Each decoder layer runs self-attention across object queries, decodes a 3D
-reference point per query, gathers image evidence according to the selected
-aggregation mode, and applies a residual feed-forward block.  Aggregation
-modes:
+reference point per query, gathers image evidence from a graph of nodes
+around it, and applies a residual feed-forward block.  Every aggregation mode
+is a graph, sampled in one call and merged in node order through the same
+weighted sum:
 
-* ``single-point``: sample the pyramid at the reference point only.
-* ``fixed-points``: sample at the reference point plus the corners of a
-  nominal box around it, all merged with unit weights.
-* ``dynamic-graph``: sample at learned offset neighbors merged with learned
-  per-edge weights; with one neighbor, zero offset, and unit weight this
-  reproduces ``single-point`` bit-exactly.
+* ``single-point``: a fixed graph of one node, the reference point.
+* ``fixed-points``: a fixed graph of the reference point plus the corners of
+  a nominal box around it, all with unit weights.
+* ``dynamic-graph``: learned offset nodes with learned per-edge weights; with
+  one neighbor, zero offset, and unit weight this reproduces
+  ``single-point`` bit-exactly.
+
+``grad_check`` is the finite-difference oracle of one query's dynamic-graph
+aggregation, run on a fixed configuration (dim 16, 4 nodes, every component).
 
 All parameters and arithmetic are 64-bit.  Given identical seeds and inputs
 the decoder is bit-deterministic.
@@ -33,6 +37,7 @@ from .camgeo import (
     DetectionResult,
     SceneBounds,
     _json_fields,
+    _json_int,
     _json_records,
     _json_text,
     _json_write,
@@ -135,11 +140,8 @@ class Mlp:
         return self.weights[-1].shape[0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        h = np.asarray(x, dtype=np.float64)
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = h @ w.T + b
-            if act == "relu":
-                h = np.maximum(h, 0.0)
+        z = self.preactivations(x)[-1]
+        h = np.maximum(z, 0.0) if self.activations[-1] == "relu" else z
         if not np.all(np.isfinite(h)):
             raise DecoderError("MLP produced non-finite output")
         return h
@@ -156,19 +158,12 @@ class Mlp:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """d output / d input at a single input point; shape (out_dim, in_dim)."""
-        x = np.asarray(x, dtype=np.float64).reshape(self.in_dim)
         jac = None
-        h = x
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = h @ w.T + b
-            layer_jac = w if jac is None else w @ jac
+        pres = self.preactivations(np.asarray(x, dtype=np.float64).reshape(self.in_dim))
+        for z, w, act in zip(pres, self.weights, self.activations):
+            jac = w if jac is None else w @ jac
             if act == "relu":
-                mask = (z > 0).astype(np.float64)
-                layer_jac = layer_jac * mask[:, None]
-                h = np.maximum(z, 0.0)
-            else:
-                h = z
-            jac = layer_jac
+                jac = jac * (z > 0).astype(np.float64)[:, None]
         return jac
 
     @classmethod
@@ -374,6 +369,14 @@ class DecoderLayer:
 # Nominal box (w, l, h) whose corners form the fixed-points subgraph.
 FIXED_POINTS_BOX_SIZE = (2.0, 4.0, 1.5)
 
+# Node offsets (K, 3) of the fixed graphs; all their edges have unit weight.
+_FIXED_GRAPHS = {
+    AggregationMode.SINGLE_POINT: np.zeros((1, 3)),
+    AggregationMode.FIXED_POINTS: np.vstack(
+        [np.zeros(3), box_corners(Box3D(center=np.zeros(3), size=FIXED_POINTS_BOX_SIZE, yaw=0.0))]
+    ),
+}
+
 
 def init_decoder(
     seed: int,
@@ -408,24 +411,21 @@ def _aggregate(
     mode: AggregationMode,
     offset_scale: float,
 ) -> np.ndarray:
-    m = emb.shape[0]
-    if mode is AggregationMode.SINGLE_POINT:
-        feats, _ = sample_multiview_many(pyr, rig, refs)
-        return emb + feats
-    if mode is AggregationMode.FIXED_POINTS:
-        corners = box_corners(Box3D(center=np.zeros(3), size=FIXED_POINTS_BOX_SIZE, yaw=0.0))
-        nodes = refs[:, None, :] + np.vstack([np.zeros(3), corners])
-        feats, _ = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3))
-        return emb + feats.reshape(m, 9, -1).sum(axis=1)
+    """Residual update of queries (M, C): each query's graph nodes are
+    sampled in one call and merged in node order with their edge weights."""
     if mode is AggregationMode.DYNAMIC_GRAPH:
         nodes, _, weights = graph_nodes(emb, refs, layer.offset_net, layer.weight_net, offset_scale)
-        feats, _ = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3))
-        feats = feats.reshape(m, layer.neighbors, -1)
-        update = np.zeros_like(emb)
-        for j in range(layer.neighbors):
-            update = update + feats[:, j, :] * weights[:, j : j + 1]
-        return emb + update
-    raise DecoderError(f"unknown aggregation mode {mode!r}")
+    elif mode in (AggregationMode.SINGLE_POINT, AggregationMode.FIXED_POINTS):
+        nodes = refs[:, None, :] + _FIXED_GRAPHS[mode]
+        weights = np.ones(nodes.shape[:2])
+    else:
+        raise DecoderError(f"unknown aggregation mode {mode!r}")
+    m, k = weights.shape
+    feats = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3))[0].reshape(m, k, -1)
+    update = np.zeros_like(emb)
+    for j in range(k):
+        update = update + feats[:, j] * weights[:, j : j + 1]
+    return emb + update
 
 
 def decoder_forward(
@@ -582,8 +582,9 @@ def save_params(
 
 _PARAM_ENTRY_FIELDS = {"name": _json_text, "file": _json_text, "shape": list}
 _PARAM_META_FIELDS = {
-    "layers": int,
-    "heads": int,
+    "layers": _json_int,
+    "heads": _json_int,
+    "num_classes": lambda value: value if value is None else _json_int(value),
     "activations": lambda table: {net: tuple(acts) for net, acts in dict(table).items()},
 }
 
@@ -594,6 +595,7 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead | Non
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = _json_records(bundle, "entries", DecoderError, f"parameter manifest {manifest_path}")
     meta = _json_fields(bundle, {"meta": dict}, DecoderError, str(manifest_path))["meta"]
+    meta = {"num_classes": None, **meta}
     meta.update(_json_fields(meta, _PARAM_META_FIELDS, DecoderError, f"the meta of {manifest_path}"))
     _check_sizes(layers=meta["layers"])
     arrays = {}
@@ -639,7 +641,8 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead | Non
             )
         )
     head = None
-    if meta.get("num_classes"):
+    if meta["num_classes"] is not None:
+        _check_sizes(num_classes=meta["num_classes"])
         head = PredictionHead(reg_net=load_mlp("head.reg_net"), cls_net=load_mlp("head.cls_net"))
     return layers, head
 
@@ -823,29 +826,24 @@ def grad_check(
     eps: float = 1e-4,
     tol: float = 1e-6,
     probes: int = 32,
-    dim: int = 16,
-    k: int = 4,
-    components: Sequence[str] = _GRAD_COMPONENTS,
 ) -> GradCheckReport:
     """Compare analytic gradients of the propagation loss against central
-    finite differences.
+    finite differences, for queries of dim 16 and graphs of 4 nodes, in every
+    component ("offset", "weight", "query").
 
     A probe whose sample positions land on (or too close to) a bilinear
     kink, or whose query steps can cross a ReLU kink of the ref, offset or
     weight net, is jittered by a small deterministic amount and retried;
     jitters are counted in the report.  Relative deviation is
-    |analytic - fd| / (1 + |analytic|).  ``probes`` must be at least 1 and
-    ``components`` a nonempty subset of ("offset", "weight", "query").
+    |analytic - fd| / (1 + |analytic|).  ``probes`` must be at least 1.
     """
     if eps <= 0:
         raise DecoderError(f"eps must be positive, got {eps}")
     if probes < 1:
         raise DecoderError(f"probes must be at least 1, got {probes}")
-    unknown = [name for name in components if name not in _GRAD_COMPONENTS]
-    if unknown or not components:
-        raise DecoderError(f"components must name some of {_GRAD_COMPONENTS}, got {tuple(components)}")
     from .synth import AnalyticField, gen_rig, render_pyramid
 
+    dim, k = 16, 4
     rig = gen_rig("nuscenes-like")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(40,))))
     channels = 4
@@ -867,7 +865,7 @@ def grad_check(
         bounds=bounds,
         offset_scale=1.0,
     )
-    checked = {name: [] for name in components}  # per probe: (analytic, fd) arrays
+    checked = {name: [] for name in _GRAD_COMPONENTS}  # per probe: (analytic, fd) arrays
     n_jittered = 0
     kink_margin = 1e-3
 
@@ -880,13 +878,13 @@ def grad_check(
             q = q + rng.uniform(-0.05, 0.05, size=dim)
             n_jittered += 1
             derived = probe.derive(q)
-        grads = dict(zip(_GRAD_COMPONENTS, probe.analytic(q, derived)))
-        steps = [probe.signed_steps(q, derived, name, eps) for name in checked]
+        grads = probe.analytic(q, derived)
+        steps = [probe.signed_steps(q, derived, name, eps) for name in _GRAD_COMPONENTS]
         losses = probe.losses(*(np.concatenate(parts) for parts in zip(*steps)))
         start = 0
-        for name, (qs, _, _) in zip(checked, steps):
+        for name, grad, (qs, _, _) in zip(_GRAD_COMPONENTS, grads, steps):
             lp, lm = losses[start : start + len(qs)].reshape(2, -1)
-            checked[name].append((grads[name].ravel(), (lp - lm) / (2 * eps)))
+            checked[name].append((grad.ravel(), (lp - lm) / (2 * eps)))
             start += len(qs)
 
     reports = []

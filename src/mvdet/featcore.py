@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import CameraRig, _json_fields, _json_records, _json_text, _json_write, project_points
+from .camgeo import CameraRig, _json_fields, _json_int, _json_records, _json_text, _json_write, project_points
 
 __all__ = [
     "FeatureError",
@@ -383,11 +383,15 @@ def load_pyramid(manifest_path) -> FeaturePyramid:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))
+    what = f"pyramid manifest {manifest_path}"
+    version = _json_fields(manifest, {"version": _json_int}, FeatureError, what)["version"]
+    if version != TENSOR_VERSION:
+        raise FeatureError(f"{what}: unsupported version {version}")
     cams = []
-    for cam_entry in _json_records(manifest, "cameras", FeatureError, f"pyramid manifest {manifest_path}"):
+    for cam_entry in _json_records(manifest, "cameras", FeatureError, what):
         levels = []
         for lv in _json_records(cam_entry, "levels", FeatureError, f"a camera of {manifest_path}"):
-            lv = _json_fields(lv, {"file": _json_text, "stride": int}, FeatureError, f"a level of {manifest_path}")
+            lv = _json_fields(lv, {"file": _json_text, "stride": _json_int}, FeatureError, f"a level of {manifest_path}")
             levels.append(FeatureLevel(data=read_tensor(os.path.join(base, lv["file"])), stride=lv["stride"]))
         cams.append(levels)
     return FeaturePyramid(cams)

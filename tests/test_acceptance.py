@@ -158,7 +158,7 @@ def test_criterion_4_bilinear_sampling_oracle():
 
 def test_criterion_5_gradient_suite():
     started = time.time()
-    result = grad_check(seed=42, eps=1e-4, tol=1e-6, probes=32, dim=16, k=4)
+    result = grad_check(seed=42, eps=1e-4, tol=1e-6, probes=32)
     total_points = sum(c.n_checked for c in result.components)
     assert total_points >= 1000
     for comp in result.components:
@@ -331,7 +331,8 @@ def _run_twice_and_compare(argv_factory, tmp_path, name):
         for dirpath, _, files in os.walk(out_dir):
             for fname in sorted(files):
                 path = os.path.join(dirpath, fname)
-                tree[os.path.relpath(path, out_dir)] = open(path, "rb").read()
+                with open(path, "rb") as fh:
+                    tree[os.path.relpath(path, out_dir)] = fh.read()
         trees.append(tree)
     assert trees[0].keys() == trees[1].keys(), f"{name}: file sets differ"
     for key in trees[0]:

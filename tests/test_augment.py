@@ -40,7 +40,7 @@ class TestSampleScale:
         assert abs(float(np.mean(samples)) - 1.05) < 0.005
 
     def test_invalid_ranges(self):
-        for bad in [(0.0, 1.0), (-1.0, 1.0), (1.5, 1.0)]:
+        for bad in [(0.0, 1.0), (-1.0, 1.0), (1.5, 1.0), (1.0, float("inf")), (float("inf"),) * 2]:
             with pytest.raises(AugmentError):
                 sample_scale(bad, derived_rng(0, 0))
 
@@ -206,14 +206,12 @@ class TestDisentangled:
         di = apply_transform(frame, 1.2, ScaleMode.DEPTH_INVARIANT)
         assert di.objects[0].depth == frame.objects[0].depth / 1.2
 
-    def test_scale_transform_value_object(self):
-        from mvdet.augment import ScaleTransform
-
+    def test_apply_transform_scales_depth_by_factor(self):
         frame = make_frame()
-        out = ScaleTransform(r=2.0, mode=ScaleMode.DEPTH_INVARIANT).apply(frame)
+        out = apply_transform(frame, 2.0, ScaleMode.DEPTH_INVARIANT)
         assert out.objects[0].depth == frame.objects[0].depth / 2.0
         with pytest.raises(AugmentError):
-            ScaleTransform(r=0.0)
+            apply_transform(frame, 0.0, ScaleMode.DEPTH_INVARIANT)
 
 
 class TestPixelDepthDecode:

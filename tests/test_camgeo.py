@@ -249,6 +249,17 @@ class TestValidation:
         with pytest.raises(GeometryError):
             Box3D(center=(0, 0, 0), size=(0, 1, 1), yaw=0.0)
 
+    @pytest.mark.parametrize("yaw", [math.nan, math.inf, -math.inf])
+    def test_non_finite_yaw_rejected(self, yaw):
+        with pytest.raises(GeometryError, match="yaw"):
+            Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=yaw)
+
+    @pytest.mark.parametrize("r", [math.inf, 1e308])
+    def test_scaled_to_non_finite_size_rejected(self, r):
+        intr = CameraIntrinsics(fx=1000, fy=1000, cx=800, cy=450, width=1600, height=900)
+        with pytest.raises(GeometryError):
+            intr.scaled(r)
+
     def test_yaw_normalized(self):
         assert Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=3 * math.pi).yaw == pytest.approx(math.pi)
         assert Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=-math.pi).yaw == pytest.approx(math.pi)

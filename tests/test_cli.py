@@ -6,10 +6,14 @@ import struct
 import numpy as np
 import pytest
 
-from mvdet.cli import main
+from mvdet.augment import AugmentError
+from mvdet.camgeo import GeometryError
+from mvdet.cli import _ERRORS, main
 from mvdet import decoder
-from mvdet.featcore import write_tensor
-from mvdet.matching import load_predictions
+from mvdet.featcore import FeatureError, TensorFormatError, write_tensor
+from mvdet.matching import MatchingError, load_predictions
+from mvdet.metrics import MetricsError
+from mvdet.synth import ConfigError
 
 from helpers import degenerate_layer
 
@@ -19,7 +23,8 @@ def read_bytes_tree(root):
     for dirpath, _, filenames in os.walk(root):
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
     return out
 
 
@@ -122,6 +127,16 @@ class TestAugmentCommand:
         original = json.loads((scene_dir / "annotations.json").read_text())
         transformed = json.loads((out / "annotations.json").read_text())
         assert original == transformed
+
+    @pytest.mark.parametrize("lo, hi", [("inf", "inf"), ("1e308", "1e308"), ("1", "inf")])
+    def test_overflowing_scale_is_a_usage_error(self, scene_dir, tmp_path, capsys, lo, hi):
+        code = main([
+            "augment", "--annotations", str(scene_dir / "annotations.json"),
+            "--scale-min", lo, "--scale-max", hi, "--seed", "3", "--out", str(tmp_path / "aug"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_depth_divided_by_logged_scale(self, scene_dir, tmp_path):
         out = tmp_path / "aug2"
@@ -336,6 +351,22 @@ def _frame_without(field):
     return build
 
 
+def _pyramid_with(level=(), **fields):
+    """The scene's pyramid manifest with ``fields`` overriding its own and
+    ``level`` the fields of its first level; its tensor files are referenced
+    by absolute path."""
+    def build(scene_dir):
+        manifest = json.loads((scene_dir / "pyramid" / "pyramid.json").read_text())
+        for cam in manifest["cameras"]:
+            for lv in cam["levels"]:
+                lv["file"] = str(scene_dir / "pyramid" / lv["file"])
+        manifest["cameras"][0]["levels"][0].update(level)
+        manifest.update(fields)
+        return manifest
+
+    return build
+
+
 def _params_with(drop=(), **meta):
     """A real one-layer bundle with ``meta`` overriding its metadata and the
     activations and tensor entries named in ``drop`` left out; its tensor
@@ -344,7 +375,8 @@ def _params_with(drop=(), **meta):
         params = scene_dir / "params-one-layer"
         layers = decoder.init_decoder(1, layers=1, dim=8, neighbors=1, heads=1)
         head = decoder.PredictionHead.seeded(1, dim=8)
-        bundle = json.loads(open(decoder.save_params(params, layers, head)).read())
+        with open(decoder.save_params(params, layers, head)) as fh:
+            bundle = json.load(fh)
         bundle["meta"].update(meta)
         for net in drop:
             bundle["meta"]["activations"].pop(net, None)
@@ -360,10 +392,12 @@ _LEVEL = {"file": "level.gdt3", "stride": 8}
 _PRED = {"center": [10.0, 0.0, 1.0], "size": [2.0, 4.0, 1.5], "yaw": 0.0, "score": 0.5}
 _MALFORMED = {
     "pyramid-list": ("pyramid", []),
-    "pyramid-cameras-int": ("pyramid", {"cameras": 3}),
-    "pyramid-stride-null": ("pyramid", {"cameras": [{"levels": [dict(_LEVEL, stride=None)]}]}),
-    "pyramid-stride-list": ("pyramid", {"cameras": [{"levels": [dict(_LEVEL, stride=[8])]}]}),
-    "pyramid-file-int": ("pyramid", {"cameras": [{"levels": [dict(_LEVEL, file=5)]}]}),
+    "pyramid-cameras-int": ("pyramid", {"version": 1, "cameras": 3}),
+    "pyramid-stride-null": ("pyramid", {"version": 1, "cameras": [{"levels": [dict(_LEVEL, stride=None)]}]}),
+    "pyramid-stride-list": ("pyramid", {"version": 1, "cameras": [{"levels": [dict(_LEVEL, stride=[8])]}]}),
+    "pyramid-file-int": ("pyramid", {"version": 1, "cameras": [{"levels": [dict(_LEVEL, file=5)]}]}),
+    "pyramid-stride-fraction": ("pyramid", _pyramid_with(level={"stride": 8.7})),
+    "pyramid-version-list": ("pyramid", _pyramid_with(version=["x"])),
     "params-list": ("params", []),
     "params-entries-int": ("params", {"meta": {}, "entries": 3}),
     "params-file-int": ("params", {"meta": {}, "entries": [{"name": "x", "file": 5, "shape": [1]}]}),
@@ -374,13 +408,19 @@ _MALFORMED = {
     "params-layers-beyond-entries": ("params", _params_with(layers=2)),
     "params-activations-missing": ("params", _params_with(drop=("layer00.ffn",))),
     "params-tensor-missing": ("params", _params_with(drop=("layer00.ffn.b1",))),
+    "params-num-classes-fraction": ("params", _params_with(num_classes=-2.5)),
     "calib-fx-null": ("calib", _calib_with(fx=None)),
     "calib-id-null": ("calib", _calib_with(id=None)),
+    "calib-width-fraction": ("calib", _calib_with(width=1600.9)),
     "predictions-list": ("pred", []),
     "predictions-int": ("pred", {"predictions": 5}),
     "predictions-item-int": ("pred", {"predictions": [1]}),
     "predictions-yaw-null": ("pred", {"predictions": [dict(_PRED, yaw=None)]}),
     "predictions-score-null": ("pred", {"predictions": [dict(_PRED, score=None)]}),
+    "predictions-yaw-nan-string": ("pred", {"predictions": [dict(_PRED, yaw="nan")]}),
+    "predictions-yaw-nan": ("pred", {"predictions": [dict(_PRED, yaw=float("nan"))]}),
+    "predictions-class-fraction": ("pred", {"predictions": [dict(_PRED, **{"class": -2.5})]}),
+    "predictions-attribute-string": ("pred", {"predictions": [dict(_PRED, attribute="3")]}),
     "predictions-center-object": ("pred", {"predictions": [dict(_PRED, center={"x": 1})]}),
     "annotations-list": ("annotations", []),
     "annotations-frames-int": ("annotations", {"frames": 5}),
@@ -390,6 +430,7 @@ _MALFORMED = {
     "annotations-image-sizes-int": ("annotations", _frame_with(image_sizes=[5])),
     "annotations-depth-null": ("annotations", _object_with(depth=None)),
     "annotations-class-list": ("annotations", _object_with(**{"class": [1]})),
+    "annotations-regression-mask-string": ("annotations", _frame_with(regression_mask="false")),
 }
 
 
@@ -403,7 +444,8 @@ class TestMalformedInputFiles:
         pyramid, calib = str(scene_dir / "pyramid" / "pyramid.json"), str(scene_dir / "calib.json")
         gt, out = str(scene_dir / "annotations.json"), str(tmp_path / "out")
         argv = {
-            "pyramid": ["decode", "--pyramid", str(bad), "--calib", calib, "--seed", "1", "--out", out],
+            "pyramid": ["decode", "--pyramid", str(bad), "--calib", calib, "--dim", "8", "--heads", "2",
+                        "--queries", "16", "--layers", "1", "--seed", "1", "--out", out],
             "params": ["decode", "--pyramid", pyramid, "--calib", calib, "--params", str(bad),
                        "--seed", "1", "--out", out],
             "calib": ["project", "--calib", str(bad), "--point", "10,0,1"],
@@ -414,6 +456,13 @@ class TestMalformedInputFiles:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_every_module_error_is_a_usage_error():
+    errors = (GeometryError, FeatureError, TensorFormatError, decoder.DecoderError, AugmentError,
+              MatchingError, MetricsError, ConfigError)
+    assert _ERRORS == (OSError, ValueError)
+    assert all(issubclass(err, _ERRORS) for err in errors)
 
 
 class TestEvaluateCommand:
