@@ -83,8 +83,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise GeometryError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise GeometryError(f"focal lengths must be finite and positive, got ({self.fx}, {self.fy})")
         if not (self.width > 0 and self.height > 0):
             raise GeometryError(f"image size must be positive, got ({self.width}, {self.height})")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -359,8 +359,6 @@ def classify_regions(boxes: Sequence[Box3D], rig: CameraRig) -> list[RegionLabel
 
 def pixel_size(intr: CameraIntrinsics) -> float:
     """Pixel size sqrt(1/fx^2 + 1/fy^2); converts metric depth to pixel-level depth."""
-    if intr.fx <= 0 or intr.fy <= 0:
-        raise GeometryError(f"focal lengths must be positive, got ({intr.fx}, {intr.fy})")
     return math.sqrt(1.0 / intr.fx**2 + 1.0 / intr.fy**2)
 
 

@@ -1,6 +1,6 @@
-"""Set-based supervision: pairwise matching costs, an optimal assignment
-solver, focal classification loss, L1 box regression loss, and the combined
-objective.
+"""Set-based supervision: a set-level matching cost matrix, an optimal
+assignment solver, focal classification loss, L1 box regression loss, and
+the combined objective.
 
 The assignment solver returns the minimum-cost one-to-one matching between
 rows and columns; among cost ties it returns the lexicographically smallest
@@ -88,24 +88,33 @@ def _check_probs(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def match_cost(pred, gt, weights: tuple[float, float] = (1.0, 0.25)) -> float:
-    """Pairwise matching cost between one prediction and one ground truth.
+def match_cost(
+    preds: Sequence[tuple[np.ndarray, Box3D]],
+    gts: Sequence[tuple[int, Box3D]],
+    weights: tuple[float, float] = (1.0, 0.25),
+) -> np.ndarray:
+    """(N, G) matching cost matrix between N predictions and G ground truths.
 
-    ``pred`` is (class_probs, Box3D); ``gt`` is (class_id, Box3D).  The cost
-    is cls_weight * (-prob of the gt class) plus reg_weight * the summed
-    absolute difference of the regression vectors.
+    Each prediction is (class_probs, Box3D) and each ground truth is
+    (class_id, Box3D); every prediction must score the same classes.  Entry
+    (i, j) is cls_weight * (-prob of gt j's class under prediction i) plus
+    reg_weight * the summed absolute difference of the regression vectors.
     """
-    probs, pred_box = pred
-    gt_class, gt_box = gt
-    probs = _check_probs(probs)
-    if not (0 <= int(gt_class) < probs.size):
-        raise MatchingError(f"gt class {gt_class} out of range for {probs.size} classes")
+    if not preds:
+        return np.zeros((0, len(gts)))
+    probs = [_check_probs(p) for p, _ in preds]
+    sizes = {p.size for p in probs}
+    if len(sizes) > 1:
+        raise MatchingError(f"predictions disagree on the class count: {sorted(sizes)}")
+    num_classes = probs[0].size
+    gt_cls = np.array([int(c) for c, _ in gts], dtype=np.int64)
+    for c in gt_cls:
+        if not (0 <= c < num_classes):
+            raise MatchingError(f"gt class {c} out of range for {num_classes} classes")
+    pv = np.array([box_regression_vector(b) for _, b in preds])
+    gv = np.array([box_regression_vector(b) for _, b in gts]).reshape(-1, pv.shape[1])
     cls_w, reg_w = weights
-    cls_term = -float(probs[int(gt_class)])
-    reg_term = float(
-        np.abs(box_regression_vector(pred_box) - box_regression_vector(gt_box)).sum()
-    )
-    return cls_w * cls_term + reg_w * reg_term
+    return cls_w * -np.stack(probs)[:, gt_cls] + reg_w * np.abs(pv[:, None] - gv[None]).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +331,7 @@ def set_loss(
     """
     if not preds:
         return LossBreakdown(cls=0.0, reg=0.0), Assignment(pairs=(), total_cost=0.0)
-    if gts:
-        assignment = hungarian(np.array([[match_cost(p, g, weights) for g in gts] for p in preds]))
-    else:
-        assignment = Assignment(pairs=(), total_cost=0.0)
+    assignment = hungarian(match_cost(preds, gts, weights))
     matched = {r: c for r, c in assignment.pairs}
     cls_total = 0.0
     reg_total = 0.0

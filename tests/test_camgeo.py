@@ -232,6 +232,11 @@ class TestValidation:
         with pytest.raises(GeometryError):
             CameraIntrinsics(fx=-1, fy=1, cx=0, cy=0, width=4, height=4)
 
+    @pytest.mark.parametrize("fx, fy", [(math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_non_finite_focal_rejected(self, fx, fy):
+        with pytest.raises(GeometryError, match="focal lengths must be finite and positive"):
+            CameraIntrinsics(fx=fx, fy=fy, cx=0, cy=0, width=4, height=4)
+
     def test_principal_point_bounds(self):
         with pytest.raises(GeometryError):
             CameraIntrinsics(fx=1, fy=1, cx=4, cy=0, width=4, height=4)

@@ -410,6 +410,7 @@ _MALFORMED = {
     "params-tensor-missing": ("params", _params_with(drop=("layer00.ffn.b1",))),
     "params-num-classes-fraction": ("params", _params_with(num_classes=-2.5)),
     "calib-fx-null": ("calib", _calib_with(fx=None)),
+    "calib-fx-inf": ("calib", _calib_with(fx=float("inf"))),
     "calib-id-null": ("calib", _calib_with(id=None)),
     "calib-width-fraction": ("calib", _calib_with(width=1600.9)),
     "predictions-list": ("pred", []),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -48,35 +49,113 @@ def simple_box(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0, velocity=(0, 0)):
     return Box3D(center=center, size=size, yaw=yaw, velocity=velocity)
 
 
+def pair_cost(pred, gt, weights):
+    """Reference per-pair cost, written out one pair at a time."""
+    probs, pred_box = pred
+    gt_class, gt_box = gt
+    probs = np.asarray(probs, dtype=np.float64).reshape(-1)
+    cls_w, reg_w = weights
+    cls_term = -float(probs[int(gt_class)])
+    reg_term = float(np.abs(box_regression_vector(pred_box) - box_regression_vector(gt_box)).sum())
+    return cls_w * cls_term + reg_w * reg_term
+
+
+def random_box(rng):
+    return Box3D(
+        center=rng.uniform(-40, 40, 3),
+        size=rng.uniform(0.5, 5.0, 3),
+        yaw=float(rng.uniform(-math.pi, math.pi)),
+        velocity=rng.uniform(-3, 3, 2),
+    )
+
+
+def seeded_set(seed, num_preds, num_gts, num_classes=5):
+    """Seeded predictions and ground truths; every fourth prediction is a
+    near-duplicate of the one before it, and every third has tied
+    probabilities."""
+    rng = np.random.default_rng(seed)
+    gts = [(int(rng.integers(0, num_classes)), random_box(rng)) for _ in range(num_gts)]
+    preds = []
+    for i in range(num_preds):
+        if i % 3 == 2:
+            probs = np.full(num_classes, 1.0 / num_classes)
+        else:
+            probs = rng.dirichlet(np.ones(num_classes))
+        if i % 4 == 3:
+            prev = preds[-1][1]
+            box = Box3D(center=prev.center + 1e-9, size=prev.size, yaw=prev.yaw, velocity=prev.velocity)
+        else:
+            box = random_box(rng)
+        preds.append((probs, box))
+    return preds, gts
+
+
 class TestMatchCost:
     def test_identical_box_full_confidence(self):
         box = simple_box()
         probs = np.zeros(10)
         probs[3] = 1.0
-        assert match_cost((probs, box), (3, box), weights=(1.0, 1.0)) == -1.0
+        assert match_cost([(probs, box)], [(3, box)], weights=(1.0, 1.0))[0, 0] == -1.0
 
     def test_uniform_probs(self):
         box = simple_box()
         probs = np.full(10, 0.1)
-        assert match_cost((probs, box), (4, box), weights=(1.0, 1.0)) == pytest.approx(-0.1)
+        assert match_cost([(probs, box)], [(4, box)], weights=(1.0, 1.0))[0, 0] == pytest.approx(-0.1)
 
     def test_unit_center_offset(self):
         a = simple_box(center=(1, 0, 0))
         b = simple_box(center=(0, 0, 0))
         probs = np.zeros(10)
         probs[0] = 1.0
-        assert match_cost((probs, a), (0, b), weights=(1.0, 1.0)) == pytest.approx(0.0)
+        assert match_cost([(probs, a)], [(0, b)], weights=(1.0, 1.0))[0, 0] == pytest.approx(0.0)
 
     def test_unnormalized_probs_rejected(self):
         with pytest.raises(MatchingError):
-            match_cost((np.array([0.5, 0.4]), simple_box()), (0, simple_box()))
+            match_cost([(np.array([0.5, 0.4]), simple_box())], [(0, simple_box())])
 
     def test_weights_scale_terms(self):
         a = simple_box(center=(2, 0, 0))
         b = simple_box()
         probs = np.array([1.0, 0.0])
-        cost = match_cost((probs, a), (0, b), weights=(0.5, 0.25))
+        cost = match_cost([(probs, a)], [(0, b)], weights=(0.5, 0.25))[0, 0]
         assert cost == pytest.approx(0.5 * (-1.0) + 0.25 * 2.0)
+
+    @pytest.mark.parametrize("shape", [(37, 11), (1, 1)])
+    @pytest.mark.parametrize("weights", [(1.0, 0.25), (0.7, 0.3)])
+    def test_matrix_bit_equals_per_pair_reference(self, shape, weights):
+        preds, gts = seeded_set(sum(shape), *shape)
+        cost = match_cost(preds, gts, weights)
+        expected = np.array([[pair_cost(p, g, weights) for g in gts] for p in preds])
+        assert cost.shape == shape and cost.dtype == np.float64
+        assert cost.tobytes() == expected.tobytes()
+
+    def test_empty_sides(self):
+        preds, gts = seeded_set(3, 4, 3)
+        assert match_cost([], gts).shape == (0, 3)
+        assert match_cost(preds, []).shape == (4, 0)
+        assert match_cost([], []).shape == (0, 0)
+
+    def test_bad_probability_row_rejected(self):
+        preds, gts = seeded_set(4, 6, 2)
+        preds[4] = (np.array([0.5, 0.5, 0.5, 0.0, 0.0]), preds[4][1])
+        with pytest.raises(MatchingError, match="sum to 1"):
+            match_cost(preds, gts)
+        preds[4] = (np.array([1.5, -0.5, 0.0, 0.0, 0.0]), preds[4][1])
+        with pytest.raises(MatchingError, match="nonnegative"):
+            match_cost(preds, gts)
+
+    @pytest.mark.parametrize("gt_class", [5, -1])
+    def test_out_of_range_gt_class_rejected(self, gt_class):
+        preds, gts = seeded_set(5, 3, 4)
+        gts[2] = (gt_class, gts[2][1])
+        with pytest.raises(MatchingError, match=f"gt class {gt_class} out of range for 5 classes"):
+            match_cost(preds, gts)
+
+    def test_mixed_class_counts_rejected(self):
+        preds, gts = seeded_set(6, 3, 2, num_classes=3)
+        preds[1] = (np.array([0.25, 0.25, 0.25, 0.25]), preds[1][1])
+        with pytest.raises(MatchingError, match="class count"):
+            match_cost(preds, gts)
 
 
 class TestHungarian:
@@ -279,7 +358,7 @@ class TestSetLoss:
         best_total = None
         for pred_pair in itertools.permutations(range(3), 2):
             total_cost = sum(
-                match_cost(preds[pi], gts[gi]) for pi, gi in zip(pred_pair, range(2))
+                pair_cost(preds[pi], gts[gi], (1.0, 0.25)) for pi, gi in zip(pred_pair, range(2))
             )
             if best_total is None or total_cost < best_total[0]:
                 best_total = (total_cost, pred_pair)
@@ -315,6 +394,25 @@ class TestSetLoss:
         breakdown, assignment = set_loss([], [(0, simple_box())])
         assert breakdown.total == 0.0
         assert assignment.pairs == ()
+
+    def test_set_loss_regression_hash(self):
+        # sha256 computed when set_loss built its matrix one pair at a time.
+        breakdown, assignment = set_loss(*seeded_set(2024, 200, 20))
+        blob = repr((repr(breakdown.cls), repr(breakdown.reg), assignment.pairs, repr(assignment.total_cost)))
+        assert hashlib.sha256(blob.encode()).hexdigest() == "32e983a5cd47b2c122e98466297375f8308aaaa1b329d9523c0cd738b1d4d479"
+
+    def test_one_match_cost_call_per_set_loss(self, monkeypatch):
+        cost = matching.match_cost
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cost(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "match_cost", counting)
+        preds, gts = seeded_set(7, 30, 6)
+        set_loss(preds, gts)
+        assert len(calls) == 1
 
 
 class TestPredictionJson:
