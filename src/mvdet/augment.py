@@ -30,6 +30,7 @@ from .camgeo import (
     CameraModel,
     CameraRig,
     GeometryError,
+    _MAX_IMAGE_SIDE,
     _box_from_json,
     _box_to_json,
     _json_fields,
@@ -133,6 +134,9 @@ class AnnotatedFrame:
             sizes = tuple((int(w), int(h)) for w, h in sizes)
             if len(sizes) != len(self.rig):
                 raise AugmentError("image_sizes must have one entry per camera")
+            for w, h in sizes:
+                if not (0 < w <= _MAX_IMAGE_SIDE and 0 < h <= _MAX_IMAGE_SIDE):
+                    raise AugmentError(f"image size must be within [1, {_MAX_IMAGE_SIDE}] pixels, got ({w}, {h})")
         object.__setattr__(self, "image_sizes", sizes)
 
 
@@ -156,6 +160,8 @@ def _scaled_len(n: int, r: float) -> int:
     out = round(n * r)  # round-half-even, deterministic across platforms
     if out < 1:
         raise AugmentError(f"resize factor {r} collapses dimension {n} below one pixel")
+    if out > _MAX_IMAGE_SIDE:
+        raise AugmentError(f"resize factor {r} makes dimension {n} exceed {_MAX_IMAGE_SIDE} pixels")
     return out
 
 

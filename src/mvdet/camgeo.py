@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-9
+# Largest accepted image side in pixels, so that a hostile calibration or
+# scale factor cannot produce image sizes no array could hold.
+_MAX_IMAGE_SIDE = 2**16
 
 
 class GeometryError(ValueError):
@@ -85,8 +88,10 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise GeometryError(f"focal lengths must be finite and positive, got ({self.fx}, {self.fy})")
-        if not (self.width > 0 and self.height > 0):
-            raise GeometryError(f"image size must be positive, got ({self.width}, {self.height})")
+        if not (0 < self.width <= _MAX_IMAGE_SIDE and 0 < self.height <= _MAX_IMAGE_SIDE):
+            raise GeometryError(
+                f"image size must be within [1, {_MAX_IMAGE_SIDE}] pixels, got ({self.width}, {self.height})"
+            )
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise GeometryError(
                 f"principal point ({self.cx}, {self.cy}) outside image "

@@ -247,19 +247,6 @@ def bilinear_grad(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.
 # Multi-view aggregation
 
 
-def _resolve_scales(image_scale, camera_count: int) -> np.ndarray:
-    if image_scale is None:
-        return np.ones((camera_count, 2), dtype=np.float64)
-    arr = np.asarray(image_scale, dtype=np.float64)
-    if arr.shape == (2,):
-        arr = np.tile(arr, (camera_count, 1))
-    if arr.shape != (camera_count, 2):
-        raise FeatureError(
-            f"image_scale must be (2,) or ({camera_count}, 2), got {arr.shape}"
-        )
-    return arr
-
-
 # Points are sampled in blocks so that each block's per-camera temporaries
 # stay cache-sized: the cost then grows linearly with the point count
 # instead of jumping where the temporaries outgrow the cache.
@@ -270,14 +257,14 @@ def sample_multiview_many(
     pyr: FeaturePyramid,
     rig: CameraRig,
     points: np.ndarray,
-    image_scale=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Visibility-normalized mean of bilinear samples across cameras and levels.
 
     Each point is projected into every camera; per level the image-plane
-    position is scaled by the per-camera resize factor and divided by the
-    level stride.  Only the samples in front of a camera and inside a level
-    are gathered; the others carry a zero mask.  The returned feature is the
+    position is divided by the level stride.  Only the samples in front of a
+    camera and inside a level are gathered; the others carry a zero mask.
+    Resizing an image is expressed in the rig's intrinsics
+    (``CameraIntrinsics.scaled``), not here.  The returned feature is the
     sum of the gathered samples divided by their count, accumulated
     camera-major then level in a fixed order.
 
@@ -290,7 +277,6 @@ def sample_multiview_many(
             f"pyramid has {pyr.camera_count} cameras but rig has {len(rig)}"
         )
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    scales = _resolve_scales(image_scale, len(rig))
     n = len(pts)
     total = np.zeros((n, pyr.channels), dtype=np.float64)
     counts = np.zeros(n, dtype=np.int64)
@@ -301,10 +287,10 @@ def sample_multiview_many(
             front = np.flatnonzero(depths > 0)
             if not len(front):
                 continue
-            scaled = pixels[front] * scales[ci]
+            pixels = pixels[front]
             front += start
             for level in pyr.levels(ci):
-                rows, feats = _bilinear_inside(level, scaled / level.stride)
+                rows, feats = _bilinear_inside(level, pixels / level.stride)
                 rows = front[rows]
                 total[rows] += feats
                 counts[rows] += 1

@@ -165,11 +165,10 @@ def match_detections(
     preds: Sequence[DetectionResult],
     gts: Sequence[Box3D],
     threshold: float,
-    classes: Sequence[int] | None = None,
 ) -> list[tuple[int, int]]:
-    """Greedy per-class matching pooled over classes; (pred, gt) index pairs."""
-    if classes is None:
-        classes = sorted({g.class_id for g in gts})
+    """Greedy per-class matching pooled over the ground-truth classes;
+    (pred, gt) index pairs."""
+    classes = sorted({g.class_id for g in gts})
     pairs = []
     for rows, cols, hits in _greedy_matches(preds, gts, classes, (threshold,)):
         pairs.extend(_matched_pairs(rows, cols, hits[threshold]))

@@ -9,7 +9,7 @@ fields exist so sampling code can be checked against closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -119,14 +119,16 @@ class CameraSpec:
     hfov_deg: float = 70.0
     width: int = 1600
     height: int = 900
-    position: tuple[float, float, float] = (0.0, 0.0, 1.5)
-    radius: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.hfov_deg < 180):
             raise ConfigError(f"horizontal FOV must be in (0, 180), got {self.hfov_deg}")
         if self.width < 2 or self.height < 2:
             raise ConfigError(f"image size too small: {self.width}x{self.height}")
+
+
+# Every camera is mounted 1 m out along its forward axis from this point.
+_MOUNT = np.array([0.0, 0.0, 1.5])
 
 
 def _camera_from_spec(spec: CameraSpec) -> CameraModel:
@@ -145,7 +147,7 @@ def _camera_from_spec(spec: CameraSpec) -> CameraModel:
     right = np.array([math.sin(yaw), -math.cos(yaw), 0.0])
     down = np.array([0.0, 0.0, -1.0])
     rot = np.stack([right, down, forward])
-    center = np.asarray(spec.position, dtype=np.float64) + spec.radius * forward
+    center = _MOUNT + forward
     extr = CameraExtrinsics(rotation=rot, translation=-rot @ center)
     return CameraModel(intrinsics=intr, extrinsics=extr, id=spec.id)
 
@@ -184,10 +186,10 @@ def gen_rig(style: str = "nuscenes-like", specs: Sequence[CameraSpec] | None = N
     raise ConfigError(f"unknown rig style {style!r}")
 
 
-def adjacent_seam_azimuths(specs: Sequence[CameraSpec] | None = None) -> list[tuple[int, int, float]]:
-    """(index_i, index_j, azimuth_deg) for each adjacent frustum overlap midline."""
-    if specs is None:
-        specs = SURROUND_SPECS
+def adjacent_seam_azimuths() -> list[tuple[int, int, float]]:
+    """(index_i, index_j, azimuth_deg) for each adjacent frustum overlap
+    midline of the SURROUND_SPECS rig."""
+    specs = SURROUND_SPECS
     order = sorted(range(len(specs)), key=lambda i: specs[i].yaw_deg)
     out = []
     for k in range(len(order)):
@@ -205,25 +207,19 @@ def adjacent_seam_azimuths(specs: Sequence[CameraSpec] | None = None) -> list[tu
 
 
 def render_pyramid(
-    fields,
+    field: AnalyticField,
     rig: CameraRig,
     strides: Sequence[int] = DEFAULT_STRIDES,
 ) -> FeaturePyramid:
-    """Rasterize analytic fields into a feature pyramid.
-
-    ``fields`` is a single AnalyticField shared by all cameras or one field
-    per camera.  Level pixel (u, v) holds the field evaluated at
+    """Rasterize one analytic field, shared by every camera, into a feature
+    pyramid.  Level pixel (u, v) holds the field evaluated at
     full-resolution coordinates (u * stride, v * stride).
     """
-    if isinstance(fields, AnalyticField):
-        fields = [fields] * len(rig)
-    if len(fields) != len(rig):
-        raise ConfigError(f"need one field per camera, got {len(fields)} for {len(rig)}")
     for stride in strides:
         if stride < 1:
             raise ConfigError(f"stride must be >= 1, got {stride}")
     cams = []
-    for cam, fld in zip(rig, fields):
+    for cam in rig:
         w, h = cam.intrinsics.width, cam.intrinsics.height
         levels = []
         for stride in strides:
@@ -233,31 +229,26 @@ def render_pyramid(
                 np.arange(lw, dtype=np.float64) * stride,
                 np.arange(lh, dtype=np.float64) * stride,
             )
-            values = fld.evaluate(uu, vv)  # (lh, lw, C)
+            values = field.evaluate(uu, vv)  # (lh, lw, C)
             levels.append(FeatureLevel(data=np.moveaxis(values, -1, 0), stride=stride))
         cams.append(levels)
     return FeaturePyramid(cams)
 
 
-def gen_objects(
-    seed: int,
-    count: int,
-    bounds: SceneBounds = DEFAULT_BOUNDS,
-    class_count: int = 10,
-    attribute_count: int = 4,
-) -> list[Box3D]:
-    """Seeded uniform box layout inside ``bounds``; sizes in [0.5, 5] m."""
+def gen_objects(seed: int, count: int, class_count: int = 10) -> list[Box3D]:
+    """Seeded uniform box layout inside DEFAULT_BOUNDS; sizes in [0.5, 5] m,
+    attributes in [0, 4)."""
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     rng = derived_rng(seed, 0)
     boxes = []
     for _ in range(count):
-        center = rng.uniform(bounds.lo, bounds.hi)
+        center = rng.uniform(DEFAULT_BOUNDS.lo, DEFAULT_BOUNDS.hi)
         size = rng.uniform(0.5, 5.0, size=3)
         yaw = normalize_yaw(rng.uniform(-math.pi, math.pi))
         velocity = rng.uniform(-3.0, 3.0, size=2)
         class_id = int(rng.integers(0, class_count))
-        attribute_id = int(rng.integers(0, attribute_count))
+        attribute_id = int(rng.integers(0, 4))
         boxes.append(
             Box3D(
                 center=center,
@@ -271,6 +262,10 @@ def gen_objects(
     return boxes
 
 
+# Kept predictions score in [0.5, 1); false positives score below 0.5.
+_SCORE_SPLIT = 0.5
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Controlled perturbation of ground truths into predictions."""
@@ -280,9 +275,6 @@ class NoiseSpec:
     velocity_sigma: float = 0.0
     drop_rate: float = 0.0
     false_positive_rate: float = 0.0
-    score_low: float = 0.5
-    score_high: float = 1.0
-    fp_bounds: SceneBounds = DEFAULT_BOUNDS
 
     def __post_init__(self):
         for name in ("center_sigma", "yaw_sigma", "velocity_sigma", "drop_rate", "false_positive_rate"):
@@ -290,8 +282,6 @@ class NoiseSpec:
                 raise ConfigError(f"{name} must be >= 0")
         if not (0.0 <= self.drop_rate <= 1.0):
             raise ConfigError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
-        if not (self.score_low <= self.score_high):
-            raise ConfigError("score_low must not exceed score_high")
 
 
 def perturb_predictions(
@@ -313,7 +303,7 @@ def perturb_predictions(
         center = gt.center + rng.normal(0.0, 1.0, size=3) * noise.center_sigma
         yaw = gt.yaw + rng.normal(0.0, 1.0) * noise.yaw_sigma
         velocity = gt.velocity + rng.normal(0.0, 1.0, size=2) * noise.velocity_sigma
-        score = rng.uniform(noise.score_low, noise.score_high)
+        score = rng.uniform(_SCORE_SPLIT, 1.0)
         if not keep:
             continue
         preds.append(
@@ -330,8 +320,8 @@ def perturb_predictions(
             )
         )
     n_fp = int(round(noise.false_positive_rate * len(gts)))
-    for fp in gen_objects(seed + 1, n_fp, bounds=noise.fp_bounds, class_count=class_count):
-        preds.append(DetectionResult(box=fp, score=float(rng.uniform(0.0, noise.score_low))))
+    for fp in gen_objects(seed + 1, n_fp, class_count=class_count):
+        preds.append(DetectionResult(box=fp, score=float(rng.uniform(0.0, _SCORE_SPLIT))))
     return preds
 
 
@@ -357,8 +347,6 @@ class SyntheticScene:
     objects: tuple[Box3D, ...]
     pyramid: FeaturePyramid
     field: AnalyticField
-    seed: int
-    bounds: SceneBounds
 
 
 def make_scene(
@@ -368,12 +356,9 @@ def make_scene(
     field_kind: str = "bilinear",
     channels: int = 8,
     strides: Sequence[int] = DEFAULT_STRIDES,
-    bounds: SceneBounds = DEFAULT_BOUNDS,
 ) -> SyntheticScene:
     rig = gen_rig(style)
     fld = random_field(seed, field_kind, channels)
     pyramid = render_pyramid(fld, rig, strides)
-    objects = tuple(gen_objects(seed, object_count, bounds=bounds))
-    return SyntheticScene(
-        rig=rig, objects=objects, pyramid=pyramid, field=fld, seed=seed, bounds=bounds
-    )
+    objects = tuple(gen_objects(seed, object_count))
+    return SyntheticScene(rig=rig, objects=objects, pyramid=pyramid, field=fld)

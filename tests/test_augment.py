@@ -83,6 +83,13 @@ class TestResize:
         with pytest.raises(AugmentError):
             resize_image(np.zeros((1, 4, 4)), -1.0)
 
+    def test_oversized_result_rejected(self):
+        frame = make_frame()
+        with pytest.raises(AugmentError, match="exceed 65536 pixels"):
+            resize_frame(frame, 1e300)
+        with pytest.raises(AugmentError, match="exceed 65536 pixels"):
+            resize_image(np.zeros((1, 4, 4)), 2**15)
+
     def test_resize_frame_updates_sizes_not_intrinsics(self):
         frame = make_frame(images=True)
         out = resize_frame(frame, 0.5)
@@ -270,6 +277,12 @@ class TestAnnotationJson:
         del data["calib"]
         with pytest.raises(AugmentError, match="'calib'"):
             frame_from_dict(data)
+
+    @pytest.mark.parametrize("size", [(10**300, 900), (1600, 2**16 + 1), (0, 900)], ids=["huge", "tall", "zero"])
+    def test_image_size_out_of_range_rejected(self, size):
+        rig = gen_rig("single")
+        with pytest.raises(AugmentError, match="image size must be within"):
+            AnnotatedFrame(rig=rig, objects=(), image_sizes=(size,))
 
     def test_images_per_camera_validated(self):
         rig = gen_rig("single")

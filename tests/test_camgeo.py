@@ -241,6 +241,19 @@ class TestValidation:
         with pytest.raises(GeometryError):
             CameraIntrinsics(fx=1, fy=1, cx=4, cy=0, width=4, height=4)
 
+    @pytest.mark.parametrize(
+        "width, height", [(2**16 + 1, 4), (4, 2**16 + 1), (10**300, 4), (0, 4)], ids=["wide", "tall", "huge", "zero"]
+    )
+    def test_image_side_out_of_range_rejected(self, width, height):
+        with pytest.raises(GeometryError, match="image size must be within"):
+            CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=width, height=height)
+
+    def test_largest_image_side_accepted_and_scaling_past_it_rejected(self):
+        intr = CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=2**16, height=2**16)
+        assert intr.scaled(0.5).width == 2**15
+        with pytest.raises(GeometryError, match="image size must be within"):
+            intr.scaled(1.0001)
+
     def test_non_orthonormal_rotation_rejected(self):
         with pytest.raises(GeometryError):
             CameraExtrinsics(rotation=np.eye(3) * 2.0, translation=np.zeros(3))

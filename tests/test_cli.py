@@ -6,14 +6,14 @@ import struct
 import numpy as np
 import pytest
 
-from mvdet.augment import AugmentError
+from mvdet.augment import AugmentError, load_frames
 from mvdet.camgeo import GeometryError
 from mvdet.cli import _ERRORS, main
 from mvdet import decoder
 from mvdet.featcore import FeatureError, TensorFormatError, write_tensor
-from mvdet.matching import MatchingError, load_predictions
+from mvdet.matching import MatchingError, load_predictions, save_predictions
 from mvdet.metrics import MetricsError
-from mvdet.synth import ConfigError
+from mvdet.synth import ConfigError, NoiseSpec, perturb_predictions
 
 from helpers import degenerate_layer
 
@@ -128,15 +128,18 @@ class TestAugmentCommand:
         transformed = json.loads((out / "annotations.json").read_text())
         assert original == transformed
 
-    @pytest.mark.parametrize("lo, hi", [("inf", "inf"), ("1e308", "1e308"), ("1", "inf")])
+    @pytest.mark.parametrize("lo, hi", [("inf", "inf"), ("1e308", "1e308"), ("1", "inf"), ("1e300", "1e300")])
     def test_overflowing_scale_is_a_usage_error(self, scene_dir, tmp_path, capsys, lo, hi):
-        code = main([
-            "augment", "--annotations", str(scene_dir / "annotations.json"),
-            "--scale-min", lo, "--scale-max", hi, "--seed", "3", "--out", str(tmp_path / "aug"),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        for mode in ("vanilla", "depth-invariant"):
+            code = main([
+                "augment", "--annotations", str(scene_dir / "annotations.json"),
+                "--scale-min", lo, "--scale-max", hi, "--mode", mode, "--seed", "3",
+                "--out", str(tmp_path / "aug"),
+            ])
+            assert code == 2, mode
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not (tmp_path / "aug").exists()
 
     def test_depth_divided_by_logged_scale(self, scene_dir, tmp_path):
         out = tmp_path / "aug2"
@@ -277,6 +280,8 @@ def test_nonpositive_decoder_size_usage_error(scene_dir, tmp_path, capsys, comma
         ("bench", "--repeats", "0", "--repeats"),
         ("bench", "--levels", "0", "--levels"),
         ("bench", "--levels", "5", "--levels"),
+        ("bench", "--cameras", "0", "--cameras"),
+        ("bench", "--cameras", "7", "--cameras"),
     ],
 )
 def test_size_flag_usage_error_names_flag(tmp_path, capsys, command, flag, value, named):
@@ -367,15 +372,16 @@ def _pyramid_with(level=(), **fields):
     return build
 
 
-def _params_with(drop=(), **meta):
-    """A real one-layer bundle with ``meta`` overriding its metadata and the
-    activations and tensor entries named in ``drop`` left out; its tensor
-    files are referenced by absolute path."""
+def _params_with(drop=(), head=True, **meta):
+    """A real one-layer bundle, with a prediction head unless ``head`` is
+    false, with ``meta`` overriding its metadata and the activations and
+    tensor entries named in ``drop`` left out; its tensor files are
+    referenced by absolute path."""
     def build(scene_dir):
-        params = scene_dir / "params-one-layer"
+        params = scene_dir / ("params-one-layer" if head else "params-no-head")
         layers = decoder.init_decoder(1, layers=1, dim=8, neighbors=1, heads=1)
-        head = decoder.PredictionHead.seeded(1, dim=8)
-        with open(decoder.save_params(params, layers, head)) as fh:
+        pred_head = decoder.PredictionHead.seeded(1, dim=8) if head else None
+        with open(decoder.save_params(params, layers, pred_head)) as fh:
             bundle = json.load(fh)
         bundle["meta"].update(meta)
         for net in drop:
@@ -409,10 +415,12 @@ _MALFORMED = {
     "params-activations-missing": ("params", _params_with(drop=("layer00.ffn",))),
     "params-tensor-missing": ("params", _params_with(drop=("layer00.ffn.b1",))),
     "params-num-classes-fraction": ("params", _params_with(num_classes=-2.5)),
+    "params-no-head": ("params", _params_with(head=False)),
     "calib-fx-null": ("calib", _calib_with(fx=None)),
     "calib-fx-inf": ("calib", _calib_with(fx=float("inf"))),
     "calib-id-null": ("calib", _calib_with(id=None)),
     "calib-width-fraction": ("calib", _calib_with(width=1600.9)),
+    "calib-width-huge": ("calib", _calib_with(width=10**300)),
     "predictions-list": ("pred", []),
     "predictions-int": ("pred", {"predictions": 5}),
     "predictions-item-int": ("pred", {"predictions": [1]}),
@@ -429,6 +437,7 @@ _MALFORMED = {
     "annotations-objects-int": ("annotations", _frame_with(objects=5)),
     "annotations-calib-missing": ("annotations", _frame_without("calib")),
     "annotations-image-sizes-int": ("annotations", _frame_with(image_sizes=[5])),
+    "annotations-width-huge": ("annotations", _frame_with(image_sizes=[[10**300, 900]] * 6)),
     "annotations-depth-null": ("annotations", _object_with(depth=None)),
     "annotations-class-list": ("annotations", _object_with(**{"class": [1]})),
     "annotations-regression-mask-string": ("annotations", _frame_with(regression_mask="false")),
@@ -490,6 +499,42 @@ class TestEvaluateCommand:
         assert payload["overall_NDS"] == 1.0
         assert (out / "report.json").exists()
         assert (out / "report.csv").exists()
+
+    def test_no_split_report_bytes(self, scene_dir, tmp_path, capsys):
+        gts = [o.box for o in load_frames(scene_dir / "annotations.json")[0].objects]
+        noise = NoiseSpec(center_sigma=0.5, yaw_sigma=0.2, velocity_sigma=0.3, drop_rate=0.2, false_positive_rate=0.3)
+        save_predictions(tmp_path / "preds.json", perturb_predictions(gts, noise, seed=7))
+        out = tmp_path / "eval"
+        assert main([
+            "evaluate", "--gt", str(scene_dir / "annotations.json"), "--pred", str(tmp_path / "preds.json"),
+            "--calib", str(scene_dir / "calib.json"), "--no-split", "--out", str(out), "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["NDS", "csv", "mAP", "report"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["NDS"] == payload["NDS"] and "overall" not in report
+        rows = (out / "report.csv").read_text().splitlines()
+        assert {row.split(",")[0] for row in rows[1:]} == {"overall"}
+        # sha256 computed while NoiseSpec still had its score-range and false-positive-bounds options.
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == "482c50c8e68772f69c1dddd56f85ec7e73b167b6cf9d6fc336bce0a35818edb2"
+        assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == "e5b5005e0fd97417042c7246efaf9cae6aa8a01e3d49785ded1948e4a97d3de1"
+
+    def test_no_split_without_objects_writes_none_row(self, scene_dir, tmp_path):
+        ann = json.loads((scene_dir / "annotations.json").read_text())
+        ann["frames"][0]["objects"] = []
+        (tmp_path / "empty.json").write_text(json.dumps(ann))
+        (tmp_path / "preds.json").write_text(json.dumps({"predictions": []}))
+        out = tmp_path / "eval"
+        assert main([
+            "evaluate", "--gt", str(tmp_path / "empty.json"), "--pred", str(tmp_path / "preds.json"),
+            "--calib", str(scene_dir / "calib.json"), "--no-split", "--out", str(out),
+        ]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["classes"] == [] and report["no_gts"] and report["tp_fallback"]
+        assert (out / "report.csv").read_text().splitlines() == [
+            "region,class,mAP,mATE,mASE,mAOE,mAVE,mAAE,NDS",
+            "overall,none,0.000000,,,,,,0.000000",
+        ]
 
     def test_camera_count_mismatch_error(self, scene_dir, tmp_path):
         single = tmp_path / "single"

@@ -279,19 +279,17 @@ def dense_bilinear(level, pos):
     return feats, inside
 
 
-def dense_multiview(pyr, rig, points, image_scale=None):
+def dense_multiview(pyr, rig, points):
     """Reference multi-view mean: every (camera, level) pair samples every
     point densely; the pairs behind the camera or outside the level are
     masked out."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    scales = np.ones((len(rig), 2)) if image_scale is None else np.broadcast_to(image_scale, (len(rig), 2))
     total = np.zeros((len(pts), pyr.channels))
     counts = np.zeros(len(pts), dtype=np.int64)
     for ci, cam in enumerate(rig):
         pixels, depths = project_points(pts, cam)
-        scaled = pixels * scales[ci]
         for level in pyr.levels(ci):
-            feats, inside = dense_bilinear(level, scaled / level.stride)
+            feats, inside = dense_bilinear(level, pixels / level.stride)
             mask = inside & (depths > 0)
             feats[~mask] = 0.0
             total += feats
@@ -318,9 +316,9 @@ def random_pyramid(rig, strides, channels, seed):
 class TestSparseSamplingBitIdentity:
     """The in-view kernel must reproduce dense sampling byte for byte."""
 
-    def assert_same_multiview(self, pyr, rig, pts, image_scale=None):
-        feats, counts = sample_multiview_many(pyr, rig, pts, image_scale)
-        ref_feats, ref_counts = dense_multiview(pyr, rig, pts, image_scale)
+    def assert_same_multiview(self, pyr, rig, pts):
+        feats, counts = sample_multiview_many(pyr, rig, pts)
+        ref_feats, ref_counts = dense_multiview(pyr, rig, pts)
         assert feats.shape == ref_feats.shape
         assert feats.tobytes() == ref_feats.tobytes()
         assert counts.tobytes() == ref_counts.tobytes()
@@ -363,14 +361,6 @@ class TestSparseSamplingBitIdentity:
             assert (pos[:, 0] == level.width - 1).any() and (pos[:, 1] == level.height - 1).any()
         counts = self.assert_same_multiview(pyr, rig, pts)
         assert counts.min() >= 1
-
-    def test_per_camera_image_scale(self):
-        rig = gen_rig("nuscenes-like")
-        pyr = random_pyramid(rig, (8, 16), channels=4, seed=14)
-        rng = np.random.default_rng(15)
-        pts = rng.uniform(DEFAULT_BOUNDS.lo, DEFAULT_BOUNDS.hi, size=(1500, 3))
-        scale = np.array([[1.0, 1.0], [0.5, 0.75], [1.25, 1.0], [0.8, 0.8], [1.0, 0.6], [0.3, 1.1]])
-        self.assert_same_multiview(pyr, rig, pts, scale)
 
     def test_no_points(self):
         rig = gen_rig("nuscenes-like")

@@ -16,6 +16,7 @@ from mvdet.synth import (
     gen_rig,
     make_scene,
     perturb_predictions,
+    random_field,
     render_pyramid,
 )
 
@@ -100,23 +101,29 @@ class TestRenderPyramid:
                 expected = field.evaluate(p[0] * level.stride, p[1] * level.stride)
                 assert np.all(np.abs(feat - expected) <= 1e-5 * np.maximum(1.0, np.abs(expected)))
 
-    def test_per_camera_fields(self):
-        rig = gen_rig("nuscenes-like")
-        fields = [AnalyticField.constant([float(i)]) for i in range(len(rig))]
-        pyr = render_pyramid(fields, rig, strides=(16,))
-        for ci in range(len(rig)):
-            assert np.all(pyr.levels(ci)[0].data == float(ci))
-
-    def test_field_count_mismatch(self):
-        rig = gen_rig("nuscenes-like")
-        with pytest.raises(ConfigError):
-            render_pyramid([AnalyticField.constant([1.0])] * 2, rig)
-
     @pytest.mark.parametrize("stride", [0, -8])
     def test_stride_below_one(self, stride):
         rig = gen_rig("single")
         with pytest.raises(ConfigError, match="stride must be >= 1"):
             render_pyramid(AnalyticField.constant([1.0]), rig, strides=(8, stride))
+
+
+class TestRandomField:
+    @pytest.mark.parametrize("seed", [0, 21])
+    def test_constant_and_linear_take_the_bilinear_draw(self, seed):
+        bilinear = random_field(seed, "bilinear", 5)
+        constant = random_field(seed, "constant", 5)
+        linear = random_field(seed, "linear", 5)
+        assert np.array_equal(constant.a, bilinear.a)
+        assert np.all(constant.b == 0) and np.all(constant.c == 0) and np.all(constant.d == 0)
+        for name in ("a", "b", "c"):
+            assert np.array_equal(getattr(linear, name), getattr(bilinear, name))
+        assert np.all(linear.d == 0)
+        assert np.all(bilinear.b != 0) and np.all(bilinear.d != 0)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown field kind"):
+            random_field(0, "quadratic", 2)
 
 
 class TestGenObjects:
