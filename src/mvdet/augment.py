@@ -1,12 +1,9 @@
 """Multi-scale training transforms with a depth-invariant variant.
 
-Three modes share the same image resize:
-
-* vanilla: rescale images and camera intrinsics; boxes untouched.
-* depth-invariant: rescale images and divide each object's depth channel by
-  the scale factor; intrinsics untouched.
-* disentangled: vanilla plus a regression mask that disables box supervision
-  whenever the scale factor is not 1.
+``apply_transform`` resizes a frame's images by a factor r in one of three
+modes: vanilla (intrinsics scaled with the images), depth-invariant (object
+depths divided by r instead), and disentangled (vanilla, with box
+supervision disabled whenever r is not 1).
 
 Object depth is carried as an explicit annotation channel next to each box
 so the transform stays exact.  Image resizing uses bilinear resampling with
@@ -27,7 +24,6 @@ import numpy as np
 from .camgeo import (
     Box3D,
     CameraIntrinsics,
-    CameraModel,
     CameraRig,
     GeometryError,
     _MAX_IMAGE_SIDE,
@@ -48,12 +44,10 @@ __all__ = [
     "DepthScaler",
     "AnnotatedObject",
     "AnnotatedFrame",
+    "check_scale_range",
     "sample_scale",
     "resize_image",
-    "resize_frame",
-    "depth_invariant_transform",
-    "vanilla_transform",
-    "disentangled_transform",
+    "apply_transform",
     "pixel_depth_decode",
     "frame_to_dict",
     "frame_from_dict",
@@ -144,11 +138,17 @@ class AnnotatedFrame:
 # Scale sampling and resizing
 
 
-def sample_scale(scale_range: Sequence[float], rng: np.random.Generator) -> float:
-    """Uniform draw from [lo, hi]; requires 0 < lo <= hi < inf."""
+def check_scale_range(scale_range: Sequence[float]) -> tuple[float, float]:
+    """(lo, hi) as floats; raises unless 0 < lo <= hi < inf."""
     lo, hi = float(scale_range[0]), float(scale_range[1])
     if not (0 < lo <= hi < math.inf):
         raise AugmentError(f"invalid scale range [{lo}, {hi}]")
+    return lo, hi
+
+
+def sample_scale(scale_range: Sequence[float], rng: np.random.Generator) -> float:
+    """Uniform draw from [lo, hi]; requires 0 < lo <= hi < inf."""
+    lo, hi = check_scale_range(scale_range)
     if lo == hi:
         return lo
     return float(rng.uniform(lo, hi))
@@ -198,63 +198,38 @@ def resize_image(image: np.ndarray, r: float) -> np.ndarray:
     return top + fv[None, :, None] * (bot - top)
 
 
-def resize_frame(frame: AnnotatedFrame, r: float) -> AnnotatedFrame:
-    """Resize images and recorded image sizes by r; intrinsics and objects
-    are left untouched."""
+# ---------------------------------------------------------------------------
+# Transform
+
+
+def apply_transform(frame: AnnotatedFrame, r: float, mode: ScaleMode) -> AnnotatedFrame:
+    """Resize the frame's images and recorded image sizes by r, then:
+
+    * depth-invariant: divide every object depth by r; intrinsics untouched,
+      and r -> 1/r is an exact inverse on the depth channel.
+    * vanilla: scale every camera's intrinsics (focal lengths, principal
+      point, image size) by r; objects untouched.
+    * disentangled: vanilla, with the regression mask cleared unless r == 1.
+    """
+    if not isinstance(mode, ScaleMode):
+        raise AugmentError(f"unknown scale mode {mode!r}")
     if r <= 0:
         raise AugmentError(f"resize factor must be positive, got {r}")
     images = frame.images
     if images is not None:
         images = tuple(tuple(resize_image(a, r) for a in cam) for cam in images)
     sizes = tuple((_scaled_len(w, r), _scaled_len(h, r)) for w, h in frame.image_sizes)
-    return replace(frame, images=images, image_sizes=sizes)
-
-
-# ---------------------------------------------------------------------------
-# Transforms
-
-
-def depth_invariant_transform(frame: AnnotatedFrame, r: float) -> AnnotatedFrame:
-    """Resize images and divide every object depth by r; boxes otherwise
-    unchanged.  Exact inverse under r -> 1/r on the depth channel."""
-    out = resize_frame(frame, r)
-    objects = tuple(replace(obj, depth=obj.depth / r) for obj in out.objects)
-    return replace(out, objects=objects)
-
-
-def _scale_rig(rig: CameraRig, r: float) -> CameraRig:
-    cameras = []
-    for cam in rig:
-        cameras.append(CameraModel(intrinsics=cam.intrinsics.scaled(r), extrinsics=cam.extrinsics, id=cam.id))
-    return CameraRig(cameras=tuple(cameras))
-
-
-def vanilla_transform(frame: AnnotatedFrame, r: float) -> AnnotatedFrame:
-    """Resize images and scale intrinsics (focal lengths, principal point,
-    image size) by r; object annotations are unchanged."""
-    out = resize_frame(frame, r)
-    try:
-        rig = _scale_rig(frame.rig, r)
-    except GeometryError as exc:
-        raise AugmentError(str(exc)) from exc
-    return replace(out, rig=rig)
-
-
-def disentangled_transform(frame: AnnotatedFrame, r: float) -> AnnotatedFrame:
-    """Vanilla transform that additionally clears the regression mask
-    whenever r != 1, leaving only classification supervision."""
-    out = vanilla_transform(frame, r)
-    return replace(out, regression_mask=(r == 1.0))
-
-
-def apply_transform(frame: AnnotatedFrame, r: float, mode: ScaleMode) -> AnnotatedFrame:
-    if mode is ScaleMode.VANILLA:
-        return vanilla_transform(frame, r)
+    rig, objects, mask = frame.rig, frame.objects, frame.regression_mask
     if mode is ScaleMode.DEPTH_INVARIANT:
-        return depth_invariant_transform(frame, r)
-    if mode is ScaleMode.DISENTANGLED:
-        return disentangled_transform(frame, r)
-    raise AugmentError(f"unknown scale mode {mode!r}")
+        objects = tuple(replace(obj, depth=obj.depth / r) for obj in objects)
+    else:
+        try:
+            rig = CameraRig(cameras=tuple(replace(cam, intrinsics=cam.intrinsics.scaled(r)) for cam in rig))
+        except GeometryError as exc:
+            raise AugmentError(str(exc)) from exc
+        if mode is ScaleMode.DISENTANGLED:
+            mask = r == 1.0
+    return replace(frame, rig=rig, objects=objects, images=images, image_sizes=sizes, regression_mask=mask)
 
 
 def pixel_depth_decode(z: float, scaler: DepthScaler, intr: CameraIntrinsics) -> float:

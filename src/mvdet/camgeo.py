@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "GeometryError",
+    "normalize_yaw",
     "CameraIntrinsics",
     "CameraExtrinsics",
     "CameraModel",

@@ -26,6 +26,8 @@ from . import augment as aug
 from . import camgeo, decoder, matching, metrics, synth
 from .featcore import load_pyramid, sample_multiview_many, save_pyramid
 
+__all__ = ["build_parser", "main"]
+
 # Every module error type derives from one of these (TensorFormatError from
 # OSError, the rest and json.JSONDecodeError from ValueError).
 _ERRORS = (OSError, ValueError)
@@ -135,15 +137,14 @@ _MODES = {m.value: m for m in aug.ScaleMode}
 
 
 def _cmd_augment(args) -> int:
-    if args.scale_min <= 0 or args.scale_min > args.scale_max:
-        raise ValueError(f"invalid scale range [{args.scale_min}, {args.scale_max}]")
+    scale_range = aug.check_scale_range((args.scale_min, args.scale_max))
     frames = aug.load_frames(args.annotations)
     mode = _MODES[args.mode]
     transformed = []
     log = []
     for idx, frame in enumerate(frames):
         rng = synth.derived_rng(args.seed, 100, idx)
-        r = aug.sample_scale((args.scale_min, args.scale_max), rng)
+        r = aug.sample_scale(scale_range, rng)
         transformed.append(aug.apply_transform(frame, r, mode))
         log.append({"frame": idx, "scale": r})
     os.makedirs(args.out, exist_ok=True)

@@ -52,6 +52,7 @@ from .featcore import (
     sample_multiview_many,
     write_tensor,
 )
+from .synth import AnalyticField, derived_rng, gen_rig, render_pyramid
 
 __all__ = [
     "DecoderError",
@@ -61,6 +62,8 @@ __all__ = [
     "DecoderLayer",
     "PredictionHead",
     "AggregationMode",
+    "sigmoid",
+    "softmax",
     "decode_reference_point",
     "graph_nodes",
     "self_attention",
@@ -219,7 +222,7 @@ class QuerySet:
 
 def init_queries(seed: int, count: int, dim: int, bounds: SceneBounds) -> QuerySet:
     _check_sizes(count=count, dim=dim)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(10,))))
+    rng = derived_rng(seed, 10)
     bound = 1.0 / math.sqrt(dim)
     return QuerySet(embeddings=rng.uniform(-bound, bound, size=(count, dim)), scene_bounds=bounds)
 
@@ -389,7 +392,7 @@ def init_decoder(
     _check_sizes(layers=layers, dim=dim, neighbors=neighbors, heads=heads)
     built = []
     for li in range(layers):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(20, li))))
+        rng = derived_rng(seed, 20, li)
         built.append(
             DecoderLayer(
                 ref_net=Mlp.seeded([dim, dim, 3], rng),
@@ -490,7 +493,7 @@ class PredictionHead:
 
     @classmethod
     def seeded(cls, seed: int, dim: int, num_classes: int = 10) -> "PredictionHead":
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(30,))))
+        rng = derived_rng(seed, 30)
         return cls(reg_net=Mlp.seeded([dim, dim, 10], rng), cls_net=Mlp.seeded([dim, num_classes], rng))
 
 
@@ -841,11 +844,10 @@ def grad_check(
         raise DecoderError(f"eps must be positive, got {eps}")
     if probes < 1:
         raise DecoderError(f"probes must be at least 1, got {probes}")
-    from .synth import AnalyticField, gen_rig, render_pyramid
 
     dim, k = 16, 4
     rig = gen_rig("nuscenes-like")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(40,))))
+    rng = derived_rng(seed, 40)
     channels = 4
     fld = AnalyticField(
         a=rng.uniform(-1, 1, channels),
@@ -855,7 +857,7 @@ def grad_check(
     )
     pyr = render_pyramid(fld, rig, strides=(8, 16))
     bounds = SceneBounds(lo=(5.0, -6.0, 0.5), hi=(25.0, 6.0, 2.5))
-    net_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(41,))))
+    net_rng = derived_rng(seed, 41)
     probe = _GradProbe(
         pyr=pyr,
         rig=rig,

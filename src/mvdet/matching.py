@@ -31,6 +31,8 @@ __all__ = [
     "focal_loss",
     "l1_reg_loss",
     "set_loss",
+    "predictions_to_dict",
+    "predictions_from_dict",
     "save_predictions",
     "load_predictions",
 ]
@@ -319,29 +321,26 @@ def l1_reg_loss(pred_vector, gt_vector) -> float:
 def set_loss(
     preds: Sequence[tuple[np.ndarray, Box3D]],
     gts: Sequence[tuple[int, Box3D]],
-    weights: tuple[float, float] = (1.0, 0.25),
-    alpha: float = 0.25,
-    gamma: float = 2.0,
 ) -> tuple[LossBreakdown, Assignment]:
     """Bipartite-matched objective over a prediction/ground-truth pair of sets.
 
     Classification sums the focal loss over all predictions, treating
     unmatched ones as background; regression sums the L1 loss over the
-    matched pairs.
+    matched pairs.  Matching and focal loss use their default weights.
     """
     if not preds:
         return LossBreakdown(cls=0.0, reg=0.0), Assignment(pairs=(), total_cost=0.0)
-    assignment = hungarian(match_cost(preds, gts, weights))
+    assignment = hungarian(match_cost(preds, gts))
     matched = {r: c for r, c in assignment.pairs}
     cls_total = 0.0
     reg_total = 0.0
     for i, (probs, box) in enumerate(preds):
         gt_idx = matched.get(i)
         if gt_idx is None:
-            cls_total += focal_loss(probs, None, alpha, gamma)
+            cls_total += focal_loss(probs, None)
         else:
             gt_class, gt_box = gts[gt_idx]
-            cls_total += focal_loss(probs, gt_class, alpha, gamma)
+            cls_total += focal_loss(probs, gt_class)
             reg_total += l1_reg_loss(box_regression_vector(box), box_regression_vector(gt_box))
     return LossBreakdown(cls=cls_total, reg=reg_total), assignment
 

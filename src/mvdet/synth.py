@@ -37,6 +37,7 @@ __all__ = [
     "DEFAULT_BOUNDS",
     "DEFAULT_STRIDES",
     "gen_rig",
+    "adjacent_seam_azimuths",
     "render_pyramid",
     "gen_objects",
     "perturb_predictions",

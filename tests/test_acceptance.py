@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from mvdet.augment import DepthScaler, depth_invariant_transform, pixel_depth_decode
+from mvdet.augment import DepthScaler, ScaleMode, apply_transform, pixel_depth_decode
 from mvdet.camgeo import (
     CameraIntrinsics,
     RegionLabel,
@@ -95,8 +95,9 @@ def test_criterion_2_depth_invariance_identity():
         assert abs(transformed - base) <= 1e-12 * abs(base)
 
     frame = make_frame()
+    mode = ScaleMode.DEPTH_INVARIANT
     for r in (0.5, 0.8, 1.25, 2.0):
-        back = depth_invariant_transform(depth_invariant_transform(frame, r), 1.0 / r)
+        back = apply_transform(apply_transform(frame, r, mode), 1.0 / r, mode)
         for a, b in zip(frame.objects, back.objects):
             assert abs(b.depth - a.depth) <= 1e-12 * abs(a.depth)
             assert np.array_equal(a.box.center, b.box.center)

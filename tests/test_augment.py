@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,17 +11,13 @@ from mvdet.augment import (
     DepthScaler,
     ScaleMode,
     apply_transform,
-    depth_invariant_transform,
-    disentangled_transform,
     frame_from_dict,
     frame_to_dict,
     load_frames,
     pixel_depth_decode,
-    resize_frame,
     resize_image,
     sample_scale,
     save_frames,
-    vanilla_transform,
 )
 from mvdet.camgeo import Box3D, CameraIntrinsics, pixel_size, project_points
 from mvdet.synth import derived_rng, gen_rig
@@ -86,13 +85,13 @@ class TestResize:
     def test_oversized_result_rejected(self):
         frame = make_frame()
         with pytest.raises(AugmentError, match="exceed 65536 pixels"):
-            resize_frame(frame, 1e300)
+            apply_transform(frame, 1e300, ScaleMode.DEPTH_INVARIANT)
         with pytest.raises(AugmentError, match="exceed 65536 pixels"):
             resize_image(np.zeros((1, 4, 4)), 2**15)
 
     def test_resize_frame_updates_sizes_not_intrinsics(self):
         frame = make_frame(images=True)
-        out = resize_frame(frame, 0.5)
+        out = apply_transform(frame, 0.5, ScaleMode.DEPTH_INVARIANT)
         for cam_a, cam_b in zip(frame.rig, out.rig):
             assert cam_a.intrinsics == cam_b.intrinsics
         for (w0, h0), (w1, h1) in zip(frame.image_sizes, out.image_sizes):
@@ -106,14 +105,14 @@ class TestDepthInvariant:
     def test_depth_division(self):
         box = Box3D(center=(10, 0, 1), size=(1, 1, 1), yaw=0.2)
         frame = make_frame(objects=(AnnotatedObject(box=box, depth=30.0),))
-        out = depth_invariant_transform(frame, 2.0)
+        out = apply_transform(frame, 2.0, ScaleMode.DEPTH_INVARIANT)
         assert out.objects[0].depth == 15.0
         assert np.array_equal(out.objects[0].box.center, box.center)
         assert out.objects[0].box.yaw == box.yaw
 
     def test_unit_scale_identity(self):
         frame = make_frame()
-        out = depth_invariant_transform(frame, 1.0)
+        out = apply_transform(frame, 1.0, ScaleMode.DEPTH_INVARIANT)
         assert out.image_sizes == frame.image_sizes
         for a, b in zip(frame.objects, out.objects):
             assert a.depth == b.depth
@@ -122,7 +121,8 @@ class TestDepthInvariant:
     def test_round_trip_exact(self):
         frame = make_frame()
         r = 1.25
-        back = depth_invariant_transform(depth_invariant_transform(frame, r), 1.0 / r)
+        mode = ScaleMode.DEPTH_INVARIANT
+        back = apply_transform(apply_transform(frame, r, mode), 1.0 / r, mode)
         for a, b in zip(frame.objects, back.objects):
             assert abs(b.depth - a.depth) <= 1e-12 * abs(a.depth)
             assert np.array_equal(a.box.center, b.box.center)
@@ -132,8 +132,9 @@ class TestDepthInvariant:
     def test_composition_on_depths(self):
         frame = make_frame()
         r1, r2 = 0.8, 1.5
-        composed = depth_invariant_transform(depth_invariant_transform(frame, r1), r2)
-        direct = depth_invariant_transform(frame, r1 * r2)
+        mode = ScaleMode.DEPTH_INVARIANT
+        composed = apply_transform(apply_transform(frame, r1, mode), r2, mode)
+        direct = apply_transform(frame, r1 * r2, mode)
         for obj, expected in zip(composed.objects, direct.objects):
             assert obj.depth == pytest.approx(expected.depth, rel=1e-15)
         # Sizes round twice on the composed path; one pixel of slack.
@@ -142,7 +143,7 @@ class TestDepthInvariant:
 
     def test_only_depth_changes(self):
         frame = make_frame()
-        out = depth_invariant_transform(frame, 1.7)
+        out = apply_transform(frame, 1.7, ScaleMode.DEPTH_INVARIANT)
         for a, b in zip(frame.objects, out.objects):
             assert np.array_equal(a.box.center, b.box.center)
             assert np.array_equal(a.box.size, b.box.size)
@@ -155,13 +156,13 @@ class TestDepthInvariant:
 class TestVanilla:
     def test_unit_scale_identity(self):
         frame = make_frame()
-        out = vanilla_transform(frame, 1.0)
+        out = apply_transform(frame, 1.0, ScaleMode.VANILLA)
         for a, b in zip(frame.rig, out.rig):
             assert a.intrinsics == b.intrinsics
 
     def test_focal_lengths_scale(self):
         frame = make_frame()
-        out = vanilla_transform(frame, 2.0)
+        out = apply_transform(frame, 2.0, ScaleMode.VANILLA)
         for a, b in zip(frame.rig, out.rig):
             assert b.intrinsics.fx == 2 * a.intrinsics.fx
             assert b.intrinsics.cx == 2 * a.intrinsics.cx
@@ -169,7 +170,7 @@ class TestVanilla:
 
     def test_boxes_bit_exact(self):
         frame = make_frame()
-        out = vanilla_transform(frame, 1.3)
+        out = apply_transform(frame, 1.3, ScaleMode.VANILLA)
         for a, b in zip(frame.objects, out.objects):
             assert np.array_equal(a.box.center, b.box.center)
             assert np.array_equal(a.box.size, b.box.size)
@@ -179,7 +180,7 @@ class TestVanilla:
     def test_projection_scales_by_r(self):
         frame = make_frame()
         r = 1.5
-        out = vanilla_transform(frame, r)
+        out = apply_transform(frame, r, ScaleMode.VANILLA)
         p = np.array([20.0, 1.0, 1.5])
         for cam_a, cam_b in zip(frame.rig, out.rig):
             (pa,), (da,) = project_points([p], cam_a)
@@ -191,17 +192,17 @@ class TestVanilla:
 
 class TestDisentangled:
     def test_unit_scale_keeps_mask(self):
-        out = disentangled_transform(make_frame(), 1.0)
+        out = apply_transform(make_frame(), 1.0, ScaleMode.DISENTANGLED)
         assert out.regression_mask is True
 
     def test_scaled_clears_mask(self):
-        out = disentangled_transform(make_frame(), 1.2)
+        out = apply_transform(make_frame(), 1.2, ScaleMode.DISENTANGLED)
         assert out.regression_mask is False
 
     def test_boxes_unchanged(self):
         frame = make_frame()
         for r in (0.8, 1.0, 1.2):
-            out = disentangled_transform(frame, r)
+            out = apply_transform(frame, r, ScaleMode.DISENTANGLED)
             for a, b in zip(frame.objects, out.objects):
                 assert np.array_equal(a.box.center, b.box.center)
                 assert a.depth == b.depth
@@ -219,6 +220,28 @@ class TestDisentangled:
         assert out.objects[0].depth == frame.objects[0].depth / 2.0
         with pytest.raises(AugmentError):
             apply_transform(frame, 0.0, ScaleMode.DEPTH_INVARIANT)
+
+
+class TestApplyTransform:
+    # sha256 computed while each mode had its own transform function.
+    DIGESTS = {
+        ScaleMode.VANILLA: "209d4ff22914a7178572297c135c0f90b2db941238e4abd0eb59131c3b68af23",
+        ScaleMode.DEPTH_INVARIANT: "28e25c97d21c65b813e3a3630247403ff533b581946c3aa57597c1cf0d7f3593",
+        ScaleMode.DISENTANGLED: "cc2d18f46182f9ad8573e479193ad30df17a48014d489fc92f6514edebedb4f1",
+    }
+
+    @pytest.mark.parametrize("mode", list(ScaleMode), ids=lambda m: m.value)
+    def test_regression_hash(self, mode):
+        frame = make_frame(images=True)
+        h = hashlib.sha256()
+        for r in (0.5, 0.7, 1.0, 1.25, 2.0):
+            out = apply_transform(frame, r, mode)
+            h.update(json.dumps(frame_to_dict(out), sort_keys=True).encode())
+            for cam in out.images:
+                for arr in cam:
+                    h.update(arr.tobytes())
+            h.update(repr(out.regression_mask).encode())
+        assert h.hexdigest() == self.DIGESTS[mode]
 
 
 class TestPixelDepthDecode:
@@ -255,7 +278,7 @@ class TestPixelDepthDecode:
 
 class TestAnnotationJson:
     def test_round_trip(self, tmp_path):
-        frames = [make_frame(), disentangled_transform(make_frame(), 1.4)]
+        frames = [make_frame(), apply_transform(make_frame(), 1.4, ScaleMode.DISENTANGLED)]
         path = tmp_path / "ann.json"
         save_frames(path, frames)
         loaded = load_frames(path)

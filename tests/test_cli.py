@@ -130,7 +130,7 @@ class TestAugmentCommand:
 
     @pytest.mark.parametrize("lo, hi", [("inf", "inf"), ("1e308", "1e308"), ("1", "inf"), ("1e300", "1e300")])
     def test_overflowing_scale_is_a_usage_error(self, scene_dir, tmp_path, capsys, lo, hi):
-        for mode in ("vanilla", "depth-invariant"):
+        for mode in ("vanilla", "depth-invariant", "disentangled"):
             code = main([
                 "augment", "--annotations", str(scene_dir / "annotations.json"),
                 "--scale-min", lo, "--scale-max", hi, "--mode", mode, "--seed", "3",
@@ -140,6 +140,19 @@ class TestAugmentCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
             assert not (tmp_path / "aug").exists()
+
+    @pytest.mark.parametrize("lo, hi", [("1", "inf"), ("1", "nan")])
+    def test_bad_range_with_no_frames_is_a_usage_error(self, tmp_path, capsys, lo, hi):
+        # With no frames, no scale is ever drawn: only the range check can refuse.
+        ann = tmp_path / "empty.json"
+        ann.write_text('{"frames": []}')
+        code = main([
+            "augment", "--annotations", str(ann), "--scale-min", lo, "--scale-max", hi,
+            "--seed", "3", "--out", str(tmp_path / "aug"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid scale range")
+        assert not (tmp_path / "aug").exists()
 
     def test_depth_divided_by_logged_scale(self, scene_dir, tmp_path):
         out = tmp_path / "aug2"
