@@ -327,13 +327,33 @@ _CORNER_SIGNS = np.array(
 )
 
 
+def _box_corners(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(B, 8, 3) corners of B boxes in the ego frame: one stacked
+    (B, 8, 3) @ (B, 3, 3) matmul of the half-size offsets with each box's
+    yaw rotation, built from ``math.cos``/``math.sin`` per yaw."""
+    n = len(boxes)
+    half = np.array([b.size for b in boxes]).reshape(n, 3) / 2.0
+    centers = np.array([b.center for b in boxes]).reshape(n, 3)
+    cos = np.array([math.cos(b.yaw) for b in boxes])
+    sin = np.array([math.sin(b.yaw) for b in boxes])
+    rot = np.zeros((n, 3, 3))
+    rot[:, 0, 0] = cos
+    rot[:, 0, 1] = -sin
+    rot[:, 1, 0] = sin
+    rot[:, 1, 1] = cos
+    rot[:, 2, 2] = 1.0
+    offsets = _CORNER_SIGNS * half[:, None, :]
+    return centers[:, None, :] + offsets @ rot.transpose(0, 2, 1)
+
+
 def box_corners(b: Box3D) -> np.ndarray:
     """The 8 corners of the box, (8, 3), in the ego frame."""
-    half = b.size / 2.0
-    offsets = _CORNER_SIGNS * half
-    c, s = math.cos(b.yaw), math.sin(b.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return b.center + offsets @ rot.T
+    return _box_corners([b])[0]
+
+
+# Region label by the most cameras any probe point of a box is visible in,
+# capped at 2.
+_REGION_BY_COUNT = (RegionLabel.INVISIBLE, RegionLabel.NON_OVERLAPPING, RegionLabel.OVERLAPPING)
 
 
 def classify_regions(boxes: Sequence[Box3D], rig: CameraRig) -> list[RegionLabel]:
@@ -346,21 +366,10 @@ def classify_regions(boxes: Sequence[Box3D], rig: CameraRig) -> list[RegionLabel
     """
     if not boxes:
         return []
-    probes = np.empty((len(boxes), 9, 3), dtype=np.float64)
-    for i, b in enumerate(boxes):
-        probes[i, 0] = b.center
-        probes[i, 1:] = box_corners(b)
+    centers = np.array([b.center for b in boxes])
+    probes = np.concatenate([centers[:, None, :], _box_corners(boxes)], axis=1)
     counts = visible_counts(probes.reshape(-1, 3), rig).reshape(len(boxes), 9)
-    best = counts.max(axis=1)
-    labels = []
-    for value in best:
-        if value >= 2:
-            labels.append(RegionLabel.OVERLAPPING)
-        elif value == 1:
-            labels.append(RegionLabel.NON_OVERLAPPING)
-        else:
-            labels.append(RegionLabel.INVISIBLE)
-    return labels
+    return [_REGION_BY_COUNT[c] for c in np.minimum(counts.max(axis=1), 2).tolist()]
 
 
 def pixel_size(intr: CameraIntrinsics) -> float:

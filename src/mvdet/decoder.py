@@ -324,11 +324,15 @@ def self_attention(qs: QuerySet, params: AttentionParams) -> QuerySet:
     v = (emb @ params.w_v.T + params.b_v).reshape(m, h, dh)
     out = np.empty((m, h, dh))
     scale = 1.0 / math.sqrt(dh)
+    # One (M, M) buffer holds each head's logits, then its softmax weights.
+    weights = np.empty((m, m))
+    row = np.empty((m, 1))
     for head in range(h):
-        logits = (q[:, head] @ k[:, head].T) * scale
-        logits -= logits.max(axis=1, keepdims=True)
-        weights = np.exp(logits)
-        weights /= weights.sum(axis=1, keepdims=True)
+        np.matmul(q[:, head], k[:, head].T, out=weights)
+        weights *= scale
+        weights -= np.max(weights, axis=1, keepdims=True, out=row)
+        np.exp(weights, out=weights)
+        weights /= np.sum(weights, axis=1, keepdims=True, out=row)
         out[:, head] = weights @ v[:, head]
     merged = out.reshape(m, dim) @ params.w_o.T + params.b_o
     return QuerySet(embeddings=emb + merged, scene_bounds=qs.scene_bounds)

@@ -19,7 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import Box3D, DetectionResult, _box_from_json, _box_to_json, _json_fields, _json_records, _json_write
+from .camgeo import (
+    Box3D,
+    DetectionResult,
+    _box_from_json,
+    _box_to_json,
+    _json_fields,
+    _json_int,
+    _json_records,
+    _json_write,
+)
 
 __all__ = [
     "MatchingError",
@@ -39,6 +48,9 @@ __all__ = [
 
 _PROB_TOL = 1e-6
 _PROB_FLOOR = 1e-12
+# Focal loss weights, the defaults of focal_loss and the ones set_loss uses.
+_ALPHA = 0.25
+_GAMMA = 2.0
 
 
 class MatchingError(ValueError):
@@ -67,27 +79,56 @@ class LossBreakdown:
 # Costs
 
 
+def _regression_rows(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(B, 10) regression vectors of B boxes, one column block at a time:
+    one ``np.log`` over the (B, 3) sizes and ``math.sin``/``math.cos`` per
+    yaw."""
+    centers = np.array([b.center for b in boxes]).reshape(-1, 3)
+    sizes = np.array([b.size for b in boxes]).reshape(-1, 3)
+    trig = np.array([(math.sin(b.yaw), math.cos(b.yaw)) for b in boxes]).reshape(-1, 2)
+    velocities = np.array([b.velocity for b in boxes]).reshape(-1, 2)
+    return np.hstack([centers, np.log(sizes), trig, velocities])
+
+
 def box_regression_vector(box: Box3D) -> np.ndarray:
     """(x, y, z, log w, log l, log h, sin yaw, cos yaw, vx, vy)."""
-    return np.concatenate(
-        [
-            box.center,
-            np.log(box.size),
-            [math.sin(box.yaw), math.cos(box.yaw)],
-            box.velocity,
-        ]
-    )
+    return _regression_rows([box])[0]
 
 
-def _check_probs(probs: np.ndarray) -> np.ndarray:
-    probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-    if probs.size == 0:
+def _stack_probs(probs) -> np.ndarray:
+    """(N, K) float64 stack of N class probability vectors."""
+    rows = [np.asarray(p, dtype=np.float64) for p in probs]
+    sizes = sorted({r.size for r in rows})
+    if len(sizes) > 1:
+        raise MatchingError(f"predictions disagree on the class count: {sizes}")
+    return np.concatenate(rows, axis=None).reshape(len(rows), sizes[0])
+
+
+def _check_probs(rows: np.ndarray) -> np.ndarray:
+    """Check (N, K) probability rows at once; the first bad row raises."""
+    if rows.shape[1] == 0:
         raise MatchingError("class probabilities must be nonempty")
-    if abs(probs.sum() - 1.0) > _PROB_TOL:
-        raise MatchingError(f"class probabilities must sum to 1, got {probs.sum()}")
-    if np.any(probs < 0):
+    sums = rows.sum(axis=1)
+    off = np.abs(sums - 1.0) > _PROB_TOL
+    bad = off | (rows < 0).any(axis=1)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if off[first]:
+            raise MatchingError(f"class probabilities must sum to 1, got {sums[first]}")
         raise MatchingError("class probabilities must be nonnegative")
-    return probs
+    return rows
+
+
+def _class_index(value, num_classes: int) -> int:
+    """A ground-truth class in [0, num_classes): an integer, or a float of
+    integral value; booleans are rejected."""
+    try:
+        cls = _json_int(value)
+    except TypeError:
+        raise MatchingError(f"gt class must be an integer, got {value!r}") from None
+    if not 0 <= cls < num_classes:
+        raise MatchingError(f"gt class {cls} out of range for {num_classes} classes")
+    return cls
 
 
 def match_cost(
@@ -104,19 +145,24 @@ def match_cost(
     """
     if not preds:
         return np.zeros((0, len(gts)))
-    probs = [_check_probs(p) for p, _ in preds]
-    sizes = {p.size for p in probs}
-    if len(sizes) > 1:
-        raise MatchingError(f"predictions disagree on the class count: {sorted(sizes)}")
-    num_classes = probs[0].size
-    gt_cls = np.array([int(c) for c, _ in gts], dtype=np.int64)
-    for c in gt_cls:
-        if not (0 <= c < num_classes):
-            raise MatchingError(f"gt class {c} out of range for {num_classes} classes")
-    pv = np.array([box_regression_vector(b) for _, b in preds])
-    gv = np.array([box_regression_vector(b) for _, b in gts]).reshape(-1, pv.shape[1])
+    probs = _check_probs(_stack_probs(p for p, _ in preds))
+    gt_cls = np.array([_class_index(c, probs.shape[1]) for c, _ in gts], dtype=np.int64)
+    pv = _regression_rows([b for _, b in preds])
+    gv = _regression_rows([b for _, b in gts])
     cls_w, reg_w = weights
-    return cls_w * -np.stack(probs)[:, gt_cls] + reg_w * np.abs(pv[:, None] - gv[None]).sum(axis=2)
+    return cls_w * -probs[:, gt_cls] + reg_w * _l1_sums(pv, gv)
+
+
+def _l1_sums(pv: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """(N, G) sums of |pv[i] - gv[j]| over the 10 regression components.
+
+    One (N, G) difference per component, added in the order numpy's
+    pairwise sum adds a 10-element row: ((0+1)+(2+3))+((4+5)+(6+7)), then
+    8, then 9.  The result equals ``np.abs(pv[:, None] - gv[None]).sum(axis=2)``
+    bit for bit without its (N, G, 10) temporaries.
+    """
+    d = [np.abs(p[:, None] - g[None]) for p, g in zip(pv.T, gv.T)]
+    return ((d[0] + d[1]) + (d[2] + d[3])) + ((d[4] + d[5]) + (d[6] + d[7])) + d[8] + d[9]
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +330,47 @@ def hungarian(cost: np.ndarray) -> Assignment:
 # Losses
 
 
-def focal_loss(probs, gt_class: int | None, alpha: float = 0.25, gamma: float = 2.0) -> float:
+def _focal_sum(rows: list[list[float]], targets: list, alpha: float, gamma: float) -> float:
+    """Summed focal loss of probability rows given as Python floats; a
+    target of None scores its row as background.
+
+    Each row's terms are added in class order from 0.0, then the rows in
+    order from 0.0.  Every term uses ``math.log`` and float ``**``:
+    ``np.log`` and array ``**`` round differently on some inputs.
+    """
+    pos_w, neg_w = -alpha, -(1.0 - alpha)
+    log = math.log
+    total = 0.0
+    for row, target in zip(rows, targets):
+        loss = 0.0
+        for idx, p in enumerate(row):
+            if idx == target:
+                if p < _PROB_FLOOR:
+                    warnings.warn("target probability clamped to 1e-12 in focal loss")
+                    p = _PROB_FLOOR
+                loss += pos_w * (1.0 - p) ** gamma * log(p)
+            else:
+                q = 1.0 - p
+                if q < _PROB_FLOOR:
+                    warnings.warn("negative-class probability clamped to 1e-12 in focal loss")
+                    q = _PROB_FLOOR
+                loss += neg_w * p**gamma * log(q)
+        total += loss
+    return total
+
+
+def focal_loss(probs, gt_class: int | None, alpha: float = _ALPHA, gamma: float = _GAMMA) -> float:
     """Focal classification loss over one probability vector.
 
     The target entry contributes -alpha * (1 - p)^gamma * log(p); every
     other entry contributes -(1 - alpha) * p^gamma * log(1 - p).  A
-    ``gt_class`` of None scores the whole vector as background.  Vanishing
-    probabilities are clamped at 1e-12 with a warning.
+    ``gt_class`` of None scores the whole vector as background; any other
+    class must be an integer in [0, K).  Vanishing probabilities are clamped
+    at 1e-12 with a warning.
     """
-    probs = _check_probs(probs)
-    loss = 0.0
-    for idx, p in enumerate(probs):
-        if gt_class is not None and idx == int(gt_class):
-            if p < _PROB_FLOOR:
-                warnings.warn("target probability clamped to 1e-12 in focal loss")
-                p = _PROB_FLOOR
-            loss += -alpha * (1.0 - p) ** gamma * math.log(p)
-        else:
-            q = 1.0 - p
-            if q < _PROB_FLOOR:
-                warnings.warn("negative-class probability clamped to 1e-12 in focal loss")
-                q = _PROB_FLOOR
-            loss += -(1.0 - alpha) * p**gamma * math.log(q)
-    return float(loss)
+    rows = _check_probs(_stack_probs([probs])).tolist()
+    target = None if gt_class is None else _class_index(gt_class, len(rows[0]))
+    return _focal_sum(rows, [target], alpha, gamma)
 
 
 def l1_reg_loss(pred_vector, gt_vector) -> float:
@@ -331,17 +395,15 @@ def set_loss(
     if not preds:
         return LossBreakdown(cls=0.0, reg=0.0), Assignment(pairs=(), total_cost=0.0)
     assignment = hungarian(match_cost(preds, gts))
-    matched = {r: c for r, c in assignment.pairs}
-    cls_total = 0.0
+    targets: list[int | None] = [None] * len(preds)
+    for r, c in assignment.pairs:
+        targets[r] = int(gts[c][0])
+    cls_total = _focal_sum(_stack_probs(p for p, _ in preds).tolist(), targets, _ALPHA, _GAMMA)
+    pv = _regression_rows([preds[r][1] for r, _ in assignment.pairs])
+    gv = _regression_rows([gts[c][1] for _, c in assignment.pairs])
     reg_total = 0.0
-    for i, (probs, box) in enumerate(preds):
-        gt_idx = matched.get(i)
-        if gt_idx is None:
-            cls_total += focal_loss(probs, None)
-        else:
-            gt_class, gt_box = gts[gt_idx]
-            cls_total += focal_loss(probs, gt_class)
-            reg_total += l1_reg_loss(box_regression_vector(box), box_regression_vector(gt_box))
+    for value in np.abs(pv - gv).mean(axis=1).tolist():
+        reg_total += value
     return LossBreakdown(cls=cls_total, reg=reg_total), assignment
 
 

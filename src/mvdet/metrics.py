@@ -42,6 +42,7 @@ DIST_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TP_THRESHOLD = 2.0
 
 _INTERP_POINTS = 101
+_REC_GRID = np.linspace(0.0, 1.0, _INTERP_POINTS)
 # The nuScenes floors: AP integrates recall >= 0.1 and precision above 0.1.
 _MIN_RECALL = 0.1
 _MIN_PRECISION = 0.1
@@ -129,31 +130,46 @@ def _greedy_matches(
     threshold the position in ``cols`` matched by each row, or -1.
     """
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    rows_of: dict[int, list[int]] = {cid: [] for cid in classes}
+    for i in order:
+        if preds[i].box.class_id in rows_of:
+            rows_of[preds[i].box.class_id].append(i)
+    cols_of: dict[int, list[int]] = {cid: [] for cid in classes}
+    for j, g in enumerate(gts):
+        if g.class_id in cols_of:
+            cols_of[g.class_id].append(j)
+    pred_xy = np.array([p.box.center[:2] for p in preds]).reshape(-1, 2)
+    gt_xy = np.array([g.center[:2] for g in gts]).reshape(-1, 2)
     out = []
     for cid in classes:
-        rows = [i for i in order if preds[i].box.class_id == cid]
-        cols = [j for j, g in enumerate(gts) if g.class_id == cid]
-        pred_xy = np.array([preds[i].box.center[:2] for i in rows]).reshape(-1, 1, 2)
-        gt_xy = np.array([gts[j].center[:2] for j in cols]).reshape(1, -1, 2)
-        dist = np.linalg.norm(gt_xy - pred_xy, axis=2)
+        rows, cols = rows_of[cid], cols_of[cid]
+        dist = np.linalg.norm(gt_xy[cols][None] - pred_xy[rows][:, None], axis=2)
         out.append((rows, cols, {th: _greedy_pass(dist, th) for th in thresholds}))
     return out
 
 
 def _greedy_pass(dist: np.ndarray, threshold: float) -> list[int]:
-    """Each row in turn takes the nearest untaken column, if strictly
-    closer than ``threshold``; the taken column per row, or -1."""
+    """Each row in turn takes the nearest untaken column, the lowest index
+    among equal distances, if strictly closer than ``threshold``; the taken
+    column per row, or -1.
+
+    The untaken columns only shrink, so a row whose nearest column of all is
+    not closer than the threshold never matches, nor does any row once every
+    column is taken: those rows get -1 without a scan.
+    """
+    hits = [-1] * len(dist)
     if dist.shape[1] == 0:
-        return [-1] * len(dist)
-    work = dist.copy()
-    hits = []
-    for row in work:
-        j = int(np.argmin(row))
+        return hits
+    free = list(range(dist.shape[1]))
+    rows = dist.tolist()
+    for i in np.flatnonzero(dist.min(axis=1) < threshold).tolist():
+        row = rows[i]
+        j = min(free, key=row.__getitem__)
         if row[j] < threshold:
-            work[:, j] = np.inf
-            hits.append(j)
-        else:
-            hits.append(-1)
+            hits[i] = j
+            free.remove(j)
+            if not free:
+                break
     return hits
 
 
@@ -187,8 +203,7 @@ def _average_precision(hits: list[int], npos: int) -> float:
     fp = np.cumsum(~tp_flags)
     recall = tp / npos
     precision = tp / (tp + fp)
-    rec_grid = np.linspace(0.0, 1.0, _INTERP_POINTS)
-    prec_interp = np.interp(rec_grid, recall, precision, right=0.0)
+    prec_interp = np.interp(_REC_GRID, recall, precision, right=0.0)
     start = round(100 * _MIN_RECALL) + 1
     clipped = np.clip(prec_interp[start:] - _MIN_PRECISION, 0.0, None)
     return min(1.0, float(clipped.mean() / (1.0 - _MIN_PRECISION)))
@@ -263,10 +278,14 @@ def evaluate(
 ) -> MetricsReport:
     """Score predictions against ground truths: AP at each of
     DIST_THRESHOLDS and TP errors over the matches at TP_THRESHOLD.
-    Classes default to those present in the ground truths."""
+    Classes default to those present in the ground truths; a class listed
+    twice is an error."""
     preds = list(preds)
     gts = list(gts)
     classes = tuple(sorted({g.class_id for g in gts}) if classes is None else (int(c) for c in classes))
+    for k, cid in enumerate(classes):
+        if cid in classes[:k]:
+            raise MetricsError(f"class {cid} is listed more than once in classes")
     ap_table: dict[int, dict[float, float]] = {}
     ap_values = []
     pairs = []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mvdet import camgeo
 from mvdet.camgeo import (
     Box3D,
     CameraExtrinsics,
@@ -23,9 +24,44 @@ from mvdet.camgeo import (
     visible_counts,
     visible_mask,
 )
-from mvdet.synth import adjacent_seam_azimuths, gen_objects
+from mvdet.synth import adjacent_seam_azimuths, gen_objects, gen_rig
 
 from helpers import seen_by
+
+
+def reference_corners(box):
+    """The 8 corners of one box, written out: binary sign order, then the
+    yaw rotation."""
+    signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=np.float64)
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return box.center + (signs * (box.size / 2.0)) @ rot.T
+
+
+def reference_region(box, rig):
+    """One box's label from its centroid and written-out corners."""
+    probes = np.vstack([box.center, reference_corners(box)])
+    best = int(visible_counts(probes, rig).max())
+    if best >= 2:
+        return RegionLabel.OVERLAPPING
+    return RegionLabel.NON_OVERLAPPING if best == 1 else RegionLabel.INVISIBLE
+
+
+def border_boxes(rig, count, seed):
+    """Seeded boxes centred just inside or outside an image border of a
+    random camera, sized so their corners straddle that border."""
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for _ in range(count):
+        cam = rig[int(rng.integers(len(rig)))]
+        w, h = cam.intrinsics.width, cam.intrinsics.height
+        edge = int(rng.integers(4))
+        along = float(rng.uniform(0, w if edge < 2 else h))
+        across = float(rng.uniform(-40, 40))
+        pixel = {0: (along, across), 1: (along, h + across), 2: (across, along), 3: (w + across, along)}[edge]
+        center = back_project(pixel, float(rng.uniform(2.0, 60.0)), cam)
+        boxes.append(Box3D(center=center, size=rng.uniform(0.3, 5.0, 3), yaw=float(rng.uniform(-4.0, 4.0))))
+    return boxes
 
 
 def seam_probe(rig, az_deg, dist=30.0, z=1.5):
@@ -128,6 +164,11 @@ class TestVisibility:
 
 
 class TestBoxCorners:
+    def test_bit_equals_written_out_reference(self):
+        boxes = gen_objects(4, 300) + border_boxes(gen_rig("nuscenes-like"), 100, 5)
+        for box in boxes:
+            assert box_corners(box).tobytes() == reference_corners(box).tobytes()
+
     def test_unit_cube(self):
         corners = box_corners(Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0))
         expected = {tuple(s) for s in np.array(np.meshgrid([-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5])).T.reshape(-1, 3)}
@@ -191,6 +232,24 @@ class TestRegionClassification:
         assert len(labels) == len(boxes)
         permuted = CameraRig(cameras=tuple(rig6.cameras[::-1]))
         assert classify_regions(boxes, permuted) == labels
+
+    def test_labels_equal_per_box_reference(self, rig6):
+        boxes = gen_objects(23, 1200) + border_boxes(rig6, 1200, 24)
+        labels = classify_regions(boxes, rig6)
+        assert labels == [reference_region(b, rig6) for b in boxes]
+        # The border boxes cover every label.
+        assert set(labels[1200:]) == set(RegionLabel)
+
+    def test_no_per_box_corner_calls(self, rig6, monkeypatch):
+        calls = []
+
+        def counting(box):
+            calls.append(box)
+            return box_corners(box)
+
+        monkeypatch.setattr(camgeo, "box_corners", counting)
+        classify_regions(gen_objects(25, 50), rig6)
+        assert calls == []
 
     def test_corner_only_overlap_counts(self, rig6):
         # A box whose centroid sits in one camera but whose extent crosses a

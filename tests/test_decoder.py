@@ -310,6 +310,27 @@ class TestSelfAttention:
         out_perm = self_attention(QuerySet(embeddings=q[perm], scene_bounds=BOUNDS), params)
         assert np.all(np.abs(out_perm.embeddings - out.embeddings[perm]) <= 1e-12)
 
+    def test_bit_equals_allocating_reference(self):
+        # Reference: fresh logits and weights arrays for every head.
+        rng = np.random.Generator(np.random.PCG64(10))
+        m, dim, heads = 70, 32, 4
+        params = AttentionParams.seeded(dim, heads, rng)
+        emb = rng.uniform(-1, 1, (m, dim))
+        dh = dim // heads
+        q = (emb @ params.w_q.T + params.b_q).reshape(m, heads, dh)
+        k = (emb @ params.w_k.T + params.b_k).reshape(m, heads, dh)
+        v = (emb @ params.w_v.T + params.b_v).reshape(m, heads, dh)
+        out = np.empty((m, heads, dh))
+        for head in range(heads):
+            logits = (q[:, head] @ k[:, head].T) * (1.0 / np.sqrt(dh))
+            logits -= logits.max(axis=1, keepdims=True)
+            weights = np.exp(logits)
+            weights /= weights.sum(axis=1, keepdims=True)
+            out[:, head] = weights @ v[:, head]
+        expected = emb + (out.reshape(m, dim) @ params.w_o.T + params.b_o)
+        got = self_attention(QuerySet(embeddings=emb, scene_bounds=BOUNDS), params).embeddings
+        assert got.tobytes() == expected.tobytes()
+
     def test_head_divisibility_enforced(self):
         with pytest.raises(DecoderError):
             AttentionParams.seeded(10, 4, np.random.Generator(np.random.PCG64(0)))

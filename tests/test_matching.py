@@ -49,6 +49,11 @@ def simple_box(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0, velocity=(0, 0)):
     return Box3D(center=center, size=size, yaw=yaw, velocity=velocity)
 
 
+def reference_vector(box):
+    """The regression vector written out for one box."""
+    return np.concatenate([box.center, np.log(box.size), [math.sin(box.yaw), math.cos(box.yaw)], box.velocity])
+
+
 def pair_cost(pred, gt, weights):
     """Reference per-pair cost, written out one pair at a time."""
     probs, pred_box = pred
@@ -56,7 +61,7 @@ def pair_cost(pred, gt, weights):
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
     cls_w, reg_w = weights
     cls_term = -float(probs[int(gt_class)])
-    reg_term = float(np.abs(box_regression_vector(pred_box) - box_regression_vector(gt_box)).sum())
+    reg_term = float(np.abs(reference_vector(pred_box) - reference_vector(gt_box)).sum())
     return cls_w * cls_term + reg_w * reg_term
 
 
@@ -150,6 +155,20 @@ class TestMatchCost:
         gts[2] = (gt_class, gts[2][1])
         with pytest.raises(MatchingError, match=f"gt class {gt_class} out of range for 5 classes"):
             match_cost(preds, gts)
+
+    @pytest.mark.parametrize("gt_class", [2.7, True, "1"])
+    def test_non_integral_gt_class_rejected(self, gt_class):
+        preds, gts = seeded_set(5, 3, 4)
+        gts[1] = (gt_class, gts[1][1])
+        with pytest.raises(MatchingError, match="gt class must be an integer"):
+            match_cost(preds, gts)
+
+    def test_integral_gt_class_forms_agree(self):
+        preds, gts = seeded_set(5, 6, 3)
+        forms = [(2.0, gts[0][1]), (np.int64(2), gts[0][1])]
+        expected = match_cost(preds, [(2, gts[0][1])])
+        for form in forms:
+            assert match_cost(preds, [form]).tobytes() == expected.tobytes()
 
     def test_mixed_class_counts_rejected(self):
         preds, gts = seeded_set(6, 3, 2, num_classes=3)
@@ -287,6 +306,37 @@ class TestFocalLoss:
         with pytest.warns(UserWarning):
             focal_loss(probs, 1)
 
+    @pytest.mark.parametrize("gt_class", [15, 10, -1])
+    def test_out_of_range_gt_class_rejected(self, gt_class):
+        probs = np.full(10, 0.1)
+        with pytest.raises(MatchingError, match=f"gt class {gt_class} out of range for 10 classes"):
+            focal_loss(probs, gt_class)
+
+    @pytest.mark.parametrize("gt_class", [2.7, float("nan"), True, False, "2"])
+    def test_non_integral_or_boolean_gt_class_rejected(self, gt_class):
+        probs = np.full(10, 0.1)
+        with pytest.raises(MatchingError, match="gt class must be an integer"):
+            focal_loss(probs, gt_class)
+
+    def test_integral_gt_class_forms_agree(self):
+        probs = np.random.default_rng(3).dirichlet(np.ones(10))
+        expected = focal_loss(probs, 2)
+        assert focal_loss(probs, 2.0) == expected
+        assert focal_loss(probs, np.int64(2)) == expected
+        assert focal_loss(probs, None) != expected
+
+    def test_matches_written_out_sum(self):
+        # The loss written out term by term on numpy scalars, in class order.
+        probs = np.random.default_rng(4).dirichlet(np.ones(7))
+        for target in (None, 0, 3, 6):
+            loss = 0.0
+            for idx, p in enumerate(probs):
+                if idx == target:
+                    loss += -0.25 * (1.0 - p) ** 2.0 * math.log(p)
+                else:
+                    loss += -0.75 * p**2.0 * math.log(1.0 - p)
+            assert focal_loss(probs, target) == float(loss)
+
 
 class TestL1RegLoss:
     def test_identical_zero(self):
@@ -400,6 +450,45 @@ class TestSetLoss:
         breakdown, assignment = set_loss(*seeded_set(2024, 200, 20))
         blob = repr((repr(breakdown.cls), repr(breakdown.reg), assignment.pairs, repr(assignment.total_cost)))
         assert hashlib.sha256(blob.encode()).hexdigest() == "32e983a5cd47b2c122e98466297375f8308aaaa1b329d9523c0cd738b1d4d479"
+
+    @pytest.mark.parametrize("seed,shape", [(31, (120, 17)), (32, (40, 40)), (33, (9, 25))])
+    def test_sums_bit_equal_public_row_losses(self, seed, shape):
+        preds, gts = seeded_set(seed, *shape)
+        # Clamped rows: a certain negative class, and a vanishing target.
+        preds[0] = (np.array([1.0, 0.0, 0.0, 0.0, 0.0]), preds[0][1])
+        preds[5] = (np.array([0.0, 0.0, 0.0, 1.0, 0.0]), preds[5][1])
+        with pytest.warns(UserWarning) as caught:
+            breakdown, assignment = set_loss(preds, gts)
+        matched = dict(assignment.pairs)
+        with pytest.warns(UserWarning) as expected_warnings:
+            cls_total = 0.0
+            reg_total = 0.0
+            for i, (probs, box) in enumerate(preds):
+                if i in matched:
+                    gt_class, gt_box = gts[matched[i]]
+                    cls_total += focal_loss(probs, gt_class)
+                    reg_total += l1_reg_loss(reference_vector(box), reference_vector(gt_box))
+                else:
+                    cls_total += focal_loss(probs, None)
+        assert breakdown.cls == cls_total
+        assert breakdown.reg == reg_total
+        assert [str(w.message) for w in caught] == [str(w.message) for w in expected_warnings]
+        assert "negative-class probability clamped to 1e-12 in focal loss" in {str(w.message) for w in caught}
+
+    def test_no_per_row_loss_or_vector_calls(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("focal_loss", "l1_reg_loss", "box_regression_vector"):
+            monkeypatch.setattr(matching, name, counting(name, getattr(matching, name)))
+        set_loss(*seeded_set(8, 60, 12))
+        assert calls == []
 
     def test_one_match_cost_call_per_set_loss(self, monkeypatch):
         cost = matching.match_cost

@@ -183,6 +183,16 @@ class TestEvaluate:
         assert full.mean_ap == pytest.approx(0.5)  # class 1 contributes zero
 
 
+    def test_duplicated_class_rejected(self):
+        gts = gen_objects(20, 20, class_count=3)
+        preds = perturb_predictions(gts, NoiseSpec(center_sigma=0.3), seed=21, class_count=3)
+        with pytest.raises(MetricsError, match="class 0 is listed more than once"):
+            evaluate(preds, gts, classes=[0, 0, 1, 2])
+        with pytest.raises(MetricsError, match="class 2 is listed more than once"):
+            evaluate(preds, gts, classes=[2, 1, 2])
+        assert evaluate(preds, gts, classes=[0, 1, 2]).to_dict() == evaluate(preds, gts).to_dict()
+
+
 class TestRegionSplit:
     def test_single_camera_rig(self):
         rig = gen_rig("single")
@@ -375,3 +385,44 @@ class TestReportFiles:
             for rep in (split.overall, split.overlapping, split.non_overlapping)
         )
         assert len(rows) - 1 == expected_rows
+
+
+def reference_greedy_hits(dist, threshold):
+    """The greedy pass written out with a masked copy: each row takes the
+    argmin of its untaken columns (numpy's first index among ties) if
+    strictly below the threshold."""
+    work = np.array(dist, dtype=np.float64)
+    hits = []
+    for row in work:
+        if work.shape[1] == 0:
+            hits.append(-1)
+            continue
+        j = int(np.argmin(row))
+        if row[j] < threshold:
+            work[:, j] = np.inf
+            hits.append(j)
+        else:
+            hits.append(-1)
+    return hits
+
+
+class TestGreedyPass:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hits_equal_argmin_reference_with_exact_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        # Distances on a coarse grid, so many entries tie exactly, within a
+        # row and across rows; some rows equal the threshold exactly.
+        dist = rng.integers(0, 9, size=(rows, cols)) * 0.5
+        dist[rng.uniform(size=rows) < 0.2] = 2.0
+        for threshold in (0.5, 1.0, 2.0, 4.0, 10.0):
+            assert metrics._greedy_pass(dist, threshold) == reference_greedy_hits(dist, threshold)
+
+    def test_ties_go_to_the_lowest_untaken_column(self):
+        dist = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.5, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        assert metrics._greedy_pass(dist, 2.0) == [0, 1, 2, -1]
+        assert metrics._greedy_pass(dist, 1.0) == [-1, -1, 0, -1]
+
+    def test_empty_sides(self):
+        assert metrics._greedy_pass(np.zeros((3, 0)), 1.0) == [-1, -1, -1]
+        assert metrics._greedy_pass(np.zeros((0, 4)), 1.0) == []
