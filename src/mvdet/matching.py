@@ -150,19 +150,7 @@ def match_cost(
     pv = _regression_rows([b for _, b in preds])
     gv = _regression_rows([b for _, b in gts])
     cls_w, reg_w = weights
-    return cls_w * -probs[:, gt_cls] + reg_w * _l1_sums(pv, gv)
-
-
-def _l1_sums(pv: np.ndarray, gv: np.ndarray) -> np.ndarray:
-    """(N, G) sums of |pv[i] - gv[j]| over the 10 regression components.
-
-    One (N, G) difference per component, added in the order numpy's
-    pairwise sum adds a 10-element row: ((0+1)+(2+3))+((4+5)+(6+7)), then
-    8, then 9.  The result equals ``np.abs(pv[:, None] - gv[None]).sum(axis=2)``
-    bit for bit without its (N, G, 10) temporaries.
-    """
-    d = [np.abs(p[:, None] - g[None]) for p, g in zip(pv.T, gv.T)]
-    return ((d[0] + d[1]) + (d[2] + d[3])) + ((d[4] + d[5]) + (d[6] + d[7])) + d[8] + d[9]
+    return cls_w * -probs[:, gt_cls] + reg_w * np.abs(pv[:, None] - gv[None]).sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +318,21 @@ def hungarian(cost: np.ndarray) -> Assignment:
 # Losses
 
 
-def _focal_sum(rows: list[list[float]], targets: list, alpha: float, gamma: float) -> float:
-    """Summed focal loss of probability rows given as Python floats; a
-    target of None scores its row as background.
+def _focal_sum(probs: np.ndarray, targets: list, alpha: float, gamma: float) -> float:
+    """Summed focal loss of (N, K) probability rows; a target of None scores
+    its row as background.
 
     Each row's terms are added in class order from 0.0, then the rows in
-    order from 0.0.  Every term uses ``math.log`` and float ``**``:
-    ``np.log`` and array ``**`` round differently on some inputs.
+    order from 0.0.  Every term is computed on Python floats with
+    ``math.log`` and float ``**``: ``np.log`` and array ``**`` round
+    differently on some inputs.
     """
     pos_w, neg_w = -alpha, -(1.0 - alpha)
     log = math.log
     total = 0.0
-    for row, target in zip(rows, targets):
+    for row, target in zip(probs, targets):
         loss = 0.0
-        for idx, p in enumerate(row):
+        for idx, p in enumerate(row.tolist()):
             if idx == target:
                 if p < _PROB_FLOOR:
                     warnings.warn("target probability clamped to 1e-12 in focal loss")
@@ -368,8 +357,8 @@ def focal_loss(probs, gt_class: int | None, alpha: float = _ALPHA, gamma: float 
     class must be an integer in [0, K).  Vanishing probabilities are clamped
     at 1e-12 with a warning.
     """
-    rows = _check_probs(_stack_probs([probs])).tolist()
-    target = None if gt_class is None else _class_index(gt_class, len(rows[0]))
+    rows = _check_probs(_stack_probs([probs]))
+    target = None if gt_class is None else _class_index(gt_class, rows.shape[1])
     return _focal_sum(rows, [target], alpha, gamma)
 
 
@@ -398,7 +387,7 @@ def set_loss(
     targets: list[int | None] = [None] * len(preds)
     for r, c in assignment.pairs:
         targets[r] = int(gts[c][0])
-    cls_total = _focal_sum(_stack_probs(p for p, _ in preds).tolist(), targets, _ALPHA, _GAMMA)
+    cls_total = _focal_sum(_stack_probs(p for p, _ in preds), targets, _ALPHA, _GAMMA)
     pv = _regression_rows([preds[r][1] for r, _ in assignment.pairs])
     gv = _regression_rows([gts[c][1] for _, c in assignment.pairs])
     reg_total = 0.0
