@@ -169,8 +169,6 @@ def _cmd_decode(args) -> int:
     if args.params:
         # Bundle metadata wins over the sizing flags.
         layers, head = decoder.load_params(args.params)
-        if head is None:
-            raise ValueError("parameter bundle does not include a prediction head")
         dim = layers[0].ffn.in_dim
     else:
         dim = args.dim

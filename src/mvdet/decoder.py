@@ -47,6 +47,7 @@ from .camgeo import (
 from .featcore import (
     FeaturePyramid,
     _inside_rows,
+    _unique_tensor_path,
     bilinear_grad,
     read_tensor,
     sample_multiview_many,
@@ -268,6 +269,13 @@ def graph_nodes(
 # Self-attention
 
 
+# A layer's parts in bundle order, the attention tensors (the four (C, C)
+# matrices, then the four (C,) biases) and the prediction head's nets.
+_LAYER_PARTS = ("ref_net", "offset_net", "weight_net", "attention", "ffn")
+_ATTENTION_TENSORS = ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o")
+_HEAD_NETS = ("reg_net", "cls_net")
+
+
 @dataclass(frozen=True)
 class AttentionParams:
     """Multi-head self-attention projections (all (C, C) with biases)."""
@@ -288,15 +296,11 @@ class AttentionParams:
             raise DecoderError(f"heads must be at least 1, got {self.heads}")
         if dim % self.heads != 0:
             raise DecoderError(f"dim {dim} not divisible by heads {self.heads}")
-        for name in ("w_q", "w_k", "w_v", "w_o"):
+        for name in _ATTENTION_TENSORS:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (dim, dim):
-                raise DecoderError(f"{name} must be ({dim}, {dim}), got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        for name in ("b_q", "b_k", "b_v", "b_o"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (dim,):
-                raise DecoderError(f"{name} must be ({dim},), got {arr.shape}")
+            shape = (dim, dim) if name.startswith("w") else (dim,)
+            if arr.shape != shape:
+                raise DecoderError(f"{name} must be {shape}, got {arr.shape}")
             object.__setattr__(self, name, arr)
 
     @property
@@ -306,9 +310,11 @@ class AttentionParams:
     @classmethod
     def seeded(cls, dim: int, heads: int, rng: np.random.Generator) -> "AttentionParams":
         bound = 1.0 / math.sqrt(dim)
-        mats = {n: rng.uniform(-bound, bound, size=(dim, dim)) for n in ("w_q", "w_k", "w_v", "w_o")}
-        vecs = {n: rng.uniform(-bound, bound, size=dim) for n in ("b_q", "b_k", "b_v", "b_o")}
-        return cls(heads=heads, **mats, **vecs)
+        tensors = {
+            n: rng.uniform(-bound, bound, size=(dim, dim) if n.startswith("w") else dim)
+            for n in _ATTENTION_TENSORS
+        }
+        return cls(heads=heads, **tensors)
 
 
 def self_attention(qs: QuerySet, params: AttentionParams) -> QuerySet:
@@ -451,6 +457,8 @@ def decoder_forward(
     """
     if not layers:
         raise DecoderError("the decoder needs at least one layer")
+    if not math.isfinite(offset_scale):
+        raise DecoderError(f"offset scale must be finite, got {offset_scale}")
     if pyr.channels != qs.dim:
         raise DecoderError(
             f"pyramid channels ({pyr.channels}) must match query dim ({qs.dim})"
@@ -533,55 +541,44 @@ def decode_predictions(qs: QuerySet, refs: np.ndarray, head: PredictionHead) -> 
 # Parameter bundles (one tensor file per matrix + JSON manifest)
 
 
-def _named_params(layers: Sequence[DecoderLayer], head: PredictionHead | None):
-    def mlp_items(prefix: str, mlp: Mlp):
-        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-            yield f"{prefix}.w{i}", w
-            yield f"{prefix}.b{i}", b
-
+def _bundle_parts(layers: Sequence[DecoderLayer], head: PredictionHead):
+    """(name, part) of every layer part and head net, in bundle order."""
     for li, layer in enumerate(layers):
-        base = f"layer{li:02d}"
-        yield from mlp_items(f"{base}.ref_net", layer.ref_net)
-        yield from mlp_items(f"{base}.offset_net", layer.offset_net)
-        yield from mlp_items(f"{base}.weight_net", layer.weight_net)
-        att = layer.attention
-        for name in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"):
-            yield f"{base}.attention.{name}", getattr(att, name)
-        yield from mlp_items(f"{base}.ffn", layer.ffn)
-    if head is not None:
-        yield from mlp_items("head.reg_net", head.reg_net)
-        yield from mlp_items("head.cls_net", head.cls_net)
+        for part in _LAYER_PARTS:
+            yield f"layer{li:02d}.{part}", getattr(layer, part)
+    for net in _HEAD_NETS:
+        yield f"head.{net}", getattr(head, net)
 
 
-def save_params(
-    directory,
-    layers: Sequence[DecoderLayer],
-    head: PredictionHead | None = None,
-) -> str:
+def save_params(directory, layers: Sequence[DecoderLayer], head: PredictionHead) -> str:
     """Write the parameter bundle; tensors are stored as 32-bit floats, so a
     load returns the stored (truncated) values rather than the in-memory
     64-bit originals.  Returns the manifest path."""
+    _check_sizes(layers=len(layers))
     os.makedirs(directory, exist_ok=True)
     entries = []
+    activations = {}
+    for prefix, part in _bundle_parts(layers, head):
+        if isinstance(part, Mlp):
+            activations[prefix] = list(part.activations)
+            tensors = {}
+            for i, (w, b) in enumerate(zip(part.weights, part.biases)):
+                tensors[f"w{i}"], tensors[f"b{i}"] = w, b
+        else:
+            tensors = {n: getattr(part, n) for n in _ATTENTION_TENSORS}
+        for key, arr in tensors.items():
+            name = f"{prefix}.{key}"
+            fname = name.replace(".", "_") + ".gdt3"
+            write_tensor(os.path.join(directory, fname), arr)
+            entries.append({"file": fname, "name": name, "shape": list(arr.shape)})
     meta = {
         "dim": layers[0].ffn.in_dim,
         "heads": layers[0].attention.heads,
         "layers": len(layers),
         "neighbors": layers[0].neighbors,
-        "num_classes": head.num_classes if head is not None else None,
-        "activations": {},
+        "num_classes": head.num_classes,
+        "activations": activations,
     }
-    for name, arr in _named_params(layers, head):
-        fname = name.replace(".", "_") + ".gdt3"
-        write_tensor(os.path.join(directory, fname), arr)
-        entries.append({"file": fname, "name": name, "shape": list(arr.shape)})
-    for li, layer in enumerate(layers):
-        base = f"layer{li:02d}"
-        for net_name in ("ref_net", "offset_net", "weight_net", "ffn"):
-            meta["activations"][f"{base}.{net_name}"] = list(getattr(layer, net_name).activations)
-    if head is not None:
-        meta["activations"]["head.reg_net"] = list(head.reg_net.activations)
-        meta["activations"]["head.cls_net"] = list(head.cls_net.activations)
     manifest_path = os.path.join(directory, "params.json")
     _json_write(manifest_path, {"version": 1, "meta": meta, "entries": entries})
     return manifest_path
@@ -591,31 +588,33 @@ _PARAM_ENTRY_FIELDS = {"name": _json_text, "file": _json_text, "shape": list}
 _PARAM_META_FIELDS = {
     "layers": _json_int,
     "heads": _json_int,
-    "num_classes": lambda value: value if value is None else _json_int(value),
+    "num_classes": _json_int,
     "activations": lambda table: {net: tuple(acts) for net, acts in dict(table).items()},
 }
 
 
-def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead | None]:
+def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         bundle = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    entries = _json_records(bundle, "entries", DecoderError, f"parameter manifest {manifest_path}")
+    what = f"parameter manifest {manifest_path}"
+    entries = _json_records(bundle, "entries", DecoderError, what)
     meta = _json_fields(bundle, {"meta": dict}, DecoderError, str(manifest_path))["meta"]
-    meta = {"num_classes": None, **meta}
-    meta.update(_json_fields(meta, _PARAM_META_FIELDS, DecoderError, f"the meta of {manifest_path}"))
-    _check_sizes(layers=meta["layers"])
+    meta = _json_fields(meta, _PARAM_META_FIELDS, DecoderError, f"the meta of {manifest_path}")
+    _check_sizes(layers=meta["layers"], num_classes=meta["num_classes"])
     arrays = {}
+    seen: set[str] = set()
     for entry in entries:
         entry = _json_fields(entry, _PARAM_ENTRY_FIELDS, DecoderError, f"an entry of {manifest_path}")
-        arr = read_tensor(os.path.join(base, entry["file"])).astype(np.float64)
+        path = _unique_tensor_path(base, entry["file"], seen, DecoderError, what)
+        arr = read_tensor(path).astype(np.float64)
         if list(arr.shape) != entry["shape"]:
             raise DecoderError(f"parameter {entry['name']}: shape mismatch")
         arrays[entry["name"]] = arr
 
-    def need(table: dict, key: str, what: str):
+    def need(table: dict, key: str, kind: str):
         if key not in table:
-            raise DecoderError(f"parameter manifest {manifest_path}: missing {what} {key!r}")
+            raise DecoderError(f"{what}: missing {kind} {key!r}")
         return table[key]
 
     def load_mlp(prefix: str) -> Mlp:
@@ -630,27 +629,13 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead | Non
 
     layers = []
     for li in range(meta["layers"]):
-        basename = f"layer{li:02d}"
-        att = AttentionParams(
-            heads=meta["heads"],
-            **{
-                n: need(arrays, f"{basename}.attention.{n}", "tensor")
-                for n in ("w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o")
-            },
-        )
-        layers.append(
-            DecoderLayer(
-                ref_net=load_mlp(f"{basename}.ref_net"),
-                offset_net=load_mlp(f"{basename}.offset_net"),
-                weight_net=load_mlp(f"{basename}.weight_net"),
-                attention=att,
-                ffn=load_mlp(f"{basename}.ffn"),
-            )
-        )
-    head = None
-    if meta["num_classes"] is not None:
-        _check_sizes(num_classes=meta["num_classes"])
-        head = PredictionHead(reg_net=load_mlp("head.reg_net"), cls_net=load_mlp("head.cls_net"))
+        name = f"layer{li:02d}"
+        # The attention tensors are looked up first, so a layer missing from
+        # the bundle is reported by its first tensor.
+        tensors = {n: need(arrays, f"{name}.attention.{n}", "tensor") for n in _ATTENTION_TENSORS}
+        parts = {p: load_mlp(f"{name}.{p}") for p in _LAYER_PARTS if p != "attention"}
+        layers.append(DecoderLayer(attention=AttentionParams(heads=meta["heads"], **tensors), **parts))
+    head = PredictionHead(**{net: load_mlp(f"head.{net}") for net in _HEAD_NETS})
     return layers, head
 
 

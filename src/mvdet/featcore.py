@@ -365,6 +365,18 @@ def save_pyramid(directory, pyr: FeaturePyramid) -> str:
     return manifest_path
 
 
+def _unique_tensor_path(base: str, name: str, seen: set[str], error: type[Exception], what: str) -> str:
+    """The path of tensor file ``name`` relative to ``base``.  ``seen`` holds
+    the resolved paths named so far in one manifest; a file named twice is an
+    error, so each file is read at most once."""
+    path = os.path.join(base, name)
+    resolved = os.path.realpath(path)
+    if resolved in seen:
+        raise error(f"{what}: tensor file {name!r} is named more than once")
+    seen.add(resolved)
+    return path
+
+
 def load_pyramid(manifest_path) -> FeaturePyramid:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -374,10 +386,12 @@ def load_pyramid(manifest_path) -> FeaturePyramid:
     if version != TENSOR_VERSION:
         raise FeatureError(f"{what}: unsupported version {version}")
     cams = []
+    seen: set[str] = set()
     for cam_entry in _json_records(manifest, "cameras", FeatureError, what):
         levels = []
         for lv in _json_records(cam_entry, "levels", FeatureError, f"a camera of {manifest_path}"):
             lv = _json_fields(lv, {"file": _json_text, "stride": _json_int}, FeatureError, f"a level of {manifest_path}")
-            levels.append(FeatureLevel(data=read_tensor(os.path.join(base, lv["file"])), stride=lv["stride"]))
+            path = _unique_tensor_path(base, lv["file"], seen, FeatureError, what)
+            levels.append(FeatureLevel(data=read_tensor(path), stride=lv["stride"]))
         cams.append(levels)
     return FeaturePyramid(cams)

@@ -48,7 +48,10 @@ __all__ = [
 
 _PROB_TOL = 1e-6
 _PROB_FLOOR = 1e-12
-# Focal loss weights, the defaults of focal_loss and the ones set_loss uses.
+# Matching cost weights of the class and regression terms, and the focal
+# loss weights.
+_COST_CLS_WEIGHT = 1.0
+_COST_REG_WEIGHT = 0.25
 _ALPHA = 0.25
 _GAMMA = 2.0
 
@@ -134,14 +137,14 @@ def _class_index(value, num_classes: int) -> int:
 def match_cost(
     preds: Sequence[tuple[np.ndarray, Box3D]],
     gts: Sequence[tuple[int, Box3D]],
-    weights: tuple[float, float] = (1.0, 0.25),
 ) -> np.ndarray:
     """(N, G) matching cost matrix between N predictions and G ground truths.
 
     Each prediction is (class_probs, Box3D) and each ground truth is
     (class_id, Box3D); every prediction must score the same classes.  Entry
-    (i, j) is cls_weight * (-prob of gt j's class under prediction i) plus
-    reg_weight * the summed absolute difference of the regression vectors.
+    (i, j) is 1.0 * (-prob of gt j's class under prediction i) plus 0.25 *
+    the summed absolute difference of the regression vectors; the weights
+    are fixed, as in DETR's matching cost.
     """
     if not preds:
         return np.zeros((0, len(gts)))
@@ -149,8 +152,8 @@ def match_cost(
     gt_cls = np.array([_class_index(c, probs.shape[1]) for c, _ in gts], dtype=np.int64)
     pv = _regression_rows([b for _, b in preds])
     gv = _regression_rows([b for _, b in gts])
-    cls_w, reg_w = weights
-    return cls_w * -probs[:, gt_cls] + reg_w * np.abs(pv[:, None] - gv[None]).sum(axis=2)
+    reg = np.abs(pv[:, None] - gv[None]).sum(axis=2)
+    return _COST_CLS_WEIGHT * -probs[:, gt_cls] + _COST_REG_WEIGHT * reg
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,7 @@ def hungarian(cost: np.ndarray) -> Assignment:
 # Losses
 
 
-def _focal_sum(probs: np.ndarray, targets: list, alpha: float, gamma: float) -> float:
+def _focal_sum(probs: np.ndarray, targets: list) -> float:
     """Summed focal loss of (N, K) probability rows; a target of None scores
     its row as background.
 
@@ -327,7 +330,7 @@ def _focal_sum(probs: np.ndarray, targets: list, alpha: float, gamma: float) -> 
     ``math.log`` and float ``**``: ``np.log`` and array ``**`` round
     differently on some inputs.
     """
-    pos_w, neg_w = -alpha, -(1.0 - alpha)
+    pos_w, neg_w = -_ALPHA, -(1.0 - _ALPHA)
     log = math.log
     total = 0.0
     for row, target in zip(probs, targets):
@@ -337,29 +340,30 @@ def _focal_sum(probs: np.ndarray, targets: list, alpha: float, gamma: float) -> 
                 if p < _PROB_FLOOR:
                     warnings.warn("target probability clamped to 1e-12 in focal loss")
                     p = _PROB_FLOOR
-                loss += pos_w * (1.0 - p) ** gamma * log(p)
+                loss += pos_w * (1.0 - p) ** _GAMMA * log(p)
             else:
                 q = 1.0 - p
                 if q < _PROB_FLOOR:
                     warnings.warn("negative-class probability clamped to 1e-12 in focal loss")
                     q = _PROB_FLOOR
-                loss += neg_w * p**gamma * log(q)
+                loss += neg_w * p**_GAMMA * log(q)
         total += loss
     return total
 
 
-def focal_loss(probs, gt_class: int | None, alpha: float = _ALPHA, gamma: float = _GAMMA) -> float:
+def focal_loss(probs, gt_class: int | None) -> float:
     """Focal classification loss over one probability vector.
 
-    The target entry contributes -alpha * (1 - p)^gamma * log(p); every
-    other entry contributes -(1 - alpha) * p^gamma * log(1 - p).  A
+    With alpha = 0.25 and gamma = 2, the target entry contributes
+    -alpha * (1 - p)^gamma * log(p); every other entry contributes
+    -(1 - alpha) * p^gamma * log(1 - p).  A
     ``gt_class`` of None scores the whole vector as background; any other
     class must be an integer in [0, K).  Vanishing probabilities are clamped
     at 1e-12 with a warning.
     """
     rows = _check_probs(_stack_probs([probs]))
     target = None if gt_class is None else _class_index(gt_class, rows.shape[1])
-    return _focal_sum(rows, [target], alpha, gamma)
+    return _focal_sum(rows, [target])
 
 
 def l1_reg_loss(pred_vector, gt_vector) -> float:
@@ -379,7 +383,7 @@ def set_loss(
 
     Classification sums the focal loss over all predictions, treating
     unmatched ones as background; regression sums the L1 loss over the
-    matched pairs.  Matching and focal loss use their default weights.
+    matched pairs.
     """
     if not preds:
         return LossBreakdown(cls=0.0, reg=0.0), Assignment(pairs=(), total_cost=0.0)
@@ -387,7 +391,7 @@ def set_loss(
     targets: list[int | None] = [None] * len(preds)
     for r, c in assignment.pairs:
         targets[r] = int(gts[c][0])
-    cls_total = _focal_sum(_stack_probs(p for p, _ in preds), targets, _ALPHA, _GAMMA)
+    cls_total = _focal_sum(_stack_probs(p for p, _ in preds), targets)
     pv = _regression_rows([preds[r][1] for r, _ in assignment.pairs])
     gv = _regression_rows([gts[c][1] for _, c in assignment.pairs])
     reg_total = 0.0

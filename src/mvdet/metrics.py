@@ -46,6 +46,8 @@ _REC_GRID = np.linspace(0.0, 1.0, _INTERP_POINTS)
 # The nuScenes floors: AP integrates recall >= 0.1 and precision above 0.1.
 _MIN_RECALL = 0.1
 _MIN_PRECISION = 0.1
+# Report keys of the five TP error means, in ``TpErrors.as_tuple`` order.
+_TP_KEYS = ("mATE", "mASE", "mAOE", "mAVE", "mAAE")
 
 
 class MetricsError(ValueError):
@@ -84,11 +86,7 @@ class MetricsReport:
             "classes": list(self.class_ids),
             "ap": {str(c): {str(t): v for t, v in per.items()} for c, per in self.ap.items()},
             "mAP": self.mean_ap,
-            "mATE": self.tp.mate,
-            "mASE": self.tp.mase,
-            "mAOE": self.tp.maoe,
-            "mAVE": self.tp.mave,
-            "mAAE": self.tp.maae,
+            **dict(zip(_TP_KEYS, self.tp.as_tuple())),
             "NDS": self.nds,
             "gt_count": self.gt_count,
             "pred_count": self.pred_count,
@@ -270,22 +268,13 @@ def nds(mean_ap: float, mtps: Sequence[float]) -> float:
 # Full evaluation
 
 
-def evaluate(
-    preds: Sequence[DetectionResult],
-    gts: Sequence[Box3D],
-    *,
-    classes: Sequence[int] | None = None,
-) -> MetricsReport:
+def evaluate(preds: Sequence[DetectionResult], gts: Sequence[Box3D]) -> MetricsReport:
     """Score predictions against ground truths: AP at each of
-    DIST_THRESHOLDS and TP errors over the matches at TP_THRESHOLD.
-    Classes default to those present in the ground truths; a class listed
-    twice is an error."""
+    DIST_THRESHOLDS and TP errors over the matches at TP_THRESHOLD, for
+    each class present in the ground truths."""
     preds = list(preds)
     gts = list(gts)
-    classes = tuple(sorted({g.class_id for g in gts}) if classes is None else (int(c) for c in classes))
-    for k, cid in enumerate(classes):
-        if cid in classes[:k]:
-            raise MetricsError(f"class {cid} is listed more than once in classes")
+    classes = tuple(sorted({g.class_id for g in gts}))
     ap_table: dict[int, dict[float, float]] = {}
     ap_values = []
     pairs = []
@@ -361,21 +350,14 @@ def save_report_csv(path, report: MetricsReport | RegionSplitReport) -> None:
         writer.writerow(
             ["region", "class"]
             + [f"ap@{t:g}" for t in thresholds]
-            + ["mAP", "mATE", "mASE", "mAOE", "mAVE", "mAAE", "NDS"]
+            + ["mAP", *_TP_KEYS, "NDS"]
         )
         for name, rep in regions:
             for cid in rep.class_ids:
                 row = [name, cid]
-                row += [f"{rep.ap[cid].get(t, ''):.6f}" if t in rep.ap[cid] else "" for t in thresholds]
-                row += [
-                    f"{rep.mean_ap:.6f}",
-                    f"{rep.tp.mate:.6f}",
-                    f"{rep.tp.mase:.6f}",
-                    f"{rep.tp.maoe:.6f}",
-                    f"{rep.tp.mave:.6f}",
-                    f"{rep.tp.maae:.6f}",
-                    f"{rep.nds:.6f}",
-                ]
+                row += [f"{rep.ap[cid][t]:.6f}" if t in rep.ap[cid] else "" for t in thresholds]
+                row += [f"{v:.6f}" for v in (rep.mean_ap, *rep.tp.as_tuple(), rep.nds)]
                 writer.writerow(row)
             if not rep.class_ids:
-                writer.writerow([name, "none"] + [""] * len(thresholds) + ["0.000000"] + [""] * 5 + [f"{rep.nds:.6f}"])
+                blanks = [""] * len(thresholds) + ["0.000000"] + [""] * len(_TP_KEYS)
+                writer.writerow([name, "none", *blanks, f"{rep.nds:.6f}"])

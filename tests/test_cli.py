@@ -386,25 +386,45 @@ def _pyramid_with(level=(), **fields):
 
 
 def _params_with(drop=(), head=True, **meta):
-    """A real one-layer bundle, with a prediction head unless ``head`` is
-    false, with ``meta`` overriding its metadata and the activations and
-    tensor entries named in ``drop`` left out; its tensor files are
-    referenced by absolute path."""
+    """A real one-layer bundle with ``meta`` overriding its metadata and the
+    activations and tensor entries named in ``drop`` left out; its tensor
+    files are referenced by absolute path.  Without ``head``, every
+    ``head.*`` entry and activation is left out and ``num_classes`` is null."""
     def build(scene_dir):
-        params = scene_dir / ("params-one-layer" if head else "params-no-head")
+        params = scene_dir / "params-one-layer"
         layers = decoder.init_decoder(1, layers=1, dim=8, neighbors=1, heads=1)
-        pred_head = decoder.PredictionHead.seeded(1, dim=8) if head else None
-        with open(decoder.save_params(params, layers, pred_head)) as fh:
+        with open(decoder.save_params(params, layers, decoder.PredictionHead.seeded(1, dim=8))) as fh:
             bundle = json.load(fh)
         bundle["meta"].update(meta)
-        for net in drop:
+        left_out = set(drop)
+        if not head:
+            bundle["meta"]["num_classes"] = None
+            names = [*bundle["meta"]["activations"], *(e["name"] for e in bundle["entries"])]
+            left_out.update(name for name in names if name.startswith("head."))
+        for net in left_out:
             bundle["meta"]["activations"].pop(net, None)
-        bundle["entries"] = [e for e in bundle["entries"] if e["name"] not in drop]
+        bundle["entries"] = [e for e in bundle["entries"] if e["name"] not in left_out]
         for entry in bundle["entries"]:
             entry["file"] = str(params / entry["file"])
         return bundle
 
     return build
+
+
+def _pyramid_file_twice(scene_dir):
+    """The scene's pyramid manifest with camera 1's first level naming camera
+    0's tensor file."""
+    manifest = _pyramid_with()(scene_dir)
+    cams = manifest["cameras"]
+    cams[1]["levels"][0]["file"] = cams[0]["levels"][0]["file"]
+    return manifest
+
+
+def _params_file_twice(scene_dir):
+    """A real one-layer bundle with one more entry on its first tensor file."""
+    bundle = _params_with()(scene_dir)
+    bundle["entries"].append(dict(bundle["entries"][0], name="extra"))
+    return bundle
 
 
 _LEVEL = {"file": "level.gdt3", "stride": 8}
@@ -417,6 +437,7 @@ _MALFORMED = {
     "pyramid-file-int": ("pyramid", {"version": 1, "cameras": [{"levels": [dict(_LEVEL, file=5)]}]}),
     "pyramid-stride-fraction": ("pyramid", _pyramid_with(level={"stride": 8.7})),
     "pyramid-version-list": ("pyramid", _pyramid_with(version=["x"])),
+    "pyramid-file-twice": ("pyramid", _pyramid_file_twice),
     "params-list": ("params", []),
     "params-entries-int": ("params", {"meta": {}, "entries": 3}),
     "params-file-int": ("params", {"meta": {}, "entries": [{"name": "x", "file": 5, "shape": [1]}]}),
@@ -429,6 +450,7 @@ _MALFORMED = {
     "params-tensor-missing": ("params", _params_with(drop=("layer00.ffn.b1",))),
     "params-num-classes-fraction": ("params", _params_with(num_classes=-2.5)),
     "params-no-head": ("params", _params_with(head=False)),
+    "params-file-twice": ("params", _params_file_twice),
     "calib-fx-null": ("calib", _calib_with(fx=None)),
     "calib-fx-inf": ("calib", _calib_with(fx=float("inf"))),
     "calib-id-null": ("calib", _calib_with(id=None)),

@@ -356,6 +356,14 @@ class TestDecoderForward:
         with pytest.raises(DecoderError, match="layer"):
             decoder_forward(init_queries(0, count=2, dim=4, bounds=BOUNDS), [], scene.pyramid, scene.rig)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_offset_scale_rejected(self, scale):
+        scene = make_scene(1, object_count=0, channels=4, strides=(16,))
+        layers = init_decoder(0, layers=1, dim=4, neighbors=1, heads=1)
+        qs = init_queries(0, count=2, dim=4, bounds=BOUNDS)
+        with pytest.raises(DecoderError, match="offset scale must be finite"):
+            decoder_forward(qs, layers, scene.pyramid, scene.rig, offset_scale=scale)
+
     def test_zero_params_zero_field(self):
         dim = 8
         rig = gen_rig("nuscenes-like")
@@ -518,6 +526,42 @@ class TestPredictions:
         for a, b in zip(layers, loaded_layers):
             for wa, wb in zip(a.ffn.weights, b.ffn.weights):
                 assert np.abs(wa - wb).max() <= 2e-7 * max(1.0, np.abs(wa).max())
+
+    def test_bundle_regression_hash(self, tmp_path):
+        layers = init_decoder(3, layers=2, dim=8, neighbors=2, heads=2)
+        manifest = save_params(tmp_path / "params", layers, PredictionHead.seeded(3, dim=8, num_classes=5))
+        h = hashlib.sha256()
+        for path in sorted((tmp_path / "params").iterdir()):
+            h.update(path.name.encode() + path.read_bytes())
+        loaded_layers, loaded_head = load_params(manifest)
+        nets = [loaded_head.reg_net, loaded_head.cls_net]
+        for layer in loaded_layers:
+            nets += [layer.ref_net, layer.offset_net, layer.weight_net, layer.ffn]
+            att = layer.attention
+            for arr in (att.w_q, att.w_k, att.w_v, att.w_o, att.b_q, att.b_k, att.b_v, att.b_o):
+                h.update(arr.tobytes())
+        for net in nets:
+            for w, b in zip(net.weights, net.biases):
+                h.update(w.tobytes() + b.tobytes())
+            h.update(",".join(net.activations).encode())
+        # sha256 computed while the bundle could be written without a head.
+        assert h.hexdigest() == "b2b4ac0ea85e53c28e9f339660aaabab2bf178d25696dc9b73d77f7ca4cd2d3b"
+
+    def test_save_params_rejects_empty_stack(self, tmp_path):
+        with pytest.raises(DecoderError, match="layers must be at least 1"):
+            save_params(tmp_path / "params", [], PredictionHead.seeded(3, dim=8))
+
+    @pytest.mark.parametrize("second", ["layer00_ffn_b1.gdt3", "./layer00_ffn_b1.gdt3"])
+    def test_params_name_each_file_once(self, tmp_path, second):
+        layers = init_decoder(3, layers=1, dim=8, neighbors=2, heads=2)
+        manifest = save_params(tmp_path / "params", layers, PredictionHead.seeded(3, dim=8))
+        with open(manifest) as fh:
+            bundle = json.load(fh)
+        bundle["entries"].append({"file": second, "name": "extra", "shape": [8]})
+        with open(manifest, "w") as fh:
+            json.dump(bundle, fh)
+        with pytest.raises(DecoderError, match=re.escape(f"{second!r} is named more than once")):
+            load_params(manifest)
 
     @pytest.mark.parametrize(
         "edit, missing",

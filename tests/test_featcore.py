@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -482,6 +484,15 @@ class TestTensorFiles:
             for a, b in zip(pyr.levels(ci), loaded.levels(ci)):
                 assert np.array_equal(a.data, b.data)
                 assert a.stride == b.stride
+
+    @pytest.mark.parametrize("second", ["big.gdt3", "./big.gdt3"])
+    def test_pyramid_names_each_file_once(self, tmp_path, second):
+        write_tensor(tmp_path / "big.gdt3", np.zeros((1, 4, 4)))
+        cameras = [{"levels": [{"file": name, "stride": 8}]} for name in ("big.gdt3", second)]
+        manifest = tmp_path / "pyramid.json"
+        manifest.write_text(json.dumps({"version": 1, "cameras": cameras}))
+        with pytest.raises(FeatureError, match=re.escape(f"{second!r} is named more than once")):
+            load_pyramid(manifest)
 
 
 class TestValidation:

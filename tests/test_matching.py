@@ -54,15 +54,14 @@ def reference_vector(box):
     return np.concatenate([box.center, np.log(box.size), [math.sin(box.yaw), math.cos(box.yaw)], box.velocity])
 
 
-def pair_cost(pred, gt, weights):
+def pair_cost(pred, gt):
     """Reference per-pair cost, written out one pair at a time."""
     probs, pred_box = pred
     gt_class, gt_box = gt
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-    cls_w, reg_w = weights
     cls_term = -float(probs[int(gt_class)])
     reg_term = float(np.abs(reference_vector(pred_box) - reference_vector(gt_box)).sum())
-    return cls_w * cls_term + reg_w * reg_term
+    return 1.0 * cls_term + 0.25 * reg_term
 
 
 def random_box(rng):
@@ -100,19 +99,19 @@ class TestMatchCost:
         box = simple_box()
         probs = np.zeros(10)
         probs[3] = 1.0
-        assert match_cost([(probs, box)], [(3, box)], weights=(1.0, 1.0))[0, 0] == -1.0
+        assert match_cost([(probs, box)], [(3, box)])[0, 0] == -1.0
 
     def test_uniform_probs(self):
         box = simple_box()
         probs = np.full(10, 0.1)
-        assert match_cost([(probs, box)], [(4, box)], weights=(1.0, 1.0))[0, 0] == pytest.approx(-0.1)
+        assert match_cost([(probs, box)], [(4, box)])[0, 0] == pytest.approx(-0.1)
 
     def test_unit_center_offset(self):
         a = simple_box(center=(1, 0, 0))
         b = simple_box(center=(0, 0, 0))
         probs = np.zeros(10)
         probs[0] = 1.0
-        assert match_cost([(probs, a)], [(0, b)], weights=(1.0, 1.0))[0, 0] == pytest.approx(0.0)
+        assert match_cost([(probs, a)], [(0, b)])[0, 0] == -1.0 + 0.25 * 1.0
 
     def test_unnormalized_probs_rejected(self):
         with pytest.raises(MatchingError):
@@ -122,15 +121,14 @@ class TestMatchCost:
         a = simple_box(center=(2, 0, 0))
         b = simple_box()
         probs = np.array([1.0, 0.0])
-        cost = match_cost([(probs, a)], [(0, b)], weights=(0.5, 0.25))[0, 0]
-        assert cost == pytest.approx(0.5 * (-1.0) + 0.25 * 2.0)
+        cost = match_cost([(probs, a)], [(0, b)])[0, 0]
+        assert cost == pytest.approx(1.0 * (-1.0) + 0.25 * 2.0)
 
     @pytest.mark.parametrize("shape", [(37, 11), (1, 1)])
-    @pytest.mark.parametrize("weights", [(1.0, 0.25), (0.7, 0.3)])
-    def test_matrix_bit_equals_per_pair_reference(self, shape, weights):
+    def test_matrix_bit_equals_per_pair_reference(self, shape):
         preds, gts = seeded_set(sum(shape), *shape)
-        cost = match_cost(preds, gts, weights)
-        expected = np.array([[pair_cost(p, g, weights) for g in gts] for p in preds])
+        cost = match_cost(preds, gts)
+        expected = np.array([[pair_cost(p, g) for g in gts] for p in preds])
         assert cost.shape == shape and cost.dtype == np.float64
         assert cost.tobytes() == expected.tobytes()
 
@@ -283,8 +281,11 @@ class TestFocalLoss:
         assert focal_loss(probs, 0) == pytest.approx(expected_pos + expected_neg, rel=1e-12)
 
     def test_reduces_to_cross_entropy(self):
+        # Each class's binary cross-entropy term, scaled by alpha = 0.25 (the
+        # target) or 0.75 (the others) and the focal factor at gamma = 2.
         probs = np.array([0.3, 0.6, 0.1])
-        assert focal_loss(probs, 1, alpha=1.0, gamma=0.0) == pytest.approx(-math.log(0.6), rel=1e-12)
+        expected = -0.25 * 0.4**2 * math.log(0.6) - 0.75 * (0.3**2 * math.log(0.7) + 0.1**2 * math.log(0.9))
+        assert focal_loss(probs, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_and_decreasing_in_confidence(self):
         last = None
@@ -408,7 +409,7 @@ class TestSetLoss:
         best_total = None
         for pred_pair in itertools.permutations(range(3), 2):
             total_cost = sum(
-                pair_cost(preds[pi], gts[gi], (1.0, 0.25)) for pi, gi in zip(pred_pair, range(2))
+                pair_cost(preds[pi], gts[gi]) for pi, gi in zip(pred_pair, range(2))
             )
             if best_total is None or total_cost < best_total[0]:
                 best_total = (total_cost, pred_pair)

@@ -176,22 +176,6 @@ class TestEvaluate:
         assert report.tp.fallback
         assert report.nds == 0.0
 
-    def test_explicit_class_list(self):
-        gts = [gt((0, 0, 0), class_id=0)]
-        preds = [det((0, 0, 0), 1.0, class_id=0)]
-        full = evaluate(preds, gts, classes=(0, 1))
-        assert full.mean_ap == pytest.approx(0.5)  # class 1 contributes zero
-
-
-    def test_duplicated_class_rejected(self):
-        gts = gen_objects(20, 20, class_count=3)
-        preds = perturb_predictions(gts, NoiseSpec(center_sigma=0.3), seed=21, class_count=3)
-        with pytest.raises(MetricsError, match="class 0 is listed more than once"):
-            evaluate(preds, gts, classes=[0, 0, 1, 2])
-        with pytest.raises(MetricsError, match="class 2 is listed more than once"):
-            evaluate(preds, gts, classes=[2, 1, 2])
-        assert evaluate(preds, gts, classes=[0, 1, 2]).to_dict() == evaluate(preds, gts).to_dict()
-
 
 class TestRegionSplit:
     def test_single_camera_rig(self):
