@@ -26,6 +26,7 @@ import enum
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -550,6 +551,18 @@ def _bundle_parts(layers: Sequence[DecoderLayer], head: PredictionHead):
         yield f"head.{net}", getattr(head, net)
 
 
+def _bundle_meta(layers: Sequence[DecoderLayer], head: PredictionHead) -> dict:
+    """The meta sizes that describe a whole stack and its head."""
+    sizes = {
+        "dim": {layer.ffn.in_dim for layer in layers},
+        "neighbors": {layer.neighbors for layer in layers},
+    }
+    for key, values in sizes.items():
+        if len(values) != 1:
+            raise DecoderError(f"the layers must share one {key}, got {sorted(values)}")
+    return {key: values.pop() for key, values in sizes.items()} | {"num_classes": head.num_classes}
+
+
 def save_params(directory, layers: Sequence[DecoderLayer], head: PredictionHead) -> str:
     """Write the parameter bundle; tensors are stored as 32-bit floats, so a
     load returns the stored (truncated) values rather than the in-memory
@@ -572,11 +585,9 @@ def save_params(directory, layers: Sequence[DecoderLayer], head: PredictionHead)
             write_tensor(os.path.join(directory, fname), arr)
             entries.append({"file": fname, "name": name, "shape": list(arr.shape)})
     meta = {
-        "dim": layers[0].ffn.in_dim,
         "heads": layers[0].attention.heads,
         "layers": len(layers),
-        "neighbors": layers[0].neighbors,
-        "num_classes": head.num_classes,
+        **_bundle_meta(layers, head),
         "activations": activations,
     }
     manifest_path = os.path.join(directory, "params.json")
@@ -588,12 +599,40 @@ _PARAM_ENTRY_FIELDS = {"name": _json_text, "file": _json_text, "shape": list}
 _PARAM_META_FIELDS = {
     "layers": _json_int,
     "heads": _json_int,
+    "dim": _json_int,
+    "neighbors": _json_int,
     "num_classes": _json_int,
     "activations": lambda table: {net: tuple(acts) for net, acts in dict(table).items()},
 }
+# An MLP's tensor keys: w0, b0, w1, b1, ...
+_MLP_TENSOR_KEY = re.compile(r"[wb](?:0|[1-9][0-9]*)")
+# A layer's name as save_params writes it: the index in two digits or more,
+# without extra leading zeros.  18 digits keep int() cheap and lie far above
+# any layer count a bundle can hold.
+_LAYER_NAME = re.compile(r"layer(0[0-9]|[1-9][0-9]{1,17})")
+
+
+def _in_bundle_layout(name: str, layers: int) -> bool:
+    """Whether tensor entry ``name`` has a place in a bundle of ``layers``
+    layers: ``layerNN.attention.<tensor>`` or ``layerNN.<net>.<w|b><i>`` for
+    NN below ``layers``, or ``head.<net>.<w|b><i>``."""
+    owner, _, rest = name.partition(".")
+    part, _, key = rest.partition(".")
+    if owner == "head":
+        return part in _HEAD_NETS and _MLP_TENSOR_KEY.fullmatch(key) is not None
+    index = _LAYER_NAME.fullmatch(owner)
+    if index is None or int(index[1]) >= layers:
+        return False
+    if part == "attention":
+        return key in _ATTENTION_TENSORS
+    return part in _LAYER_PARTS and _MLP_TENSOR_KEY.fullmatch(key) is not None
 
 
 def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
+    """Read a parameter bundle.  Every tensor entry must have a place in the
+    layout of ``meta.layers`` layers and a head, and be read by one of their
+    nets; the meta's ``dim``, ``neighbors`` and ``num_classes`` must match
+    the loaded nets."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         bundle = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -607,24 +646,29 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
     for entry in entries:
         entry = _json_fields(entry, _PARAM_ENTRY_FIELDS, DecoderError, f"an entry of {manifest_path}")
         path = _unique_tensor_path(base, entry["file"], seen, DecoderError, what)
+        name = entry["name"]
+        if not _in_bundle_layout(name, meta["layers"]):
+            raise DecoderError(f"{what}: entry {name!r} is not part of a {meta['layers']}-layer bundle")
+        if name in arrays:
+            raise DecoderError(f"{what}: entry {name!r} is named more than once")
         arr = read_tensor(path).astype(np.float64)
         if list(arr.shape) != entry["shape"]:
-            raise DecoderError(f"parameter {entry['name']}: shape mismatch")
-        arrays[entry["name"]] = arr
+            raise DecoderError(f"parameter {name}: shape mismatch")
+        arrays[name] = arr
 
-    def need(table: dict, key: str, kind: str):
+    def take(table: dict, key: str, kind: str):
         if key not in table:
             raise DecoderError(f"{what}: missing {kind} {key!r}")
-        return table[key]
+        return table.pop(key)
 
     def load_mlp(prefix: str) -> Mlp:
         ws, bs = [], []
         i = 0
         while f"{prefix}.w{i}" in arrays:
-            ws.append(arrays[f"{prefix}.w{i}"])
-            bs.append(need(arrays, f"{prefix}.b{i}", "tensor"))
+            ws.append(arrays.pop(f"{prefix}.w{i}"))
+            bs.append(take(arrays, f"{prefix}.b{i}", "tensor"))
             i += 1
-        acts = need(meta["activations"], prefix, "activations of")
+        acts = take(meta["activations"], prefix, "activations of")
         return Mlp(weights=tuple(ws), biases=tuple(bs), activations=tuple(acts))
 
     layers = []
@@ -632,10 +676,15 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
         name = f"layer{li:02d}"
         # The attention tensors are looked up first, so a layer missing from
         # the bundle is reported by its first tensor.
-        tensors = {n: need(arrays, f"{name}.attention.{n}", "tensor") for n in _ATTENTION_TENSORS}
+        tensors = {n: take(arrays, f"{name}.attention.{n}", "tensor") for n in _ATTENTION_TENSORS}
         parts = {p: load_mlp(f"{name}.{p}") for p in _LAYER_PARTS if p != "attention"}
         layers.append(DecoderLayer(attention=AttentionParams(heads=meta["heads"], **tensors), **parts))
     head = PredictionHead(**{net: load_mlp(f"head.{net}") for net in _HEAD_NETS})
+    if arrays:
+        raise DecoderError(f"{what}: no net reads entry {next(iter(arrays))!r}")
+    for key, loaded in _bundle_meta(layers, head).items():
+        if loaded != meta[key]:
+            raise DecoderError(f"{what}: meta {key} is {meta[key]}, but the loaded nets have {loaded}")
     return layers, head
 
 
@@ -733,7 +782,7 @@ class _GradProbe:
         """Loss of each case (one sampling call; a node's feature does not
         depend on the other nodes of the call)."""
         feats = sample_multiview_many(self.pyr, self.rig, nodes)[0].reshape(*weights.shape, -1)
-        return np.array([np.sum(qb) + np.sum(wb @ fb) for qb, wb, fb in zip(qs, weights, feats)])
+        return qs.sum(axis=1) + (weights[:, None, :] @ feats)[:, 0].sum(axis=1)
 
     # -- analytic gradients -------------------------------------------------
 

@@ -215,10 +215,15 @@ def render_pyramid(
     """Rasterize one analytic field, shared by every camera, into a feature
     pyramid.  Level pixel (u, v) holds the field evaluated at
     full-resolution coordinates (u * stride, v * stride).
+
+    A level's raster depends only on its width, height and stride, so each
+    distinct level is rendered once and cameras with the same image size
+    share the same (read-only) ``FeatureLevel`` object.
     """
     for stride in strides:
         if stride < 1:
             raise ConfigError(f"stride must be >= 1, got {stride}")
+    rendered: dict[tuple[int, int, int], FeatureLevel] = {}
     cams = []
     for cam in rig:
         w, h = cam.intrinsics.width, cam.intrinsics.height
@@ -226,12 +231,15 @@ def render_pyramid(
         for stride in strides:
             lw = max(1, math.ceil(w / stride))
             lh = max(1, math.ceil(h / stride))
-            uu, vv = np.meshgrid(
-                np.arange(lw, dtype=np.float64) * stride,
-                np.arange(lh, dtype=np.float64) * stride,
-            )
-            values = field.evaluate(uu, vv)  # (lh, lw, C)
-            levels.append(FeatureLevel(data=np.moveaxis(values, -1, 0), stride=stride))
+            key = (lw, lh, stride)
+            if key not in rendered:
+                uu, vv = np.meshgrid(
+                    np.arange(lw, dtype=np.float64) * stride,
+                    np.arange(lh, dtype=np.float64) * stride,
+                )
+                values = field.evaluate(uu, vv)  # (lh, lw, C)
+                rendered[key] = FeatureLevel(data=np.moveaxis(values, -1, 0), stride=stride)
+            levels.append(rendered[key])
         cams.append(levels)
     return FeaturePyramid(cams)
 

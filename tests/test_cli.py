@@ -63,6 +63,14 @@ class TestSynthCommand:
         blob = (scene_dir / "annotations.json").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == "5b002e576144ebefcddfd50fe01eedf963130a9b084ed459c5a4ea9378851211"
 
+    def test_pyramid_bytes(self, scene_dir):
+        # sha256 over the sorted names and bytes of the pyramid's tensor files
+        # and manifest, computed while every camera rendered its own levels.
+        h = hashlib.sha256()
+        for path in sorted((scene_dir / "pyramid").iterdir()):
+            h.update(path.name.encode() + path.read_bytes())
+        assert h.hexdigest() == "975df281c952684b220da4785c59627a0109d14e7aa64d8af8b1e4e1d69bf242"
+
     def test_invalid_style_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["synth", "--style", "warped", "--seed", "1", "--out", str(tmp_path)])
@@ -420,6 +428,17 @@ def _pyramid_file_twice(scene_dir):
     return manifest
 
 
+def _params_with_entry(name):
+    """A real one-layer bundle with one more entry, ``name``, on a tensor file
+    of its own (the test's ``level.gdt3``, beside the manifest)."""
+    def build(scene_dir):
+        bundle = _params_with()(scene_dir)
+        bundle["entries"].append({"file": "level.gdt3", "name": name, "shape": [8, 4, 4]})
+        return bundle
+
+    return build
+
+
 def _params_file_twice(scene_dir):
     """A real one-layer bundle with one more entry on its first tensor file."""
     bundle = _params_with()(scene_dir)
@@ -450,6 +469,12 @@ _MALFORMED = {
     "params-tensor-missing": ("params", _params_with(drop=("layer00.ffn.b1",))),
     "params-num-classes-fraction": ("params", _params_with(num_classes=-2.5)),
     "params-no-head": ("params", _params_with(head=False)),
+    "params-dim-mismatch": ("params", _params_with(dim=999)),
+    "params-dim-fraction": ("params", _params_with(dim=8.5)),
+    "params-neighbors-mismatch": ("params", _params_with(neighbors=-4)),
+    "params-num-classes-mismatch": ("params", _params_with(num_classes=3)),
+    "params-entry-outside-layout": ("params", _params_with_entry("extra")),
+    "params-entry-unread": ("params", _params_with_entry("layer00.ffn.w7")),
     "params-file-twice": ("params", _params_file_twice),
     "calib-fx-null": ("calib", _calib_with(fx=None)),
     "calib-fx-inf": ("calib", _calib_with(fx=float("inf"))),

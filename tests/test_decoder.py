@@ -29,7 +29,7 @@ from mvdet.decoder import (
     save_params,
     self_attention,
 )
-from mvdet.featcore import FeatureLevel, FeaturePyramid, sample_multiview_many
+from mvdet.featcore import FeatureLevel, FeaturePyramid, sample_multiview_many, write_tensor
 from mvdet.synth import AnalyticField, gen_rig, make_scene, render_pyramid
 
 from helpers import constant_pyramid, degenerate_layer, make_ident_cam
@@ -563,6 +563,19 @@ class TestPredictions:
         with pytest.raises(DecoderError, match=re.escape(f"{second!r} is named more than once")):
             load_params(manifest)
 
+    @staticmethod
+    def edited_bundle(tmp_path, edit):
+        """A saved one-layer bundle (dim 8, 2 neighbors, 10 classes) after
+        ``edit`` of its manifest; returns the manifest path."""
+        layers = init_decoder(3, layers=1, dim=8, neighbors=2, heads=2)
+        manifest = save_params(tmp_path / "params", layers, PredictionHead.seeded(3, dim=8))
+        with open(manifest) as fh:
+            bundle = json.load(fh)
+        edit(bundle)
+        with open(manifest, "w") as fh:
+            json.dump(bundle, fh)
+        return manifest
+
     @pytest.mark.parametrize(
         "edit, missing",
         [
@@ -572,15 +585,71 @@ class TestPredictions:
         ],
     )
     def test_incomplete_params_name_the_missing_item(self, tmp_path, edit, missing):
-        layers = init_decoder(3, layers=1, dim=8, neighbors=2, heads=2)
-        manifest = save_params(tmp_path / "params", layers, PredictionHead.seeded(3, dim=8))
-        with open(manifest) as fh:
-            bundle = json.load(fh)
-        edit(bundle)
-        with open(manifest, "w") as fh:
-            json.dump(bundle, fh)
+        manifest = self.edited_bundle(tmp_path, edit)
         with pytest.raises(DecoderError, match=re.escape(repr(missing))):
             load_params(manifest)
+
+    @pytest.mark.parametrize(
+        "key, value, loaded",
+        [("dim", 999, 8), ("dim", 16.0, 8), ("neighbors", -4, 2), ("neighbors", 1, 2), ("num_classes", 3, 10)],
+    )
+    def test_params_meta_must_match_nets(self, tmp_path, key, value, loaded):
+        manifest = self.edited_bundle(tmp_path, lambda b: b["meta"].update({key: value}))
+        with pytest.raises(DecoderError, match=f"meta {key} is {int(value)}, but the loaded nets have {loaded}"):
+            load_params(manifest)
+
+    @pytest.mark.parametrize("value", [8.5, "8", None, True])
+    def test_params_meta_dim_must_be_an_integer(self, tmp_path, value):
+        manifest = self.edited_bundle(tmp_path, lambda b: b["meta"].update(dim=value))
+        with pytest.raises(DecoderError, match="malformed field"):
+            load_params(manifest)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "extra",
+            "layer01.ffn.w0",  # the bundle has one layer
+            "layer0.ffn.w0",
+            "layer000.ffn.w0",
+            pytest.param("layer" + "9" * 5000 + ".ffn.w0", id="layer-index-of-5000-digits"),
+            "layer00.ffn",
+            "layer00.ffn.w01",
+            "layer00.ffn.x0",
+            "layer00.ffn.w0.copy",
+            "layer00.attention.w0",
+            "layer00.head.w0",
+            "head.ffn.w0",
+            "head.attention.w_q",
+        ],
+    )
+    def test_params_entry_outside_layout_rejected_before_read(self, tmp_path, name):
+        # The entry's file does not exist: reading it would raise FileNotFoundError.
+        entry = {"file": "absent.gdt3", "name": name, "shape": [8]}
+        manifest = self.edited_bundle(tmp_path, lambda b: b["entries"].append(entry))
+        with pytest.raises(DecoderError, match=re.escape(f"entry {name!r} is not part of a 1-layer bundle")):
+            load_params(manifest)
+
+    def test_params_entry_nothing_reads_rejected(self, tmp_path):
+        # The ffn has two linear layers: w0/b0 and w1/b1.
+        write_tensor(tmp_path / "spare.gdt3", np.zeros((8, 8)))
+        entry = {"file": str(tmp_path / "spare.gdt3"), "name": "layer00.ffn.w7", "shape": [8, 8]}
+        manifest = self.edited_bundle(tmp_path, lambda b: b["entries"].append(entry))
+        with pytest.raises(DecoderError, match=re.escape("no net reads entry 'layer00.ffn.w7'")):
+            load_params(manifest)
+
+    def test_params_entry_named_twice_rejected(self, tmp_path):
+        write_tensor(tmp_path / "spare.gdt3", np.zeros(8))
+        entry = {"file": str(tmp_path / "spare.gdt3"), "name": "layer00.ffn.b1", "shape": [8]}
+        manifest = self.edited_bundle(tmp_path, lambda b: b["entries"].append(entry))
+        with pytest.raises(DecoderError, match=re.escape("entry 'layer00.ffn.b1' is named more than once")):
+            load_params(manifest)
+
+    @pytest.mark.parametrize("key, sizes", [("neighbors", dict(neighbors=3)), ("dim", dict(dim=4, heads=1))])
+    def test_save_params_rejects_stack_of_mixed_sizes(self, tmp_path, key, sizes):
+        base = dict(layers=1, dim=8, neighbors=2, heads=2)
+        layers = init_decoder(3, **base) + init_decoder(4, **(base | sizes))
+        with pytest.raises(DecoderError, match=f"the layers must share one {key}"):
+            save_params(tmp_path / "params", layers, PredictionHead.seeded(3, dim=8))
 
 
 class TestGradCheck:
@@ -721,6 +790,25 @@ class TestGradCheck:
         monkeypatch.setattr(Mlp, "jacobian", record)
         grad_check(seed=5, probes=2)
         assert calls == [3, 12, 4, 3, 12, 4]
+
+    def test_batched_losses_match_per_case_sums(self, monkeypatch):
+        # Reference: each case's loss written out as sum(q) + sum(w @ f),
+        # scored one case at a time on the probes grad_check draws.
+        cases = []
+        losses = _GradProbe.losses
+
+        def record(probe, qs, nodes, weights):
+            cases.append((probe, qs, nodes, weights))
+            return losses(probe, qs, nodes, weights)
+
+        monkeypatch.setattr(_GradProbe, "losses", record)
+        for seed in (0, 5, 42, 236352767):
+            grad_check(seed=seed, probes=4)
+        assert len(cases) == 16
+        for probe, qs, nodes, weights in cases:
+            feats = sample_multiview_many(probe.pyr, probe.rig, nodes)[0].reshape(*weights.shape, -1)
+            expected = np.array([np.sum(qb) + np.sum(wb @ fb) for qb, wb, fb in zip(qs, weights, feats)])
+            assert losses(probe, qs, nodes, weights).tobytes() == expected.tobytes()
 
     def test_one_sampling_call_per_probe_for_all_differences(self, monkeypatch):
         from mvdet import decoder

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mvdet.camgeo import RegionLabel, classify_regions, project_points, visible_counts
-from mvdet.featcore import bilinear_sample_many, sample_multiview_many
+from mvdet.featcore import FeatureError, bilinear_sample_many, sample_multiview_many
 from mvdet.metrics import evaluate, match_detections
 from mvdet.synth import (
     AnalyticField,
@@ -100,6 +101,35 @@ class TestRenderPyramid:
             for p, feat in zip(pos[:50], feats):
                 expected = field.evaluate(p[0] * level.stride, p[1] * level.stride)
                 assert np.all(np.abs(feat - expected) <= 1e-5 * np.maximum(1.0, np.abs(expected)))
+
+    @staticmethod
+    def level_digest(pyr):
+        h = hashlib.sha256()
+        for cam in range(pyr.camera_count):
+            for level in pyr.levels(cam):
+                h.update(level.data.tobytes())
+        return h.hexdigest()
+
+    def test_surround_levels_bytes_and_shared(self):
+        pyr = render_pyramid(random_field(3, "bilinear", 4), gen_rig("nuscenes-like"), strides=(8, 16, 32, 64))
+        # sha256 computed while every camera rendered its own levels.
+        assert self.level_digest(pyr) == "3b569d8cafcd39f7bd88bbe67f375d59201e3a20351c867aa98d781d19ea9ee3"
+        for cam in range(pyr.camera_count):
+            assert all(a is b for a, b in zip(pyr.levels(0), pyr.levels(cam), strict=True))
+
+    def test_image_sizes_with_equal_level_shapes_share_levels(self):
+        # ceil(1599 / s) == ceil(1600 / s) for every stride s here.
+        specs = [CameraSpec(id="a", yaw_deg=0.0), CameraSpec(id="b", yaw_deg=90.0, width=1599)]
+        pyr = render_pyramid(random_field(3, "bilinear", 4), gen_rig("custom", specs), strides=(8, 16, 32, 64))
+        assert pyr.levels(0)[0].data.shape == (4, 113, 200)
+        assert all(a is b for a, b in zip(pyr.levels(0), pyr.levels(1), strict=True))
+        # sha256 computed while every camera rendered its own levels.
+        assert self.level_digest(pyr) == "058cdbf655dd3e20100a4069c0ea0b3aeadbdf926afd93390f85321aa2bcda39"
+
+    def test_image_sizes_with_different_level_shapes_rejected(self):
+        specs = [CameraSpec(id="a", yaw_deg=0.0), CameraSpec(id="b", yaw_deg=90.0, width=800, height=450)]
+        with pytest.raises(FeatureError, match="identical per-level shapes"):
+            render_pyramid(random_field(3, "bilinear", 4), gen_rig("custom", specs), strides=(8, 16))
 
     @pytest.mark.parametrize("stride", [0, -8])
     def test_stride_below_one(self, stride):
