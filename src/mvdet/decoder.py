@@ -15,6 +15,10 @@ weighted sum:
 
 ``grad_check`` is the finite-difference oracle of one query's dynamic-graph
 aggregation, run on a fixed configuration (dim 16, 4 nodes, every component).
+It works in two phases: it chooses its probes one at a time, jittering each
+off the bilinear and ReLU kinks, then scores the chosen probes together, with
+one sampling call for their nodes' analytic gradients and one for all their
+finite-difference cases.
 
 All parameters and arithmetic are 64-bit.  Given identical seeds and inputs
 the decoder is bit-deterministic.
@@ -111,6 +115,11 @@ class Mlp:
 
     ``weights[i]`` has shape (out_i, in_i); activations name one of
     ``relu``/``identity`` per layer.  Inputs broadcast over leading axes.
+
+    A row's output bits can depend on its batch: a flat (n, C) batch is one
+    multi-row BLAS product, which rounds differently from the one-row
+    product of a single (C,) input.  A (n, 1, C) stack is n one-row
+    products, so each of its rows gets the one-row bits.
     """
 
     weights: tuple[np.ndarray, ...]
@@ -733,6 +742,8 @@ class GradCheckReport:
 
 
 _GRAD_COMPONENTS = ("offset", "weight", "query")
+# Probes scored per batch; bounds the memory of a grad_check call of any size.
+_GRAD_GROUP = 32
 
 
 class _GradProbe:
@@ -765,9 +776,9 @@ class _GradProbe:
         c, nodes, offsets, weights = derived
         if component == "query":
             qs = np.concatenate([q + eps * np.eye(len(q)), q - eps * np.eye(len(q))])
-            # One row at a time: a stacked MLP matmul rounds differently.
-            _, nodes, _, weights = zip(*map(self.derive, qs))
-            return qs, np.array(nodes), np.array(weights)
+            # A (n, 1, C) stack derives each step with the one-row bits.
+            _, nodes, _, weights = self.derive(qs[:, None, :])
+            return qs, nodes[:, 0], weights[:, 0]
         if component == "offset":
             unit = eps * np.eye(offsets.size).reshape(-1, *offsets.shape)
             nodes = c + np.concatenate([offsets + unit, offsets - unit])
@@ -787,7 +798,8 @@ class _GradProbe:
     # -- analytic gradients -------------------------------------------------
 
     def node_grads(self, nodes: np.ndarray):
-        """Per-node S_j (channel-summed feature) and dS_j/dnode (K, 3)."""
+        """Per-node S_j (channel-summed feature) (N,) and dS_j/dnode (N, 3) of
+        (N, 3) nodes; a node's values do not depend on the other nodes."""
         sums = np.zeros((len(nodes), 3))
         for ci, cam in enumerate(self.rig):
             intr, rot = cam.intrinsics, cam.extrinsics.rotation
@@ -805,11 +817,11 @@ class _GradProbe:
         ds = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
         return feats.sum(axis=1), ds
 
-    def analytic(self, q: np.ndarray, derived):
+    def analytic(self, q: np.ndarray, derived, s: np.ndarray, ds: np.ndarray):
         """Gradients of the loss w.r.t. offsets (K,3), weights (K,), query (C,),
-        given the query's graph ``derived = self.derive(q)``."""
-        _, nodes, _, weights = derived
-        s, ds = self.node_grads(nodes)
+        given the query's graph ``derived = self.derive(q)`` and its nodes'
+        ``(s, ds) = self.node_grads(nodes)``."""
+        weights = derived[3]
         grad_offsets = weights[:, None] * ds
         grad_weights = s
         # Query gradient: residual + weight path + offset path + reference path.
@@ -872,14 +884,24 @@ def grad_check(
     finite differences, for queries of dim 16 and graphs of 4 nodes, in every
     component ("offset", "weight", "query").
 
-    A probe whose sample positions land on (or too close to) a bilinear
-    kink, or whose query steps can cross a ReLU kink of the ref, offset or
-    weight net, is jittered by a small deterministic amount and retried;
-    jitters are counted in the report.  Relative deviation is
-    |analytic - fd| / (1 + |analytic|).  ``probes`` must be at least 1.
+    The probes are chosen first, one at a time: a probe whose sample
+    positions land on (or too close to) a bilinear kink, or whose query
+    steps can cross a ReLU kink of the ref, offset or weight net, is
+    jittered by a small deterministic amount and retried; jitters are
+    counted in the report.  The chosen probes are then scored together in
+    groups of up to ``_GRAD_GROUP``: one ``node_grads`` call on all their
+    nodes, one ``losses`` call on all their finite-difference cases, and
+    one ``analytic`` call per probe, in probe order.  A case's loss and a
+    node's gradient do not depend on the other rows of a call, so grouping
+    changes no bit.  Relative deviation is |analytic - fd| / (1 + |analytic|).
+
+    ``eps`` must be finite and positive, ``tol`` finite and at least 0, and
+    ``probes`` at least 1.
     """
-    if eps <= 0:
-        raise DecoderError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DecoderError(f"eps must be finite and positive, got {eps}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DecoderError(f"tol must be finite and at least 0, got {tol}")
     if probes < 1:
         raise DecoderError(f"probes must be at least 1, got {probes}")
 
@@ -905,10 +927,9 @@ def grad_check(
         bounds=bounds,
         offset_scale=1.0,
     )
-    checked = {name: [] for name in _GRAD_COMPONENTS}  # per probe: (analytic, fd) arrays
+    chosen = []  # per probe: (q, derived)
     n_jittered = 0
     kink_margin = 1e-3
-
     for _ in range(probes):
         q = rng.uniform(-1.0, 1.0, size=dim)
         derived = probe.derive(q)
@@ -918,14 +939,22 @@ def grad_check(
             q = q + rng.uniform(-0.05, 0.05, size=dim)
             n_jittered += 1
             derived = probe.derive(q)
-        grads = probe.analytic(q, derived)
-        steps = [probe.signed_steps(q, derived, name, eps) for name in _GRAD_COMPONENTS]
+        chosen.append((q, derived))
+
+    checked = {name: [] for name in _GRAD_COMPONENTS}  # per probe: (analytic, fd) arrays
+    for first in range(0, probes, _GRAD_GROUP):
+        group = chosen[first : first + _GRAD_GROUP]
+        sums, dsums = probe.node_grads(np.concatenate([derived[1] for _, derived in group]))
+        steps = [probe.signed_steps(q, derived, name, eps) for q, derived in group for name in _GRAD_COMPONENTS]
         losses = probe.losses(*(np.concatenate(parts) for parts in zip(*steps)))
         start = 0
-        for name, grad, (qs, _, _) in zip(_GRAD_COMPONENTS, grads, steps):
-            lp, lm = losses[start : start + len(qs)].reshape(2, -1)
-            checked[name].append((grad.ravel(), (lp - lm) / (2 * eps)))
-            start += len(qs)
+        for (q, derived), s, ds in zip(group, sums.reshape(-1, k), dsums.reshape(-1, k, 3)):
+            grads = probe.analytic(q, derived, s, ds)
+            # A component has one +eps and one -eps case per gradient entry.
+            for name, grad in zip(_GRAD_COMPONENTS, grads):
+                lp, lm = losses[start : start + 2 * grad.size].reshape(2, -1)
+                checked[name].append((grad.ravel(), (lp - lm) / (2 * eps)))
+                start += 2 * grad.size
 
     reports = []
     for name, pairs in checked.items():

@@ -303,6 +303,12 @@ def test_nonpositive_decoder_size_usage_error(scene_dir, tmp_path, capsys, comma
         ("bench", "--levels", "5", "--levels"),
         ("bench", "--cameras", "0", "--cameras"),
         ("bench", "--cameras", "7", "--cameras"),
+        ("gradcheck", "--eps", "nan", "eps must be finite and positive, got nan"),
+        ("gradcheck", "--eps", "inf", "eps must be finite and positive, got inf"),
+        ("gradcheck", "--eps", "0", "eps must be finite and positive, got 0.0"),
+        ("gradcheck", "--tol", "nan", "tol must be finite and at least 0, got nan"),
+        ("gradcheck", "--tol", "inf", "tol must be finite and at least 0, got inf"),
+        ("gradcheck", "--tol", "-1", "tol must be finite and at least 0, got -1.0"),
     ],
 )
 def test_size_flag_usage_error_names_flag(tmp_path, capsys, command, flag, value, named):
@@ -311,6 +317,7 @@ def test_size_flag_usage_error_names_flag(tmp_path, capsys, command, flag, value
                   "--out", str(tmp_path / "scene")],
         "bench": ["bench", "--queries", "4", "--neighbors", "2", "--cameras", "1", "--levels", "1",
                   "--dim", "8", "--layers", "1", "--heads", "2", "--repeats", "1"],
+        "gradcheck": ["gradcheck", "--probes", "1", "--eps", "1e-4", "--tol", "1e-6"],
     }[command]
     argv[argv.index(flag) + 1] = value
     assert main(argv) == 2
