@@ -9,6 +9,13 @@ Conventions used throughout the package:
 * Extrinsics map ego to camera: ``p_cam = rotation @ p_ego + translation``.
 * Visibility uses half-open pixel bounds ``[0, width) x [0, height)`` and
   strictly positive depth, so behind-camera points are never visible.
+
+All forward projection arithmetic lives in one private core, ``_project(points,
+cameras)``, which returns u, v and depth as one (len(cameras), N) array per
+axis.  Computing per axis in a fixed elementwise order keeps every result
+independent of the batch (no BLAS matmul, whose rounding depends on shape)
+and builds no (N, 3) temporaries; ``project_points``, ``visible_mask``,
+``visible_counts`` and the package's samplers read from it.
 """
 
 from __future__ import annotations
@@ -241,8 +248,52 @@ class RegionLabel(enum.Enum):
 # Projection
 
 
+def _project(points: np.ndarray, cameras: Sequence[CameraModel]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The projection core: ego-frame points in each of ``cameras``.
+
+    Every projection in the package goes through here.  Each camera-frame
+    axis is one (len(cameras), N) array, ``((x*R[i,0] + y*R[i,1]) + z*R[i,2])
+    + t[i]``, and the pixels are ``fx*X/Z + cx`` and ``fy*Y/Z + cy``.  These
+    are elementwise operations in a fixed order, so a point's values do not
+    depend on the other points or cameras of the call (a BLAS matmul rounds
+    by shape), and no (N, 3) temporary is built.
+
+    Args:
+        points: (N, 3) ego-frame points in meters.
+        cameras: the cameras to project into.
+
+    Returns:
+        (u, v, depth), each (len(cameras), N).  u and v are meaningless
+        where depth <= 0 (behind the camera); callers mask them by depth.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    rot = np.array([cam.extrinsics.rotation for cam in cameras])[..., None]
+    trans = np.array([cam.extrinsics.translation for cam in cameras])[..., None]
+    cam_x, cam_y, depth = (x * rot[:, i, 0] + y * rot[:, i, 1] + z * rot[:, i, 2] + trans[:, i] for i in range(3))
+    intr = [cam.intrinsics for cam in cameras]
+    fx, fy, cx, cy = np.array([(k.fx, k.fy, k.cx, k.cy) for k in intr]).T[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = fx * cam_x / depth + cx
+        v = fy * cam_y / depth + cy
+    return u, v, depth
+
+
+def _in_image(u: np.ndarray, v: np.ndarray, depth: np.ndarray, cameras: Sequence[CameraModel]) -> np.ndarray:
+    """(len(cameras), N) visibility of ``_project``'s output: positive depth
+    and a pixel inside the camera's half-open image bounds."""
+    width, height = np.array([(cam.intrinsics.width, cam.intrinsics.height) for cam in cameras]).T[..., None]
+    with np.errstate(invalid="ignore"):
+        return (depth > 0) & (u >= 0) & (u < width) & (v >= 0) & (v < height)
+
+
 def project_points(points: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np.ndarray]:
     """Project ego-frame points into one camera.
+
+    A thin wrapper over the core ``_project``, which computes one array per
+    axis so that a point's pixel does not depend on the other points of the
+    call and no (N, 3) temporaries are built; only this wrapper stacks the
+    (N, 2) pixels and writes NaN behind the camera.
 
     Args:
         points: (N, 3) ego-frame points in meters.
@@ -252,22 +303,7 @@ def project_points(points: np.ndarray, cam: CameraModel) -> tuple[np.ndarray, np
         (pixels, depths) with pixels (N, 2) and depths (N,).  Pixels are NaN
         where depth <= 0 (behind the camera).
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    rot = cam.extrinsics.rotation
-    trans = cam.extrinsics.translation
-    # Elementwise transform keeps results bit-identical for any batch size
-    # (BLAS matmul kernels round differently depending on shape).
-    cam_pts = (
-        pts[:, 0, None] * rot[:, 0]
-        + pts[:, 1, None] * rot[:, 1]
-        + pts[:, 2, None] * rot[:, 2]
-        + trans
-    )
-    depths = cam_pts[:, 2]
-    intr = cam.intrinsics
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.fx * cam_pts[:, 0] / depths + intr.cx
-        v = intr.fy * cam_pts[:, 1] / depths + intr.cy
+    (u,), (v,), (depths,) = _project(points, (cam,))
     pixels = np.stack([u, v], axis=-1)
     pixels[depths <= 0] = np.nan
     return pixels, depths
@@ -287,25 +323,13 @@ def back_project(pixel, depth: float, cam: CameraModel) -> np.ndarray:
 
 def visible_mask(points: np.ndarray, cam: CameraModel) -> np.ndarray:
     """Boolean (N,) mask of points with positive depth projecting inside the image."""
-    pixels, depths = project_points(points, cam)
-    intr = cam.intrinsics
-    with np.errstate(invalid="ignore"):
-        inside = (
-            (pixels[:, 0] >= 0)
-            & (pixels[:, 0] < intr.width)
-            & (pixels[:, 1] >= 0)
-            & (pixels[:, 1] < intr.height)
-        )
-    return (depths > 0) & inside
+    return _in_image(*_project(points, (cam,)), (cam,))[0]
 
 
 def visible_counts(points: np.ndarray, rig: CameraRig) -> np.ndarray:
-    """Number of rig cameras in which each point is visible; (N,) ints."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    counts = np.zeros(len(pts), dtype=np.int64)
-    for cam in rig:
-        counts += visible_mask(pts, cam)
-    return counts
+    """Number of rig cameras in which each point is visible; (N,) ints, from
+    one core call over the whole rig."""
+    return _in_image(*_project(points, rig.cameras), rig.cameras).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

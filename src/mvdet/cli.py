@@ -55,10 +55,10 @@ def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
 def _object_depth(box: camgeo.Box3D, rig: camgeo.CameraRig) -> float:
     """Depth channel for an annotation: optical-axis range in the first
     camera that sees the centroid, else the planar range from the origin."""
-    center = box.center.reshape(1, 3)
-    for cam in rig:
-        if camgeo.visible_mask(center, cam)[0]:
-            return float(camgeo.project_points(center, cam)[1][0])
+    u, v, depths = camgeo._project(box.center, rig.cameras)
+    seen = np.flatnonzero(camgeo._in_image(u, v, depths, rig.cameras)[:, 0])
+    if len(seen):
+        return float(depths[seen[0], 0])
     return float(np.linalg.norm(box.center[:2]))
 
 
@@ -100,18 +100,18 @@ def _cmd_synth(args) -> int:
 def _cmd_project(args) -> int:
     rig = camgeo.load_rig(args.calib)
     point = _parse_floats(args.point, 3, "--point")
-    points = point.reshape(1, 3)
+    u, v, depths = camgeo._project(point, rig.cameras)
+    visible = camgeo._in_image(u, v, depths, rig.cameras)[:, 0]
     cameras = []
     for i, cam in enumerate(rig):
-        pixels, depths = camgeo.project_points(points, cam)
-        depth = float(depths[0])
+        depth = float(depths[i, 0])
         cameras.append(
             {
                 "id": cam.id,
                 "index": i,
-                "pixel": None if depth <= 0 else [float(pixels[0, 0]), float(pixels[0, 1])],
+                "pixel": None if depth <= 0 else [float(u[i, 0]), float(v[i, 0])],
                 "depth": depth,
-                "visible": bool(camgeo.visible_mask(points, cam)[0]),
+                "visible": bool(visible[i]),
             }
         )
     payload = {

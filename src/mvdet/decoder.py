@@ -46,6 +46,7 @@ from .camgeo import (
     _json_records,
     _json_text,
     _json_write,
+    _project,
     box_corners,
     project_points,
 )
@@ -858,19 +859,24 @@ class _GradProbe:
     def min_level_margin(self, nodes: np.ndarray) -> float:
         """Smallest distance of any sample position to a level border or,
         inside the level, to an integer coordinate line, in level pixels.
-        A node at a depth in (0, 1e-3] in some camera gives 0."""
+        A node at a depth in (0, 1e-3] in some camera gives 0.
+
+        One core projection covers the whole rig, and each level index is
+        tested once over all cameras: a pyramid's cameras share level shapes
+        and strides."""
+        u, v, depths = _project(nodes, self.rig.cameras)
+        if np.any((depths > 0) & (depths <= 1e-3)):
+            return 0.0
+        front = depths > 1e-3
+        u, v = u[front], v[front]
         margin = np.inf
-        for ci, cam in enumerate(self.rig):
-            pixels, depths = project_points(nodes, cam)
-            if np.any((depths > 0) & (depths <= 1e-3)):
-                return 0.0
-            pixels = pixels[depths > 1e-3]
-            for level in self.pyr.levels(ci):
-                pos = pixels / level.stride
-                border = np.abs(np.hstack([pos, (level.width - 1, level.height - 1) - pos]))
-                inside = pos[_inside_rows(level, pos)]
-                frac = np.abs(inside - np.round(inside))
-                margin = min(margin, border.min(initial=np.inf), frac.min(initial=np.inf))
+        for level in self.pyr.levels(0):
+            pu, pv = u / level.stride, v / level.stride
+            inside = _inside_rows(level, pu, pv)
+            for pos, last in ((pu, level.width - 1), (pv, level.height - 1)):
+                border = min(np.abs(pos).min(initial=np.inf), np.abs(last - pos).min(initial=np.inf))
+                frac = np.abs(pos[inside] - np.round(pos[inside]))
+                margin = min(margin, border, frac.min(initial=np.inf))
         return float(margin)
 
 

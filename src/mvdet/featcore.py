@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import CameraRig, _json_fields, _json_int, _json_records, _json_text, _json_write, project_points
+from .camgeo import CameraRig, _json_fields, _json_int, _json_records, _json_text, _json_write, _project
 
 __all__ = [
     "FeatureError",
@@ -129,15 +129,13 @@ class FeaturePyramid:
 # Bilinear interpolation
 
 
-def _inside_rows(level: FeatureLevel, pos: np.ndarray) -> np.ndarray:
-    """Ascending indices of the (N, 2) level positions inside
+def _inside_rows(level: FeatureLevel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ascending indices of the (N,) level positions (u, v) inside
     [0, W-1] x [0, H-1]; NaN positions are outside."""
-    u = pos[:, 0]
-    v = pos[:, 1]
     return np.flatnonzero((u >= 0) & (u <= level.width - 1) & (v >= 0) & (v <= level.height - 1))
 
 
-def _bilinear_inside(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bilinear_inside(level: FeatureLevel, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bilinearly sample the positions that fall inside the level.
 
     Nested linear interpolation keeps constant fields and integer grid
@@ -146,19 +144,19 @@ def _bilinear_inside(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, 
 
     Args:
         level: feature map to sample.
-        pos: (N, 2) float64 positions in the level's own pixel grid; NaN
+        u, v: (N,) float64 positions in the level's own pixel grid; NaN
             positions are outside.
 
     Returns:
-        (rows, feats): rows (M,) ascending indices into ``pos`` of the
-        positions inside [0, W-1] x [0, H-1], and feats (M, C) float64.
+        (rows, feats): rows (M,) ascending indices of the positions inside
+        [0, W-1] x [0, H-1], and feats (M, C) float64.
     """
-    rows = _inside_rows(level, pos)
+    rows = _inside_rows(level, u, v)
     if not len(rows):
         return rows, np.empty((0, level.channels))
     w, h = level.width, level.height
-    u = pos[:, 0][rows]
-    v = pos[:, 1][rows]
+    u = u[rows]
+    v = v[rows]
     # floor keeps integer positions exact (frac 0); at u == width-1 the
     # second support column collapses onto the first.
     x0 = np.floor(u).astype(np.int64)
@@ -196,7 +194,7 @@ def bilinear_sample_many(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarr
         inside (N,) bool.
     """
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
-    rows, vals = _bilinear_inside(level, pos)
+    rows, vals = _bilinear_inside(level, pos[:, 0], pos[:, 1])
     feats = np.zeros((len(pos), level.channels), dtype=np.float64)
     feats[rows] = vals
     inside = np.zeros(len(pos), dtype=bool)
@@ -222,7 +220,7 @@ def bilinear_grad(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.
         columns d/du and d/dv.
     """
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 2)
-    rows = _inside_rows(level, pos)
+    rows = _inside_rows(level, pos[:, 0], pos[:, 1])
     if not len(rows):
         return rows, np.empty((0, level.channels, 2))
     w, h = level.width, level.height
@@ -248,8 +246,9 @@ def bilinear_grad(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.
 
 
 # Points are sampled in blocks so that each block's per-camera temporaries
-# stay cache-sized: the cost then grows linearly with the point count
-# instead of jumping where the temporaries outgrow the cache.
+# (the core's per-axis projection rows and the per-level gathers) stay
+# cache-sized: the cost then grows linearly with the point count instead of
+# jumping where the temporaries outgrow the cache.
 _BLOCK_POINTS = 16384
 
 
@@ -283,14 +282,17 @@ def sample_multiview_many(
     for start in range(0, n, _BLOCK_POINTS):
         block = pts[start : start + _BLOCK_POINTS]
         for ci, cam in enumerate(rig):
-            pixels, depths = project_points(block, cam)
+            # One camera per core call: a rig-wide call gains no time here
+            # and holds every camera's arrays at once.
+            (u,), (v,), (depths,) = _project(block, (cam,))
             front = np.flatnonzero(depths > 0)
             if not len(front):
                 continue
-            pixels = pixels[front]
+            u = u[front]
+            v = v[front]
             front += start
             for level in pyr.levels(ci):
-                rows, feats = _bilinear_inside(level, pixels / level.stride)
+                rows, feats = _bilinear_inside(level, u / level.stride, v / level.stride)
                 rows = front[rows]
                 total[rows] += feats
                 counts[rows] += 1

@@ -260,40 +260,35 @@ def _lexicographic_refine(
     """Smallest pair sequence among assignments with the same exact total.
 
     Position by position, every lexicographically smaller candidate pair
-    that passes the reduced-cost prune is verified by re-solving the
-    remaining subproblem and comparing exact row-ordered totals, so the
-    prune tolerance can never demote a true optimum.
+    that passes the reduced-cost prune is verified, in row-major order, by
+    re-solving the remaining subproblem and comparing exact row-ordered
+    totals, so the prune tolerance can never demote a true optimum.  A
+    position's candidates are read from one mask of the admissible cells in
+    free columns, so inadmissible cells cost no Python step.
     """
     rows, cols = cost.shape
     scale = float(np.abs(cost).max()) if cost.size else 0.0
     admissible = reduced <= 1e-9 * (1.0 + scale)
+    free_cols = np.ones(cols, dtype=bool)
     incumbent = sorted(pairs)
     fixed: list[tuple[int, int]] = []
     banned_rows: set[int] = set()
     for position in range(len(incumbent)):
         cur_r, cur_c = incumbent[position]
         start_r = (fixed[-1][0] + 1) if fixed else 0
-        used_cols = {c for _, c in fixed}
-        done = False
-        for r in range(start_r, cur_r + 1):
-            col_limit = cur_c if r == cur_r else cols
-            for c in range(col_limit):
-                if c in used_cols or not admissible[r, c]:
-                    continue
-                candidate = _optimal_with_constraints(
-                    cost, fixed + [(r, c)], banned_rows | set(range(start_r, r))
-                )
-                if candidate is None:
-                    continue
-                if _pairs_total(cost, candidate) == total:
-                    incumbent = candidate
-                    done = True
-                    break
-            if done:
+        candidates = admissible[start_r : cur_r + 1] & free_cols
+        candidates[-1:, cur_c:] = False
+        for flat in np.flatnonzero(candidates).tolist():
+            r, c = divmod(flat, cols)
+            r += start_r
+            candidate = _optimal_with_constraints(cost, fixed + [(r, c)], banned_rows | set(range(start_r, r)))
+            if candidate is not None and _pairs_total(cost, candidate) == total:
+                incumbent = candidate
                 break
         cur_r, cur_c = incumbent[position]
         banned_rows.update(range(start_r, cur_r))
         fixed.append((cur_r, cur_c))
+        free_cols[cur_c] = False
     return incumbent
 
 

@@ -130,6 +130,106 @@ class TestProjection:
                     assert np.array_equal(pixel_i[0], pixels[i])
 
 
+def broadcast_projection(points, cam):
+    """One camera's (pixels, depths), written out as the (N, 3) broadcast
+    transform the package used before the per-axis core; NaN pixels where
+    depth <= 0."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    rot = cam.extrinsics.rotation
+    cam_pts = pts[:, 0, None] * rot[:, 0] + pts[:, 1, None] * rot[:, 1] + pts[:, 2, None] * rot[:, 2]
+    cam_pts = cam_pts + cam.extrinsics.translation
+    depths = cam_pts[:, 2]
+    intr = cam.intrinsics
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intr.fx * cam_pts[:, 0] / depths + intr.cx
+        v = intr.fy * cam_pts[:, 1] / depths + intr.cy
+    pixels = np.stack([u, v], axis=-1)
+    pixels[depths <= 0] = np.nan
+    return pixels, depths
+
+
+def broadcast_visible(points, cam):
+    """One camera's visibility from ``broadcast_projection``, written out."""
+    pixels, depths = broadcast_projection(points, cam)
+    intr = cam.intrinsics
+    with np.errstate(invalid="ignore"):
+        inside = (pixels[:, 0] >= 0) & (pixels[:, 0] < intr.width) & (pixels[:, 1] >= 0) & (pixels[:, 1] < intr.height)
+    return (depths > 0) & inside
+
+
+def camera_centres(rig):
+    """Each camera's optical centre in the ego frame; on the nuscenes-like
+    rig at least one camera's own depth there is exactly 0."""
+    return np.array([-cam.extrinsics.rotation.T @ cam.extrinsics.translation for cam in rig])
+
+
+def tilted_rig(rig, seed):
+    """``rig`` with every camera turned by a seeded general rotation, so no
+    rotation entry is 0 or 1 and each sum's rounding depends on its order."""
+    rng = np.random.default_rng(seed)
+    cameras = []
+    for cam in rig:
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        extr = CameraExtrinsics(rotation=q @ cam.extrinsics.rotation, translation=cam.extrinsics.translation)
+        cameras.append(CameraModel(intrinsics=cam.intrinsics, extrinsics=extr, id=cam.id))
+    return CameraRig(cameras=tuple(cameras))
+
+
+class TestProjectionCore:
+    @pytest.mark.parametrize("tilted", [False, True], ids=["nuscenes-like", "tilted"])
+    @pytest.mark.parametrize("n", [1, 4, 14400])
+    def test_bit_equals_broadcast_reference(self, rig6, n, tilted):
+        rig = tilted_rig(rig6, n) if tilted else rig6
+        rng = np.random.default_rng(n)
+        pts = rng.uniform((-60, -60, -2), (60, 60, 4), size=(n, 3))
+        pts[: min(n, 3)] = camera_centres(rig)[1:4][: min(n, 3)]
+        u, v, depths = camgeo._project(pts, rig.cameras)
+        ref = [broadcast_projection(pts, cam) for cam in rig]
+        ref_depths = np.array([d for _, d in ref])
+        # The tilted rig's centres round to depths near, not at, 0.
+        assert tilted or np.any(ref_depths == 0.0)
+        assert np.any(ref_depths < 0) and (n == 1 or np.any(ref_depths > 0))
+        for i, cam in enumerate(rig):
+            ref_pixels, ref_depth = ref[i]
+            pixels, depth = project_points(pts, cam)
+            assert pixels.tobytes() == ref_pixels.tobytes()
+            assert depth.tobytes() == ref_depth.tobytes() == depths[i].tobytes()
+            front = ref_depth > 0
+            assert u[i][front].tobytes() == ref_pixels[front, 0].tobytes()
+            assert v[i][front].tobytes() == ref_pixels[front, 1].tobytes()
+            # A one-camera call gives the rig-wide call's row bit for bit.
+            one = camgeo._project(pts, (cam,))
+            assert all(a[0].tobytes() == b[i].tobytes() for a, b in zip(one, (u, v, depths)))
+
+    def test_visible_counts_sum_masks_on_mixed_image_sizes(self, rig6):
+        # Each camera keeps its extrinsics but gets its own image size, so
+        # the bounds differ per camera; points sit on and around every
+        # camera's image borders, behind it and at its centre.
+        rig = CameraRig(
+            cameras=tuple(
+                CameraModel(intrinsics=cam.intrinsics.scaled(r), extrinsics=cam.extrinsics, id=cam.id)
+                for cam, r in zip(rig6, (1.0, 0.5, 0.75, 1.25, 0.3, 2.0))
+            )
+        )
+        assert len({(cam.intrinsics.width, cam.intrinsics.height) for cam in rig}) == len(rig)
+        rng = np.random.default_rng(21)
+        pts = [rng.uniform((-60, -60, -2), (60, 60, 4), size=(2000, 3)), camera_centres(rig)]
+        for cam in rig:
+            w, h = cam.intrinsics.width, cam.intrinsics.height
+            for pixel in [(0.0, h / 2), (w, h / 2), (w / 2, 0.0), (w / 2, h), (-0.5, 1.0), (w - 1e-9, h - 1e-9)]:
+                pts.append(back_project(pixel, float(rng.uniform(1.0, 50.0)), cam)[None])
+        pts = np.concatenate(pts)
+        masks = np.array([visible_mask(pts, cam) for cam in rig])
+        assert np.array_equal(masks, np.array([broadcast_visible(pts, cam) for cam in rig]))
+        counts = visible_counts(pts, rig)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, masks.sum(axis=0))
+        assert set(counts.tolist()) >= {0, 1, 2}
+
+
 class TestVisibility:
     def test_on_axis_visible(self, ident_cam):
         assert visible_mask([(0, 0, 10)], ident_cam)[0]

@@ -71,6 +71,25 @@ class TestSynthCommand:
             h.update(path.name.encode() + path.read_bytes())
         assert h.hexdigest() == "975df281c952684b220da4785c59627a0109d14e7aa64d8af8b1e4e1d69bf242"
 
+    @pytest.mark.parametrize(
+        "seed, style, objects, digest",
+        [
+            # A one-camera rig where most centroids are seen by no camera
+            # (planar-range fallback), and a six-camera scene with centroids
+            # seen by two cameras (first camera wins).
+            (3, "single", 40, "7b6a9df2341b8f43181607b1147294903070350a538e34c715ff76e9681c99b5"),
+            (11, "nuscenes-like", 200, "7c89a71b8cb156ded292c2f7f322a534ce1dc55418d9ccfbffaa09b9fa56d22f"),
+        ],
+    )
+    def test_annotation_depth_bytes(self, tmp_path, capsys, seed, style, objects, digest):
+        # sha256 computed when each object's depth came from one
+        # visible_mask and one project_points call per camera.
+        assert main([
+            "synth", "--seed", str(seed), "--style", style, "--objects", str(objects),
+            "--channels", "2", "--strides", "32", "--out", str(tmp_path),
+        ]) == 0
+        assert hashlib.sha256((tmp_path / "annotations.json").read_bytes()).hexdigest() == digest
+
     def test_invalid_style_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["synth", "--style", "warped", "--seed", "1", "--out", str(tmp_path)])
@@ -113,6 +132,32 @@ class TestProjectCommand:
         assert payload["region"] == "overlapping"
         assert [c["pixel"] is None for c in payload["cameras"]] == [False, True, False, True, False, True]
         assert hashlib.sha256(out.encode()).hexdigest() == "7934869c6e7e2cb9b4b3f5965e26a682134ff47fe0d6da84c51b597e9637cc8f"
+
+    @pytest.mark.parametrize(
+        "point, digest",
+        [
+            # Behind the front camera, seen by the back camera only.
+            ("-20,0.5,1.5", "1c652f42b34fe144525f7bcf13375e24d9b59927d56d4b67af3a03fb820a3a77"),
+            # The front_left camera's optical centre: depth exactly 0 there,
+            # behind every other camera.
+            (
+                "0.5735764363510462,0.8191520442889918,1.5",
+                "292a7932acaa7aa1d7d001eab55cb22d63705fe053549d29196ae870c6ba5fd8",
+            ),
+        ],
+    )
+    def test_behind_camera_json_bytes(self, scene_dir, tmp_path, capsys, point, digest):
+        # stdout and --out sha256 computed with one project_points and one
+        # visible_mask call per camera.
+        args = ["project", "--calib", str(scene_dir / "calib.json"), "--point=" + point, "--json"]
+        if point.startswith("-"):
+            args.append("--box=" + point + ",2,4,1.5,0")
+        assert main([*args, "--out", str(tmp_path / "out.json")]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert any(c["depth"] <= 0 and c["pixel"] is None and not c["visible"] for c in payload["cameras"])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
 
     def test_missing_calib_io_error(self, tmp_path):
         assert main(["project", "--calib", str(tmp_path / "nope.json"), "--point", "1,2,3"]) == 2

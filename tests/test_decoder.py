@@ -751,6 +751,40 @@ class TestGradCheck:
         far = back_project(np.array([10.3, 7.8]) * level.stride, 15.0, cam)
         assert probe.min_level_margin(np.stack([far, node])) == 0.0
 
+    def test_min_level_margin_equals_per_camera_loop(self, monkeypatch):
+        # Reference: the per-camera loop the margin ran before one rig-wide
+        # projection fed one test per level index, checked on every node
+        # set grad_check asks about for seeds 0-39.
+        def per_camera_margin(probe, nodes):
+            margin = np.inf
+            for ci, cam in enumerate(probe.rig):
+                pixels, depths = project_points(nodes, cam)
+                if np.any((depths > 0) & (depths <= 1e-3)):
+                    return 0.0
+                pixels = pixels[depths > 1e-3]
+                for level in probe.pyr.levels(ci):
+                    pos = pixels / level.stride
+                    border = np.abs(np.hstack([pos, (level.width - 1, level.height - 1) - pos]))
+                    u, v = pos[:, 0], pos[:, 1]
+                    inside = pos[(u >= 0) & (u <= level.width - 1) & (v >= 0) & (v <= level.height - 1)]
+                    frac = np.abs(inside - np.round(inside))
+                    margin = min(margin, border.min(initial=np.inf), frac.min(initial=np.inf))
+            return float(margin)
+
+        margins = []
+        min_level_margin = _GradProbe.min_level_margin
+
+        def checked(probe, nodes):
+            got = min_level_margin(probe, nodes)
+            assert got == per_camera_margin(probe, nodes)
+            margins.append(got)
+            return got
+
+        monkeypatch.setattr(_GradProbe, "min_level_margin", checked)
+        for seed in range(40):
+            grad_check(seed=seed, probes=8)
+        assert len(margins) > 320 and min(margins) <= 1e-3
+
     def test_default_config_passes(self):
         report = grad_check(seed=42, probes=8)
         assert report.passed

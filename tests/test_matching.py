@@ -220,6 +220,64 @@ class TestHungarian:
             assert result.total_cost == total
             assert result.pairs == seq
 
+    def test_refine_visits_the_per_cell_scan_candidates(self, monkeypatch):
+        # The reference is the per-cell scan the tie-break used before its
+        # candidates came from one mask per position: every cell of the rows
+        # start_r..cur_r (the last row cut at cur_c) in row-major order,
+        # skipping used columns and inadmissible cells.  Both must re-solve
+        # the same candidates in the same order and return the same pairs.
+        def per_cell_refine(cost, pairs, reduced, total):
+            rows, cols = cost.shape
+            scale = float(np.abs(cost).max()) if cost.size else 0.0
+            admissible = reduced <= 1e-9 * (1.0 + scale)
+            incumbent = sorted(pairs)
+            fixed, banned_rows = [], set()
+            for position in range(len(incumbent)):
+                cur_r, cur_c = incumbent[position]
+                start_r = (fixed[-1][0] + 1) if fixed else 0
+                used_cols = {c for _, c in fixed}
+                done = False
+                for r in range(start_r, cur_r + 1):
+                    for c in range(cur_c if r == cur_r else cols):
+                        if c in used_cols or not admissible[r, c]:
+                            continue
+                        candidate = matching._optimal_with_constraints(
+                            cost, fixed + [(r, c)], banned_rows | set(range(start_r, r))
+                        )
+                        if candidate is not None and matching._pairs_total(cost, candidate) == total:
+                            incumbent, done = candidate, True
+                            break
+                    if done:
+                        break
+                cur_r, cur_c = incumbent[position]
+                banned_rows.update(range(start_r, cur_r))
+                fixed.append((cur_r, cur_c))
+            return incumbent
+
+        solve = matching._optimal_with_constraints
+        visited = []
+
+        def recording(cost, fixed, banned_rows):
+            visited.append((tuple(fixed), frozenset(banned_rows)))
+            return solve(cost, fixed, banned_rows)
+
+        monkeypatch.setattr(matching, "_optimal_with_constraints", recording)
+        rng = np.random.default_rng(15)
+        n_visits = 0
+        for _ in range(3000):
+            shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+            cost = rng.integers(0, 3, size=shape).astype(float)
+            pairs, reduced = matching._solve(cost)
+            total = matching._pairs_total(cost, pairs)
+            got = matching._lexicographic_refine(cost, pairs, reduced, total)
+            got_visits, visited[:] = visited[:], []
+            want = per_cell_refine(cost, pairs, reduced, total)
+            assert got == want
+            assert got_visits == visited
+            n_visits += len(visited)
+            visited.clear()
+        assert n_visits > 1000
+
     def test_constant_matrix_identity_pairs(self):
         result = hungarian(np.full((4, 6), 2.5))
         assert result.pairs == ((0, 0), (1, 1), (2, 2), (3, 3))
