@@ -3,11 +3,13 @@
 Sampling convention: integer coordinates sit at pixel centers and level
 coordinates equal full-resolution image pixels divided by the level stride.
 Out-of-bounds samples contribute a zero feature with a zero visibility mask
-instead of clamping.  Feature maps are stored as 32-bit floats in (C, H, W)
-order, and stay that way: sampling gathers the four support corners of each
-in-view position from that storage and widens only the gathered values to
-64-bit, in which all interpolation and reduction arithmetic runs.  Widening
-is exact, so results equal those of sampling a 64-bit copy of the level.
+instead of clamping.  Feature maps are stored as 32-bit floats channel-last,
+one contiguous row of C values per pixel, and are exposed in (C, H, W) order
+as a view of that storage.  Sampling gathers each support corner of an
+in-view position as one such row and widens only the gathered values to
+64-bit, in which all interpolation and reduction arithmetic runs, one row
+per position.  Widening is exact, so results equal those of sampling a
+64-bit copy of the level.
 
 Multi-view sampling gathers only the in-view samples: for each
 (camera, level) pair only the points in front of that camera whose position
@@ -22,7 +24,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -58,10 +60,18 @@ class TensorFormatError(IOError):
 
 @dataclass(frozen=True)
 class FeatureLevel:
-    """One dense feature map of shape (C, H, W) plus its downsampling stride."""
+    """One dense feature map of shape (C, H, W) plus its downsampling stride.
+
+    The values live in one read-only, C-contiguous (H, W, C) float32 buffer
+    that the level owns: it is always a copy of the input, so no other
+    array can change it.  ``data`` is the (C, H, W) view of it and
+    ``pixels`` the (H * W, C) view, one row per pixel in row-major order,
+    which sampling gathers from.
+    """
 
     data: np.ndarray
     stride: int
+    pixels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -71,9 +81,10 @@ class FeatureLevel:
             raise FeatureError(f"feature dimensions must be >= 1, got {arr.shape}")
         if self.stride < 1:
             raise FeatureError(f"stride must be >= 1, got {self.stride}")
-        arr = np.ascontiguousarray(arr, dtype=np.float32)
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        hwc = np.array(arr.transpose(1, 2, 0), dtype=np.float32, order="C")
+        hwc.flags.writeable = False
+        object.__setattr__(self, "data", hwc.transpose(2, 0, 1))
+        object.__setattr__(self, "pixels", hwc.reshape(-1, arr.shape[0]))
         object.__setattr__(self, "stride", int(self.stride))
 
     @property
@@ -161,21 +172,24 @@ def _bilinear_inside(level: FeatureLevel, u: np.ndarray, v: np.ndarray) -> tuple
     # second support column collapses onto the first.
     x0 = np.floor(u).astype(np.int64)
     y0 = np.floor(v).astype(np.int64)
-    fu = u - x0
-    fv = v - y0
+    fu = (u - x0)[:, None]
+    fv = (v - y0)[:, None]
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    data = level.data
-    top = _lerp(data[:, y0, x0], data[:, y0, x1], fu)
-    bottom = _lerp(data[:, y1, x0], data[:, y1, x1], fu)
-    return rows, _lerp(top, bottom, fv).T
+    # Row y of the level starts at pixel y * W of ``pixels``.
+    top = y0 * w
+    bottom = np.minimum(y0 + 1, h - 1) * w
+    pix = level.pixels
+    upper = _lerp(pix[top + x0], pix[top + x1], fu)
+    lower = _lerp(pix[bottom + x0], pix[bottom + x1], fu)
+    return rows, _lerp(upper, lower, fv, out=lower)
 
 
-def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a + t * (b - a)`` in float64, widening float32 operands exactly.
-    The product and the sum reuse the difference's array (IEEE addition and
-    multiplication commute, so the result is the same bit for bit)."""
-    out = np.subtract(b, a, dtype=np.float64)
+    The product and the sum reuse the difference's array, ``out`` if given
+    (IEEE addition and multiplication commute, so the result is the same bit
+    for bit)."""
+    out = np.subtract(b, a, out=out, dtype=np.float64)
     out *= t
     out += a
     return out
@@ -228,17 +242,18 @@ def bilinear_grad(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.
     x0 = np.clip(np.floor(u), 0, max(w - 2, 0)).astype(np.int64)
     y0 = np.clip(np.floor(v), 0, max(h - 2, 0)).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fu = u - x0
-    fv = v - y0
-    data = level.data
-    f00 = data[:, y0, x0].astype(np.float64)
-    f10 = data[:, y0, x1].astype(np.float64)
-    f01 = data[:, y1, x0].astype(np.float64)
-    f11 = data[:, y1, x1].astype(np.float64)
+    fu = (u - x0)[:, None]
+    fv = (v - y0)[:, None]
+    top = y0 * w
+    bottom = np.minimum(y0 + 1, h - 1) * w
+    pix = level.pixels
+    f00 = pix[top + x0].astype(np.float64)
+    f10 = pix[top + x1].astype(np.float64)
+    f01 = pix[bottom + x0].astype(np.float64)
+    f11 = pix[bottom + x1].astype(np.float64)
     du = (1 - fv) * (f10 - f00) + fv * (f11 - f01)
     dv = (1 - fu) * (f01 - f00) + fu * (f11 - f10)
-    return rows, np.stack([du.T, dv.T], axis=-1)
+    return rows, np.stack([du, dv], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +331,16 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a GDT3 tensor.  The header is checked against the file before
-    the payload is read, so a hostile header cannot request a huge read."""
+    """Read a GDT3 tensor into a new array.  The header is checked against
+    the file before the payload is read, so a hostile header cannot request
+    a huge read."""
+    return _read_tensor(path, None)
+
+
+def _read_tensor(path, scratch: np.ndarray | None) -> np.ndarray:
+    """``read_tensor``, reading the payload into the front of the flat
+    float32 ``scratch`` when it fits (the result is then a view of it) and
+    into a new array otherwise."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
@@ -336,30 +359,42 @@ def read_tensor(path) -> np.ndarray:
             raise TensorFormatError(f"{path}: truncated dims")
         dims = struct.unpack(f"<{ndim}Q", dims_raw)
         # Python ints: a product of u64 dims cannot wrap.
-        nbytes = 4 * math.prod(dims)
+        count = math.prod(dims)
+        nbytes = 4 * count
         remaining = size - fh.tell()
         if nbytes > remaining:
             raise TensorFormatError(
                 f"{path}: truncated payload (dims {dims} need {nbytes} bytes, {remaining} remain)"
             )
-        payload = fh.read(nbytes)
-        if len(payload) != nbytes:
-            raise TensorFormatError(f"{path}: truncated payload")
         try:
-            return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            if scratch is not None and count <= scratch.size:
+                arr = scratch[:count].reshape(dims)
+            else:
+                arr = np.empty(dims, dtype="<f4")
         except ValueError as exc:  # e.g. a zero-size shape with a dim numpy cannot index
             raise TensorFormatError(f"{path}: unsupported shape {dims}: {exc}") from exc
+        # A flat byte view, not memoryview(arr).cast("B"), which rejects
+        # zero-size arrays.
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+            raise TensorFormatError(f"{path}: truncated payload")
+        return arr
 
 
 def save_pyramid(directory, pyr: FeaturePyramid) -> str:
     """Write one tensor file per (camera, level) plus a manifest; returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
+    # Cameras may share level objects, and the (C, H, W) copy of a
+    # channel-last level is a transposing copy, so each object is converted
+    # once.  Keys are ids of levels that ``pyr`` keeps alive.
+    chw: dict[int, np.ndarray] = {}
     cameras = []
     for ci in range(pyr.camera_count):
         entries = []
         for li, level in enumerate(pyr.levels(ci)):
+            if id(level) not in chw:
+                chw[id(level)] = np.ascontiguousarray(level.data)
             fname = f"cam{ci:02d}_level{li}.gdt3"
-            write_tensor(os.path.join(directory, fname), level.data)
+            write_tensor(os.path.join(directory, fname), chw[id(level)])
             entries.append({"file": fname, "stride": level.stride})
         cameras.append({"levels": entries})
     manifest_path = os.path.join(directory, "pyramid.json")
@@ -389,11 +424,19 @@ def load_pyramid(manifest_path) -> FeaturePyramid:
         raise FeatureError(f"{what}: unsupported version {version}")
     cams = []
     seen: set[str] = set()
+    # Each level copies its file's values into its own channel-last storage,
+    # so all files are read through one buffer, kept at the largest payload
+    # so far: a new array per file would cost a second fresh allocation of
+    # every payload.
+    scratch = np.empty(0, dtype="<f4")
     for cam_entry in _json_records(manifest, "cameras", FeatureError, what):
         levels = []
         for lv in _json_records(cam_entry, "levels", FeatureError, f"a camera of {manifest_path}"):
             lv = _json_fields(lv, {"file": _json_text, "stride": _json_int}, FeatureError, f"a level of {manifest_path}")
             path = _unique_tensor_path(base, lv["file"], seen, FeatureError, what)
-            levels.append(FeatureLevel(data=read_tensor(path), stride=lv["stride"]))
+            data = _read_tensor(path, scratch)
+            if data.size > scratch.size:
+                scratch = data.reshape(-1)
+            levels.append(FeatureLevel(data=data, stride=lv["stride"]))
         cams.append(levels)
     return FeaturePyramid(cams)

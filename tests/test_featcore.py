@@ -410,15 +410,134 @@ class TestSparseSamplingBitIdentity:
             assert grad.tobytes() == np.stack([du, dv], axis=-1).tobytes()
 
 
+def exact_camera():
+    """fx = 64 and depth 2 make the projection exact: the point
+    ((u - 48) / 32, (v - 32) / 32, 2) lands on pixel (u, v) for dyadic u, v."""
+    return CameraModel(
+        intrinsics=CameraIntrinsics(fx=64.0, fy=64.0, cx=48.0, cy=32.0, width=96, height=64),
+        extrinsics=CameraExtrinsics(rotation=np.eye(3), translation=np.zeros(3)),
+        id="c0",
+    )
+
+
+def reference_value(data, u, v):
+    """Float64 bilinear value at an inside position (u, v) of (C, H, W) data,
+    one position at a time, with the sampler's nesting."""
+    _, h, w = data.shape
+    x0, y0 = math.floor(u), math.floor(v)
+    x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+    fu, fv = u - x0, v - y0
+    top = data[:, y0, x0] + fu * (data[:, y0, x1] - data[:, y0, x0])
+    bottom = data[:, y1, x0] + fu * (data[:, y1, x1] - data[:, y1, x0])
+    return top + fv * (bottom - top)
+
+
+def reference_grad(data, u, v):
+    """Float64 (C, 2) one-sided derivative at an inside position of (C, H, W)
+    data; the support cell is clamped to start at most at W-2 and H-2."""
+    _, h, w = data.shape
+    x0 = min(max(math.floor(u), 0), max(w - 2, 0))
+    y0 = min(max(math.floor(v), 0), max(h - 2, 0))
+    x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+    fu, fv = u - x0, v - y0
+    f00, f10, f01, f11 = data[:, y0, x0], data[:, y0, x1], data[:, y1, x0], data[:, y1, x1]
+    du = (1 - fv) * (f10 - f00) + fv * (f11 - f01)
+    dv = (1 - fu) * (f01 - f00) + fu * (f11 - f10)
+    return np.stack([du, dv], axis=-1)
+
+
+class TestLevelLayout:
+    """A level keeps one read-only channel-last float32 buffer and shows it
+    in (C, H, W) order."""
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda a: a.astype(np.float32),
+            lambda a: a,
+            lambda a: np.asfortranarray(a),
+            lambda a: np.repeat(a, 2, axis=2)[:, ::-1, ::2],
+            # One channel: the channel-last view of the input is already
+            # contiguous, and the level must still copy it.
+            lambda a: a[:1].astype(np.float32),
+        ],
+        ids=["float32", "float64", "fortran-order", "strided", "float32-one-channel"],
+    )
+    def test_data_is_a_read_only_view_of_channel_last_storage(self, convert):
+        rng = np.random.default_rng(30)
+        # float32-representable values, so every input dtype stores exactly.
+        values = rng.uniform(-3, 3, size=(3, 4, 5)).astype(np.float32).astype(np.float64)
+        src = convert(values)
+        expected = src.copy()
+        level = FeatureLevel(data=src, stride=4)
+        assert level.data.shape == src.shape
+        assert level.data.dtype == np.float32
+        assert np.array_equal(level.data, expected)
+        assert level.data.transpose(1, 2, 0).flags.c_contiguous
+        assert not level.data.flags.writeable
+        with pytest.raises(ValueError):
+            level.data[0, 0, 0] = 1.0
+        assert np.shares_memory(level.pixels, level.data)
+        assert np.array_equal(level.pixels, level.data.transpose(1, 2, 0).reshape(-1, src.shape[0]))
+        # The level owns its storage: the input stays writable and changing
+        # it does not change the level.
+        assert not np.shares_memory(level.data, src)
+        src[0, 0, 0] += 1.0
+        assert np.array_equal(level.data, expected)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 1), (3, 1, 6), (1, 5, 6)], ids=["W=1", "H=1", "C=1"])
+    def test_degenerate_levels_match_float64_reference(self, shape):
+        rng = np.random.default_rng(31)
+        rig = CameraRig(cameras=(exact_camera(),))
+        levels = [
+            FeatureLevel(data=rng.uniform(-3, 3, size=shape), stride=stride) for stride in (8, 4)
+        ]
+        pyr = FeaturePyramid([levels])
+        _, h, w = shape
+        # Full-resolution pixels on the first and last rows and columns of
+        # the stride-8 level, between them, and outside it.
+        us = [0.0, 2.0, 4.5, 8 * (w - 1), 8 * (w - 1) + 0.5]
+        vs = [0.0, 3.25, 8 * (h - 1), 8 * (h - 1) + 2.0]
+        pixels = np.array([(u, v) for u in us for v in vs])
+        pts = np.column_stack([(pixels[:, 0] - 48.0) / 32.0, (pixels[:, 1] - 32.0) / 32.0, np.full(len(pixels), 2.0)])
+        assert np.array_equal(project_points(pts, rig[0])[0], pixels)
+
+        feats, counts = sample_multiview_many(pyr, rig, pts)
+        total = np.zeros((len(pts), shape[0]))
+        expected_counts = np.zeros(len(pts), dtype=np.int64)
+        for level in levels:
+            data = level.data.astype(np.float64)
+            for i, (u, v) in enumerate(pixels / level.stride):
+                if 0 <= u <= w - 1 and 0 <= v <= h - 1:
+                    total[i] += reference_value(data, u, v)
+                    expected_counts[i] += 1
+        seen = expected_counts > 0
+        total[seen] /= expected_counts[seen, None]
+        assert seen.any() and not seen.all()
+        assert counts.tobytes() == expected_counts.tobytes()
+        assert feats.tobytes() == total.tobytes()
+
+        level = levels[0]
+        data = level.data.astype(np.float64)
+        pos = pixels / level.stride
+        rows, grads = bilinear_grad(level, pos)
+        assert rows.tolist() == np.flatnonzero(seen).tolist()
+        expected_grads = np.array([reference_grad(data, u, v) for u, v in pos[rows]])
+        assert grads.tobytes() == expected_grads.tobytes()
+
+
 class TestTensorFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        arr = rng.uniform(-3, 3, size=(4, 5, 6)).astype(np.float32)
-        path = tmp_path / "t.gdt3"
-        write_tensor(path, arr)
-        back = read_tensor(path)
-        assert back.dtype == np.float32
-        assert np.array_equal(back, arr)
+        for shape in [(4, 5, 6), (0, 3)]:
+            arr = rng.uniform(-3, 3, size=shape).astype(np.float32)
+            path = tmp_path / "t.gdt3"
+            write_tensor(path, arr)
+            back = read_tensor(path)
+            assert back.dtype == np.float32
+            assert back.shape == shape
+            assert back.flags.c_contiguous and back.flags.writeable
+            assert np.array_equal(back, arr)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "t.gdt3"
@@ -484,6 +603,32 @@ class TestTensorFiles:
             for a, b in zip(pyr.levels(ci), loaded.levels(ci)):
                 assert np.array_equal(a.data, b.data)
                 assert a.stride == b.stride
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_pyramid_round_trip_keeps_every_level(self, tmp_path, channels):
+        # Different values in every (camera, level) file, read through one
+        # buffer: a level that kept a view of it would show a later file.
+        rig = gen_rig("nuscenes-like")
+        pyr = random_pyramid(rig, (32, 64, 16), channels=channels, seed=33)
+        loaded = load_pyramid(save_pyramid(tmp_path / "pyr", pyr))
+        for ci in range(pyr.camera_count):
+            for a, b in zip(pyr.levels(ci), loaded.levels(ci)):
+                assert a.data.tobytes() == b.data.tobytes()
+                assert a.stride == b.stride
+
+    def test_pyramid_save_of_loaded_pyramid_is_byte_identical(self, tmp_path):
+        # Cameras of a rendered pyramid share level objects; the loaded one
+        # holds a level per file.  Both must write the same bytes.
+        rig = gen_rig("nuscenes-like")
+        rng = np.random.default_rng(32)
+        field = AnalyticField(*(rng.uniform(-1, 1, 5) * s for s in (1.0, 1e-3, 1e-3, 1e-6)))
+        first = save_pyramid(tmp_path / "a", render_pyramid(field, rig, strides=(32, 64)))
+        save_pyramid(tmp_path / "b", load_pyramid(first))
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert len(names) == 2 * len(rig) + 1
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize("second", ["big.gdt3", "./big.gdt3"])
     def test_pyramid_names_each_file_once(self, tmp_path, second):
