@@ -30,6 +30,16 @@ def level_2x2():
     return FeatureLevel(data=np.array([[[0.0, 1.0], [2.0, 3.0]]]), stride=1)
 
 
+def exact_camera():
+    """fx = 64 and depth 2 make the projection exact: the point
+    ((u - 48) / 32, (v - 32) / 32, 2) lands on pixel (u, v) for dyadic u, v."""
+    return CameraModel(
+        intrinsics=CameraIntrinsics(fx=64.0, fy=64.0, cx=48.0, cy=32.0, width=96, height=64),
+        extrinsics=CameraExtrinsics(rotation=np.eye(3), translation=np.zeros(3)),
+        id="c0",
+    )
+
+
 def central_difference(level, pos, h):
     """(C, 2) central differences of the sampled feature along u and v."""
     steps = np.array([[h, 0.0], [0.0, h]])
@@ -341,13 +351,9 @@ class TestSparseSamplingBitIdentity:
         assert behind.any(axis=0).all()
 
     def test_positions_on_last_row_and_column(self):
-        # fx = 64 and depth 2 make the projection exact, so these points land
-        # exactly on u == W-1 or v == H-1 of every level.
-        cam = CameraModel(
-            intrinsics=CameraIntrinsics(fx=64.0, fy=64.0, cx=48.0, cy=32.0, width=96, height=64),
-            extrinsics=CameraExtrinsics(rotation=np.eye(3), translation=np.zeros(3)),
-            id="c0",
-        )
+        # The projection is exact, so these points land exactly on u == W-1
+        # or v == H-1 of every level.
+        cam = exact_camera()
         rig = CameraRig(cameras=(cam,))
         pyr = random_pyramid(rig, (1, 2, 4, 8), channels=3, seed=13)
         pts = []
@@ -402,34 +408,7 @@ class TestSparseSamplingBitIdentity:
         rows, grads = bilinear_grad(level, pos)
         assert rows.tolist() == list(range(50))
         for (u, v), grad in zip(pos, grads):
-            x0, y0 = int(np.floor(u)), int(np.floor(v))
-            x1, y1 = x0 + 1, y0 + 1
-            fu, fv = u - x0, v - y0
-            du = (1 - fv) * (data[:, y0, x1] - data[:, y0, x0]) + fv * (data[:, y1, x1] - data[:, y1, x0])
-            dv = (1 - fu) * (data[:, y1, x0] - data[:, y0, x0]) + fu * (data[:, y1, x1] - data[:, y0, x1])
-            assert grad.tobytes() == np.stack([du, dv], axis=-1).tobytes()
-
-
-def exact_camera():
-    """fx = 64 and depth 2 make the projection exact: the point
-    ((u - 48) / 32, (v - 32) / 32, 2) lands on pixel (u, v) for dyadic u, v."""
-    return CameraModel(
-        intrinsics=CameraIntrinsics(fx=64.0, fy=64.0, cx=48.0, cy=32.0, width=96, height=64),
-        extrinsics=CameraExtrinsics(rotation=np.eye(3), translation=np.zeros(3)),
-        id="c0",
-    )
-
-
-def reference_value(data, u, v):
-    """Float64 bilinear value at an inside position (u, v) of (C, H, W) data,
-    one position at a time, with the sampler's nesting."""
-    _, h, w = data.shape
-    x0, y0 = math.floor(u), math.floor(v)
-    x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
-    fu, fv = u - x0, v - y0
-    top = data[:, y0, x0] + fu * (data[:, y0, x1] - data[:, y0, x0])
-    bottom = data[:, y1, x0] + fu * (data[:, y1, x1] - data[:, y1, x0])
-    return top + fv * (bottom - top)
+            assert grad.tobytes() == reference_grad(data, u, v).tobytes()
 
 
 def reference_grad(data, u, v):
@@ -503,27 +482,19 @@ class TestLevelLayout:
         assert np.array_equal(project_points(pts, rig[0])[0], pixels)
 
         feats, counts = sample_multiview_many(pyr, rig, pts)
-        total = np.zeros((len(pts), shape[0]))
-        expected_counts = np.zeros(len(pts), dtype=np.int64)
-        for level in levels:
-            data = level.data.astype(np.float64)
-            for i, (u, v) in enumerate(pixels / level.stride):
-                if 0 <= u <= w - 1 and 0 <= v <= h - 1:
-                    total[i] += reference_value(data, u, v)
-                    expected_counts[i] += 1
-        seen = expected_counts > 0
-        total[seen] /= expected_counts[seen, None]
-        assert seen.any() and not seen.all()
-        assert counts.tobytes() == expected_counts.tobytes()
-        assert feats.tobytes() == total.tobytes()
+        ref_feats, ref_counts = dense_multiview(pyr, rig, pts)
+        assert counts.tobytes() == ref_counts.tobytes()
+        assert feats.tobytes() == ref_feats.tobytes()
+        assert (counts == 0).any() and (counts > 0).any()
 
         level = levels[0]
-        data = level.data.astype(np.float64)
         pos = pixels / level.stride
         rows, grads = bilinear_grad(level, pos)
-        assert rows.tolist() == np.flatnonzero(seen).tolist()
-        expected_grads = np.array([reference_grad(data, u, v) for u, v in pos[rows]])
-        assert grads.tobytes() == expected_grads.tobytes()
+        inside = (pos >= 0).all(axis=1) & (pos[:, 0] <= w - 1) & (pos[:, 1] <= h - 1)
+        assert rows.tolist() == np.flatnonzero(inside).tolist()
+        data = level.data.astype(np.float64)
+        expected = np.array([reference_grad(data, u, v) for u, v in pos[rows]])
+        assert grads.tobytes() == expected.tobytes()
 
 
 class TestTensorFiles:
