@@ -14,8 +14,8 @@ All forward projection arithmetic lives in one private core, ``_project(points,
 cameras)``, which returns u, v and depth as one (len(cameras), N) array per
 axis.  Computing per axis in a fixed elementwise order keeps every result
 independent of the batch (no BLAS matmul, whose rounding depends on shape)
-and builds no (N, 3) temporaries; ``project_points``, ``visible_mask``,
-``visible_counts`` and the package's samplers read from it.
+and builds no (N, 3) temporaries; ``project_points``, ``visible_counts``
+and the package's samplers read from it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "RegionLabel",
     "project_points",
     "back_project",
-    "visible_mask",
     "visible_counts",
     "box_corners",
     "classify_regions",
@@ -319,11 +318,6 @@ def back_project(pixel, depth: float, cam: CameraModel) -> np.ndarray:
         [(u - intr.cx) * depth / intr.fx, (v - intr.cy) * depth / intr.fy, depth]
     )
     return cam.extrinsics.rotation.T @ (cam_pt - cam.extrinsics.translation)
-
-
-def visible_mask(points: np.ndarray, cam: CameraModel) -> np.ndarray:
-    """Boolean (N,) mask of points with positive depth projecting inside the image."""
-    return _in_image(*_project(points, (cam,)), (cam,))[0]
 
 
 def visible_counts(points: np.ndarray, rig: CameraRig) -> np.ndarray:

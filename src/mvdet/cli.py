@@ -176,10 +176,6 @@ def _cmd_decode(args) -> int:
             args.seed, layers=args.layers, dim=dim, neighbors=args.neighbors, heads=args.heads
         )
         head = decoder.PredictionHead.seeded(args.seed, dim=dim, num_classes=args.classes)
-    if pyramid.channels != dim:
-        raise ValueError(
-            f"pyramid channels ({pyramid.channels}) do not match decoder dim ({dim})"
-        )
     bounds = camgeo.SceneBounds(
         lo=_parse_floats(args.bounds_lo, 3, "--bounds-lo"),
         hi=_parse_floats(args.bounds_hi, 3, "--bounds-hi"),

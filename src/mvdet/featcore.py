@@ -322,7 +322,7 @@ def sample_multiview_many(
 
 
 def write_tensor(path, array: np.ndarray) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    arr = np.asarray(array, dtype="<f4", order="C")
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<II", TENSOR_VERSION, arr.ndim))

@@ -34,7 +34,6 @@ __all__ = [
     "MatchingError",
     "Assignment",
     "LossBreakdown",
-    "box_regression_vector",
     "match_cost",
     "hungarian",
     "focal_loss",
@@ -91,11 +90,6 @@ def _regression_rows(boxes: Sequence[Box3D]) -> np.ndarray:
     trig = np.array([(math.sin(b.yaw), math.cos(b.yaw)) for b in boxes]).reshape(-1, 2)
     velocities = np.array([b.velocity for b in boxes]).reshape(-1, 2)
     return np.hstack([centers, np.log(sizes), trig, velocities])
-
-
-def box_regression_vector(box: Box3D) -> np.ndarray:
-    """(x, y, z, log w, log l, log h, sin yaw, cos yaw, vx, vy)."""
-    return _regression_rows([box])[0]
 
 
 def _stack_probs(probs) -> np.ndarray:

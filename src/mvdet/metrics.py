@@ -11,13 +11,12 @@ error terms.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .camgeo import Box3D, CameraRig, DetectionResult, RegionLabel, _json_write, classify_regions
+from .camgeo import Box3D, CameraRig, DetectionResult, RegionLabel, _json_write, classify_regions, normalize_yaw
 
 __all__ = [
     "MetricsError",
@@ -218,11 +217,6 @@ def ap_at_threshold(
     return _average_precision(hits[threshold], len(cols))
 
 
-def _smallest_yaw_diff(a: float, b: float) -> float:
-    diff = (a - b + math.pi) % math.tau - math.pi
-    return abs(diff)
-
-
 def _scale_error(pred: Box3D, gt: Box3D) -> float:
     """1 - IoU of the two boxes after aligning centers and yaw (size-only)."""
     mins = np.minimum(pred.size, gt.size)
@@ -246,7 +240,7 @@ def tp_errors(matched: Sequence[tuple[DetectionResult, Box3D]]) -> TpErrors:
         return TpErrors(mate=1.0, mase=1.0, maoe=1.0, mave=1.0, maae=1.0, fallback=True)
     mate = float(np.mean([np.linalg.norm(p.box.center[:2] - g.center[:2]) for p, g in matched]))
     mase = float(np.mean([_scale_error(p.box, g) for p, g in matched]))
-    maoe = float(np.mean([_smallest_yaw_diff(p.box.yaw, g.yaw) for p, g in matched]))
+    maoe = float(np.mean([abs(normalize_yaw(p.box.yaw - g.yaw)) for p, g in matched]))
     mave = float(np.mean([np.linalg.norm(p.box.velocity - g.velocity) for p, g in matched]))
     maae = float(np.mean([0.0 if p.box.attribute_id == g.attribute_id else 1.0 for p, g in matched]))
     return TpErrors(mate=mate, mase=mase, maoe=maoe, mave=mave, maae=maae)

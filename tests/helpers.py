@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from mvdet.augment import AnnotatedFrame, AnnotatedObject
-from mvdet.camgeo import CameraExtrinsics, CameraIntrinsics, CameraModel, visible_mask
+from mvdet.camgeo import CameraExtrinsics, CameraIntrinsics, CameraModel, CameraRig, visible_counts
 from mvdet.decoder import DecoderLayer, Mlp
 from mvdet.featcore import FeatureLevel, FeaturePyramid
 from mvdet.synth import gen_objects, gen_rig
@@ -40,10 +40,16 @@ def make_ident_cam(cam_id="c0", fx=100.0, width=64, height=48):
     )
 
 
+def visible_in(points, cam):
+    """Boolean (N,) visibility of ``points`` in the one camera ``cam``:
+    ``visible_counts`` over a one-camera rig."""
+    return visible_counts(points, CameraRig(cameras=(cam,))) == 1
+
+
 def seen_by(p, rig):
-    """Indices of the rig cameras in which point ``p`` is visible, one
-    ``visible_mask`` call per camera."""
-    return {k for k, cam in enumerate(rig) if visible_mask([p], cam)[0]}
+    """Indices of the rig cameras in which point ``p`` is visible, checked
+    one camera at a time."""
+    return {k for k, cam in enumerate(rig) if visible_in([p], cam)[0]}
 
 
 def constant_pyramid(rig, values, strides=(2, 4)):

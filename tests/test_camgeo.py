@@ -22,11 +22,10 @@ from mvdet.camgeo import (
     rig_to_dict,
     save_rig,
     visible_counts,
-    visible_mask,
 )
 from mvdet.synth import adjacent_seam_azimuths, gen_objects, gen_rig
 
-from helpers import seen_by
+from helpers import seen_by, visible_in
 
 
 def reference_corners(box):
@@ -222,7 +221,7 @@ class TestProjectionCore:
             for pixel in [(0.0, h / 2), (w, h / 2), (w / 2, 0.0), (w / 2, h), (-0.5, 1.0), (w - 1e-9, h - 1e-9)]:
                 pts.append(back_project(pixel, float(rng.uniform(1.0, 50.0)), cam)[None])
         pts = np.concatenate(pts)
-        masks = np.array([visible_mask(pts, cam) for cam in rig])
+        masks = np.array([visible_in(pts, cam) for cam in rig])
         assert np.array_equal(masks, np.array([broadcast_visible(pts, cam) for cam in rig]))
         counts = visible_counts(pts, rig)
         assert counts.dtype == np.int64
@@ -231,20 +230,20 @@ class TestProjectionCore:
 
 
 class TestVisibility:
-    def test_on_axis_visible(self, ident_cam):
-        assert visible_mask([(0, 0, 10)], ident_cam)[0]
+    def test_on_axis_visible(self, ident_rig):
+        assert visible_counts([(0, 0, 10)], ident_rig).tolist() == [1]
 
-    def test_behind_invisible(self, ident_cam):
-        assert not visible_mask([(0, 0, -5)], ident_cam)[0]
+    def test_behind_invisible(self, ident_rig):
+        assert visible_counts([(0, 0, -5)], ident_rig).tolist() == [0]
 
-    def test_out_of_bounds_invisible(self, ident_cam):
+    def test_out_of_bounds_invisible(self, ident_rig):
         # u = 1000*8.05/10 + 800 = 1605 = width + 5
-        assert not visible_mask([(8.05, 0, 10)], ident_cam)[0]
+        assert visible_counts([(8.05, 0, 10)], ident_rig).tolist() == [0]
 
-    def test_half_open_bounds(self, ident_cam):
+    def test_half_open_bounds(self, ident_cam, ident_rig):
         # u exactly at width is out; u = 0 is in.
-        assert not visible_mask([back_project((1600.0, 450.0), 10.0, ident_cam)], ident_cam)[0]
-        assert visible_mask([back_project((0.0, 450.0), 10.0, ident_cam)], ident_cam)[0]
+        edges = [back_project((1600.0, 450.0), 10.0, ident_cam), back_project((0.0, 450.0), 10.0, ident_cam)]
+        assert visible_counts(edges, ident_rig).tolist() == [0, 1]
 
     def test_seam_point_seen_by_both_adjacent_cameras(self, rig6):
         # Oracle: exhaustive per-camera projection.

@@ -82,8 +82,8 @@ class TestSynthCommand:
         ],
     )
     def test_annotation_depth_bytes(self, tmp_path, capsys, seed, style, objects, digest):
-        # sha256 computed when each object's depth came from one
-        # visible_mask and one project_points call per camera.
+        # sha256 first computed with each object's depth taken from a
+        # per-camera visibility mask and projection, one camera at a time.
         assert main([
             "synth", "--seed", str(seed), "--style", style, "--objects", str(objects),
             "--channels", "2", "--strides", "32", "--out", str(tmp_path),
@@ -147,8 +147,8 @@ class TestProjectCommand:
         ],
     )
     def test_behind_camera_json_bytes(self, scene_dir, tmp_path, capsys, point, digest):
-        # stdout and --out sha256 computed with one project_points and one
-        # visible_mask call per camera.
+        # stdout and --out sha256 first computed with one projection and one
+        # visibility mask per camera, one camera at a time.
         args = ["project", "--calib", str(scene_dir / "calib.json"), "--point=" + point, "--json"]
         if point.startswith("-"):
             args.append("--box=" + point + ",2,4,1.5,0")
@@ -298,13 +298,16 @@ class TestDecodeCommand:
             "--seed", "1", "--out", str(tmp_path / "p.json"),
         ]) == 2
 
-    def test_channel_mismatch_error(self, scene_dir, tmp_path):
+    def test_channel_mismatch_error(self, scene_dir, tmp_path, capsys):
         assert main([
             "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
             "--calib", str(scene_dir / "calib.json"),
             "--dim", "16", "--queries", "4", "--layers", "1",
             "--seed", "1", "--out", str(tmp_path / "p.json"),
         ]) == 2
+        # scene_dir's pyramid has 8 channels.
+        assert "error: pyramid channels (8) must match query dim (16)" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
 
 
     @pytest.mark.parametrize("dims", [(2**40,), (2**32, 2**32)])

@@ -500,7 +500,7 @@ class TestLevelLayout:
 class TestTensorFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        for shape in [(4, 5, 6), (0, 3)]:
+        for shape in [(4, 5, 6), (0, 3), ()]:
             arr = rng.uniform(-3, 3, size=shape).astype(np.float32)
             path = tmp_path / "t.gdt3"
             write_tensor(path, arr)

@@ -9,7 +9,6 @@ from mvdet import matching
 from mvdet.camgeo import Box3D, DetectionResult
 from mvdet.matching import (
     MatchingError,
-    box_regression_vector,
     focal_loss,
     hungarian,
     l1_reg_loss,
@@ -399,7 +398,7 @@ class TestFocalLoss:
 
 class TestL1RegLoss:
     def test_identical_zero(self):
-        vec = box_regression_vector(simple_box())
+        vec = reference_vector(simple_box())
         assert l1_reg_loss(vec, vec) == 0.0
 
     def test_single_coordinate(self):
@@ -409,8 +408,8 @@ class TestL1RegLoss:
         assert l1_reg_loss(a, b) == pytest.approx(0.2)
 
     def test_yaw_wrap_free(self):
-        a = box_regression_vector(simple_box(yaw=0.4))
-        b = box_regression_vector(simple_box(yaw=0.4 + 2 * math.pi))
+        a = reference_vector(simple_box(yaw=0.4))
+        b = reference_vector(simple_box(yaw=0.4 + 2 * math.pi))
         assert l1_reg_loss(a, b) <= 1e-15
 
     def test_length_mismatch_rejected(self):
@@ -419,7 +418,7 @@ class TestL1RegLoss:
 
     def test_regression_vector_layout(self):
         box = simple_box(center=(1, 2, 3), size=(2, 4, 8), yaw=0.5, velocity=(0.1, -0.2))
-        vec = box_regression_vector(box)
+        [vec] = matching._regression_rows([box])
         assert vec.shape == (10,)
         assert np.allclose(vec[:3], (1, 2, 3))
         assert np.allclose(vec[3:6], np.log((2, 4, 8)))
@@ -479,7 +478,7 @@ class TestSetLoss:
             if i in matched:
                 cid, gbox = gts[matched[i]]
                 expected_cls += focal_loss(probs, cid)
-                expected_reg += l1_reg_loss(box_regression_vector(box), box_regression_vector(gbox))
+                expected_reg += l1_reg_loss(reference_vector(box), reference_vector(gbox))
             else:
                 expected_cls += focal_loss(probs, None)
         assert breakdown.cls == pytest.approx(expected_cls, rel=1e-12)
@@ -544,7 +543,7 @@ class TestSetLoss:
 
             return wrapped
 
-        for name in ("focal_loss", "l1_reg_loss", "box_regression_vector"):
+        for name in ("focal_loss", "l1_reg_loss"):
             monkeypatch.setattr(matching, name, counting(name, getattr(matching, name)))
         set_loss(*seeded_set(8, 60, 12))
         assert calls == []
