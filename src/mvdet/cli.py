@@ -45,7 +45,10 @@ def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != n:
         raise ValueError(f"{what} needs {n} comma-separated numbers, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    values = np.array([float(p) for p in parts])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} needs finite numbers, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ import enum
 import json
 import math
 import os
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -614,35 +613,14 @@ _PARAM_META_FIELDS = {
     "num_classes": _json_int,
     "activations": lambda table: {net: tuple(acts) for net, acts in dict(table).items()},
 }
-# An MLP's tensor keys: w0, b0, w1, b1, ...
-_MLP_TENSOR_KEY = re.compile(r"[wb](?:0|[1-9][0-9]*)")
-# A layer's name as save_params writes it: the index in two digits or more,
-# without extra leading zeros.  18 digits keep int() cheap and lie far above
-# any layer count a bundle can hold.
-_LAYER_NAME = re.compile(r"layer(0[0-9]|[1-9][0-9]{1,17})")
-
-
-def _in_bundle_layout(name: str, layers: int) -> bool:
-    """Whether tensor entry ``name`` has a place in a bundle of ``layers``
-    layers: ``layerNN.attention.<tensor>`` or ``layerNN.<net>.<w|b><i>`` for
-    NN below ``layers``, or ``head.<net>.<w|b><i>``."""
-    owner, _, rest = name.partition(".")
-    part, _, key = rest.partition(".")
-    if owner == "head":
-        return part in _HEAD_NETS and _MLP_TENSOR_KEY.fullmatch(key) is not None
-    index = _LAYER_NAME.fullmatch(owner)
-    if index is None or int(index[1]) >= layers:
-        return False
-    if part == "attention":
-        return key in _ATTENTION_TENSORS
-    return part in _LAYER_PARTS and _MLP_TENSOR_KEY.fullmatch(key) is not None
-
-
 def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
-    """Read a parameter bundle.  Every tensor entry must have a place in the
-    layout of ``meta.layers`` layers and a head, and be read by one of their
-    nets; the meta's ``dim``, ``neighbors`` and ``num_classes`` must match
-    the loaded nets."""
+    """Read a parameter bundle.  Tensor entries are looked up by the names
+    the meta's layout gives: ``meta.layers`` layers and a head, each net
+    with one ``w<i>``/``b<i>`` pair per item of its ``meta.activations``
+    list.  Each tensor is read when the walk takes it, and the first one
+    missing fails.  An entry outside that layout is never read; it fails
+    once the walk is done.  The meta's ``dim``, ``neighbors`` and
+    ``num_classes`` must match the loaded nets."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         bundle = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -651,47 +629,44 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
     meta = _json_fields(bundle, {"meta": dict}, DecoderError, str(manifest_path))["meta"]
     meta = _json_fields(meta, _PARAM_META_FIELDS, DecoderError, f"the meta of {manifest_path}")
     _check_sizes(layers=meta["layers"], num_classes=meta["num_classes"])
-    arrays = {}
+    table = {}
     seen: set[str] = set()
     for entry in entries:
         entry = _json_fields(entry, _PARAM_ENTRY_FIELDS, DecoderError, f"an entry of {manifest_path}")
         path = _unique_tensor_path(base, entry["file"], seen, DecoderError, what)
         name = entry["name"]
-        if not _in_bundle_layout(name, meta["layers"]):
-            raise DecoderError(f"{what}: entry {name!r} is not part of a {meta['layers']}-layer bundle")
-        if name in arrays:
+        if name in table:
             raise DecoderError(f"{what}: entry {name!r} is named more than once")
-        arr = read_tensor(path).astype(np.float64)
-        if list(arr.shape) != entry["shape"]:
-            raise DecoderError(f"parameter {name}: shape mismatch")
-        arrays[name] = arr
+        table[name] = path, entry["shape"]
 
-    def take(table: dict, key: str, kind: str):
-        if key not in table:
+    def take(items: dict, key: str, kind: str):
+        if key not in items:
             raise DecoderError(f"{what}: missing {kind} {key!r}")
-        return table.pop(key)
+        return items.pop(key)
+
+    def read(name: str) -> np.ndarray:
+        path, shape = take(table, name, "tensor")
+        arr = read_tensor(path).astype(np.float64)
+        if list(arr.shape) != shape:
+            raise DecoderError(f"parameter {name}: shape mismatch")
+        return arr
 
     def load_mlp(prefix: str) -> Mlp:
-        ws, bs = [], []
-        i = 0
-        while f"{prefix}.w{i}" in arrays:
-            ws.append(arrays.pop(f"{prefix}.w{i}"))
-            bs.append(take(arrays, f"{prefix}.b{i}", "tensor"))
-            i += 1
         acts = take(meta["activations"], prefix, "activations of")
-        return Mlp(weights=tuple(ws), biases=tuple(bs), activations=tuple(acts))
+        tensors = [read(f"{prefix}.{key}{i}") for i in range(len(acts)) for key in "wb"]
+        return Mlp(weights=tuple(tensors[0::2]), biases=tuple(tensors[1::2]), activations=acts)
 
     layers = []
     for li in range(meta["layers"]):
         name = f"layer{li:02d}"
         # The attention tensors are looked up first, so a layer missing from
         # the bundle is reported by its first tensor.
-        tensors = {n: take(arrays, f"{name}.attention.{n}", "tensor") for n in _ATTENTION_TENSORS}
+        tensors = {n: read(f"{name}.attention.{n}") for n in _ATTENTION_TENSORS}
         parts = {p: load_mlp(f"{name}.{p}") for p in _LAYER_PARTS if p != "attention"}
         layers.append(DecoderLayer(attention=AttentionParams(heads=meta["heads"], **tensors), **parts))
     head = PredictionHead(**{net: load_mlp(f"head.{net}") for net in _HEAD_NETS})
-    if arrays:
-        raise DecoderError(f"{what}: no net reads entry {next(iter(arrays))!r}")
+    if table:
+        raise DecoderError(f"{what}: entry {next(iter(table))!r} is not part of a {meta['layers']}-layer bundle")
     for key, loaded in _bundle_meta(layers, head).items():
         if loaded != meta[key]:
             raise DecoderError(f"{what}: meta {key} is {meta[key]}, but the loaded nets have {loaded}")

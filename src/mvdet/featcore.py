@@ -132,9 +132,6 @@ class FeaturePyramid:
     def levels(self, camera: int) -> tuple[FeatureLevel, ...]:
         return self._cams[camera]
 
-    def __iter__(self):
-        return iter(self._cams)
-
 
 # ---------------------------------------------------------------------------
 # Bilinear interpolation
@@ -327,7 +324,7 @@ def write_tensor(path, array: np.ndarray) -> None:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<II", TENSOR_VERSION, arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(arr.data)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -162,8 +162,14 @@ class TestProjectCommand:
     def test_missing_calib_io_error(self, tmp_path):
         assert main(["project", "--calib", str(tmp_path / "nope.json"), "--point", "1,2,3"]) == 2
 
-    def test_malformed_point_usage_error(self, scene_dir):
-        assert main(["project", "--calib", str(scene_dir / "calib.json"), "--point", "1,2"]) == 2
+    @pytest.mark.parametrize("point", ["1,2", "nan,0,1", "inf,0,1", "1e400,0,1"])
+    def test_malformed_point_usage_error(self, scene_dir, tmp_path, capsys, point):
+        out = tmp_path / "out.json"
+        argv = ["project", "--calib", str(scene_dir / "calib.json"), "--point", point, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--point" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestAugmentCommand:

@@ -593,6 +593,8 @@ class TestPredictions:
             (lambda b: b["meta"].update(layers=2), "layer01.attention.w_q"),
             (lambda b: b["meta"]["activations"].pop("layer00.ffn"), "layer00.ffn"),
             (lambda b: b.update(entries=[e for e in b["entries"] if e["name"] != "layer00.ffn.b1"]), "layer00.ffn.b1"),
+            (lambda b: b["meta"].update(layers=10**18), "layer01.attention.w_q"),
+            (lambda b: b["meta"]["activations"]["layer00.ffn"].append("relu"), "layer00.ffn.w2"),
         ],
     )
     def test_incomplete_params_name_the_missing_item(self, tmp_path, edit, missing):
@@ -641,12 +643,14 @@ class TestPredictions:
             load_params(manifest)
 
     def test_params_entry_nothing_reads_rejected(self, tmp_path):
-        # The ffn has two linear layers: w0/b0 and w1/b1.
+        # The ffn has two linear layers: w0/b0 and w1/b1. The entry is rejected
+        # whether its file is present or absent, so the file is never read.
         write_tensor(tmp_path / "spare.gdt3", np.zeros((8, 8)))
-        entry = {"file": str(tmp_path / "spare.gdt3"), "name": "layer00.ffn.w7", "shape": [8, 8]}
-        manifest = self.edited_bundle(tmp_path, lambda b: b["entries"].append(entry))
-        with pytest.raises(DecoderError, match=re.escape("no net reads entry 'layer00.ffn.w7'")):
-            load_params(manifest)
+        for file in (str(tmp_path / "spare.gdt3"), "absent.gdt3"):
+            entry = {"file": file, "name": "layer00.ffn.w7", "shape": [8, 8]}
+            manifest = self.edited_bundle(tmp_path, lambda b: b["entries"].append(entry))
+            with pytest.raises(DecoderError, match=re.escape("entry 'layer00.ffn.w7' is not part of a 1-layer bundle")):
+                load_params(manifest)
 
     def test_params_entry_named_twice_rejected(self, tmp_path):
         write_tensor(tmp_path / "spare.gdt3", np.zeros(8))
