@@ -618,9 +618,10 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
     the meta's layout gives: ``meta.layers`` layers and a head, each net
     with one ``w<i>``/``b<i>`` pair per item of its ``meta.activations``
     list.  Each tensor is read when the walk takes it, and the first one
-    missing fails.  An entry outside that layout is never read; it fails
-    once the walk is done.  The meta's ``dim``, ``neighbors`` and
-    ``num_classes`` must match the loaded nets."""
+    missing fails.  A tensor or activations entry outside that layout
+    fails once the walk is done; such a tensor's file is never read.  The
+    meta's ``dim``, ``neighbors`` and ``num_classes`` must match the loaded
+    nets."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         bundle = json.load(fh)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -665,8 +666,9 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
         parts = {p: load_mlp(f"{name}.{p}") for p in _LAYER_PARTS if p != "attention"}
         layers.append(DecoderLayer(attention=AttentionParams(heads=meta["heads"], **tensors), **parts))
     head = PredictionHead(**{net: load_mlp(f"head.{net}") for net in _HEAD_NETS})
-    if table:
-        raise DecoderError(f"{what}: entry {next(iter(table))!r} is not part of a {meta['layers']}-layer bundle")
+    for kind, left in (("entry", table), ("activations entry", meta["activations"])):
+        if left:
+            raise DecoderError(f"{what}: {kind} {next(iter(left))!r} is not part of a {meta['layers']}-layer bundle")
     for key, loaded in _bundle_meta(layers, head).items():
         if loaded != meta[key]:
             raise DecoderError(f"{what}: meta {key} is {meta[key]}, but the loaded nets have {loaded}")

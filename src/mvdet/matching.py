@@ -51,6 +51,8 @@ _PROB_FLOOR = 1e-12
 # loss weights.
 _COST_CLS_WEIGHT = 1.0
 _COST_REG_WEIGHT = 0.25
+# Prediction rows per block of the cost's L1 term.
+_COST_BLOCK = 64
 _ALPHA = 0.25
 _GAMMA = 2.0
 
@@ -146,7 +148,17 @@ def match_cost(
     gt_cls = np.array([_class_index(c, probs.shape[1]) for c, _ in gts], dtype=np.int64)
     pv = _regression_rows([b for _, b in preds])
     gv = _regression_rows([b for _, b in gts])
-    reg = np.abs(pv[:, None] - gv[None]).sum(axis=2)
+    # The L1 term, _COST_BLOCK prediction rows at a time through one reused
+    # (block, G, 10) buffer: each entry is still numpy's own 10-term sum, so
+    # the bits equal a one-broadcast (N, G, 10) sum without its temporary.
+    reg = np.empty((len(pv), len(gv)))
+    buf = np.empty((min(_COST_BLOCK, len(pv)), *gv.shape))
+    for start in range(0, len(pv), _COST_BLOCK):
+        block = pv[start : start + _COST_BLOCK]
+        diff = buf[: len(block)]
+        np.subtract(block[:, None], gv[None], out=diff)
+        np.abs(diff, out=diff)
+        diff.sum(axis=2, out=reg[start : start + len(block)])
     return _COST_CLS_WEIGHT * -probs[:, gt_cls] + _COST_REG_WEIGHT * reg
 
 

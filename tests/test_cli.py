@@ -500,6 +500,16 @@ def _params_with_entry(name):
     return build
 
 
+def _params_with_activations(net, acts):
+    """A real one-layer bundle whose meta also lists ``acts`` for ``net``."""
+    def build(scene_dir):
+        bundle = _params_with()(scene_dir)
+        bundle["meta"]["activations"][net] = acts
+        return bundle
+
+    return build
+
+
 def _params_file_twice(scene_dir):
     """A real one-layer bundle with one more entry on its first tensor file."""
     bundle = _params_with()(scene_dir)
@@ -537,6 +547,7 @@ _MALFORMED = {
     "params-entry-outside-layout": ("params", _params_with_entry("extra")),
     "params-entry-unread": ("params", _params_with_entry("layer00.ffn.w7")),
     "params-file-twice": ("params", _params_file_twice),
+    "params-activations-outside-layout": ("params", _params_with_activations("layer05.ffn", ["relu", "bogus"])),
     "calib-fx-null": ("calib", _calib_with(fx=None)),
     "calib-fx-inf": ("calib", _calib_with(fx=float("inf"))),
     "calib-id-null": ("calib", _calib_with(id=None)),
@@ -620,6 +631,30 @@ class TestEvaluateCommand:
         assert payload["overall_NDS"] == 1.0
         assert (out / "report.json").exists()
         assert (out / "report.csv").exists()
+
+    def test_class_ids_beyond_int64(self, scene_dir, tmp_path, capsys):
+        # Class ids are Python ints end to end: ids past int64 load, match
+        # and are written as decimal numbers and strings.
+        ann = json.loads((scene_dir / "annotations.json").read_text())
+        objects = ann["frames"][0]["objects"]
+        for o in objects:
+            o["class"] = 10**30 + o["class"] % 2
+        (tmp_path / "gt.json").write_text(json.dumps(ann))
+        keys = ("center", "size", "yaw", "velocity", "class", "attribute")
+        preds = [{key: o[key] for key in keys} | {"score": 0.9} for o in objects]
+        (tmp_path / "preds.json").write_text(json.dumps({"predictions": preds}))
+        out = tmp_path / "eval"
+        assert main([
+            "evaluate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "preds.json"),
+            "--calib", str(scene_dir / "calib.json"), "--split", "--out", str(out), "--json",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["overall_NDS"] == 1.0
+        report = json.loads((out / "report.json").read_text())
+        assert report["overall"]["classes"] == [10**30, 10**30 + 1]
+        assert sorted(report["overall"]["ap"]) == [str(10**30), str(10**30 + 1)]
+        # sha256 computed while the greedy matcher still sorted predictions in Python.
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == "d8a5fe0c778dcd8ac6ca04aa09ffbc0b958af6dbb5cedb6c1ee42c807382d866"
+        assert hashlib.sha256((out / "report.csv").read_bytes()).hexdigest() == "b33b9ff3cdc8501ddafef49266faaefe6f96059a685e73248b990a0d4a283984"
 
     def test_no_split_report_bytes(self, scene_dir, tmp_path, capsys):
         gts = [o.box for o in load_frames(scene_dir / "annotations.json")[0].objects]

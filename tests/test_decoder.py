@@ -642,6 +642,12 @@ class TestPredictions:
         with pytest.raises(DecoderError, match=re.escape(f"entry {name!r} is not part of a 1-layer bundle")):
             load_params(manifest)
 
+    @pytest.mark.parametrize("net", ["layer05.ffn", "layer01.ref", "head.attention", "extra"])
+    def test_params_activations_outside_layout_rejected(self, tmp_path, net):
+        manifest = self.edited_bundle(tmp_path, lambda b: b["meta"]["activations"].update({net: ["relu", "bogus"]}))
+        with pytest.raises(DecoderError, match=re.escape(f"activations entry {net!r} is not part of a 1-layer bundle")):
+            load_params(manifest)
+
     def test_params_entry_nothing_reads_rejected(self, tmp_path):
         # The ffn has two linear layers: w0/b0 and w1/b1. The entry is rejected
         # whether its file is present or absent, so the file is never read.

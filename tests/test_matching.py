@@ -131,6 +131,21 @@ class TestMatchCost:
         assert cost.shape == shape and cost.dtype == np.float64
         assert cost.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("num_gts", [0, 1, 7])
+    @pytest.mark.parametrize("num_preds", [1, 63, 64, 65, 129])
+    def test_row_blocks_bit_equal_one_broadcast(self, num_preds, num_gts):
+        # The L1 term is summed in blocks of 64 prediction rows; below, at
+        # and past the block edges it must equal one (N, G, 10) broadcast.
+        preds, gts = seeded_set(num_preds + num_gts, num_preds, num_gts)
+        probs = np.array([p for p, _ in preds])
+        gt_cls = np.array([c for c, _ in gts], dtype=np.int64)
+        pv = np.array([reference_vector(b) for _, b in preds])
+        gv = np.array([reference_vector(b) for _, b in gts]).reshape(-1, 10)
+        expected = 1.0 * -probs[:, gt_cls] + 0.25 * np.abs(pv[:, None] - gv[None]).sum(axis=2)
+        cost = match_cost(preds, gts)
+        assert cost.shape == (num_preds, num_gts)
+        assert cost.tobytes() == expected.tobytes()
+
     def test_empty_sides(self):
         preds, gts = seeded_set(3, 4, 3)
         assert match_cost([], gts).shape == (0, 3)

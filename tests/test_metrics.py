@@ -338,6 +338,44 @@ class TestOneMatchingPass:
             assert match_detections(preds, gts, th) == expected
         assert any(p != q for p, q in zip(match_detections(preds, gts, 0.5), match_detections(preds, gts, 4.0)))
 
+    def test_score_order_with_signed_zeros_and_repeats(self):
+        # 0.0 and -0.0 compare equal, so their order is the original one, as
+        # are the orders within each run of repeated scores.
+        scores = [0.0, -0.0, 0.5, -0.0, 0.5, 0.0, -0.25, 0.5, -0.25, 0.0]
+        gts = [gt((3.0 * j, 0, 0)) for j in range(4)]
+        preds = [det((3.0 * (i % 4) + 0.1 * i, 0, 0), s) for i, s in enumerate(scores)]
+        [(rows, _, _)] = metrics._greedy_matches(preds, gts, (0,), (2.0,))
+        assert rows == [2, 4, 7, 0, 1, 3, 5, 9, 6, 8]
+        for th in metrics.DIST_THRESHOLDS:
+            assert match_detections(preds, gts, th) == reference_greedy_pairs(preds, gts, 0, th)
+
+
+class TestClassIdsBeyondInt64:
+    CLASSES = (10**30, 10**30 + 1)
+
+    def perfect_inputs(self):
+        gts = [
+            Box3D(center=g.center, size=g.size, yaw=g.yaw, velocity=g.velocity,
+                  class_id=self.CLASSES[g.class_id % 2], attribute_id=g.attribute_id)
+            for g in gen_objects(6, 120)
+        ]
+        return [DetectionResult(box=g, score=0.9) for g in gts], gts
+
+    def test_evaluate_scores_one(self):
+        preds, gts = self.perfect_inputs()
+        report = evaluate(preds, gts)
+        assert report.class_ids == self.CLASSES and report.nds == 1.0
+        data = json.loads(json.dumps(report.to_dict()))
+        assert data["classes"] == list(self.CLASSES)
+        assert sorted(data["ap"]) == ["1000000000000000000000000000000", "1000000000000000000000000000001"]
+
+    def test_region_split_scores_one(self):
+        preds, gts = self.perfect_inputs()
+        split = evaluate_region_split(preds, gts, gen_rig("nuscenes-like"))
+        for report in (split.overall, split.overlapping, split.non_overlapping):
+            assert report.class_ids == self.CLASSES
+            assert report.mean_ap == 1.0 and report.nds == 1.0
+
 
 class TestReportFiles:
     def test_json_report(self, tmp_path):
@@ -399,14 +437,19 @@ class TestGreedyPass:
         # row and across rows; some rows equal the threshold exactly.
         dist = rng.integers(0, 9, size=(rows, cols)) * 0.5
         dist[rng.uniform(size=rows) < 0.2] = 2.0
-        for threshold in (0.5, 1.0, 2.0, 4.0, 10.0):
-            assert metrics._greedy_pass(dist, threshold) == reference_greedy_hits(dist, threshold)
+        thresholds = (0.5, 1.0, 2.0, 4.0, 10.0)
+        together = metrics._greedy_pass(dist, thresholds)
+        assert list(together) == list(thresholds)
+        for threshold in thresholds:
+            expected = reference_greedy_hits(dist, threshold)
+            assert metrics._greedy_pass(dist, (threshold,))[threshold] == expected
+            assert together[threshold] == expected
 
     def test_ties_go_to_the_lowest_untaken_column(self):
         dist = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.5, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        assert metrics._greedy_pass(dist, 2.0) == [0, 1, 2, -1]
-        assert metrics._greedy_pass(dist, 1.0) == [-1, -1, 0, -1]
+        assert metrics._greedy_pass(dist, (2.0,))[2.0] == [0, 1, 2, -1]
+        assert metrics._greedy_pass(dist, (1.0,))[1.0] == [-1, -1, 0, -1]
 
     def test_empty_sides(self):
-        assert metrics._greedy_pass(np.zeros((3, 0)), 1.0) == [-1, -1, -1]
-        assert metrics._greedy_pass(np.zeros((0, 4)), 1.0) == []
+        assert metrics._greedy_pass(np.zeros((3, 0)), (1.0,))[1.0] == [-1, -1, -1]
+        assert metrics._greedy_pass(np.zeros((0, 4)), (1.0,))[1.0] == []
