@@ -205,7 +205,9 @@ class Box3D:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """A scored 3D box prediction."""
+    """A scored 3D box prediction.  The score is stored as a Python float,
+    so every consumer sees the same value (an int beyond 2**53 is rounded
+    once, here)."""
 
     box: Box3D
     score: float
@@ -213,6 +215,7 @@ class DetectionResult:
     def __post_init__(self):
         if not math.isfinite(self.score):
             raise GeometryError(f"score must be finite, got {self.score}")
+        object.__setattr__(self, "score", float(self.score))
 
 
 @dataclass(frozen=True)

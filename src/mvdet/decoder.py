@@ -541,7 +541,7 @@ def decode_predictions(qs: QuerySet, refs: np.ndarray, head: PredictionHead) -> 
         results.append(
             DetectionResult(
                 box=Box3D(center=center, size=size, yaw=yaw, velocity=velocity, class_id=class_id),
-                score=float(probs[i, class_id]),
+                score=probs[i, class_id],
             )
         )
     return results
@@ -720,6 +720,8 @@ class GradCheckReport:
 
 
 _GRAD_COMPONENTS = ("offset", "weight", "query")
+# grad_check's fixed rig, built once: a rig is frozen and its arrays read-only.
+_GRAD_RIG = gen_rig("nuscenes-like")
 # Probes scored per batch; bounds the memory of a grad_check call of any size.
 _GRAD_GROUP = 32
 
@@ -889,7 +891,6 @@ def grad_check(
         raise DecoderError(f"probes must be at least 1, got {probes}")
 
     dim, k = 16, 4
-    rig = gen_rig("nuscenes-like")
     rng = derived_rng(seed, 40)
     channels = 4
     fld = AnalyticField(
@@ -898,12 +899,12 @@ def grad_check(
         c=rng.uniform(-1, 1, channels) * 0.01,
         d=rng.uniform(-1, 1, channels) * 1e-5,
     )
-    pyr = render_pyramid(fld, rig, strides=(8, 16))
+    pyr = render_pyramid(fld, _GRAD_RIG, strides=(8, 16))
     bounds = SceneBounds(lo=(5.0, -6.0, 0.5), hi=(25.0, 6.0, 2.5))
     net_rng = derived_rng(seed, 41)
     probe = _GradProbe(
         pyr=pyr,
-        rig=rig,
+        rig=_GRAD_RIG,
         ref_net=Mlp.seeded([dim, dim, 3], net_rng),
         offset_net=Mlp.seeded([dim, dim, 3 * k], net_rng),
         weight_net=Mlp.seeded([dim, k], net_rng),

@@ -377,6 +377,21 @@ def _read_tensor(path, scratch: np.ndarray | None) -> np.ndarray:
         return arr
 
 
+# Pixels per block of the channel-major copy: one block's (B, C) rows and
+# (C, B) columns stay in cache, where numpy's whole-level transposing copy
+# strides through memory.
+_TRANSPOSE_BLOCK = 1024
+
+
+def _channel_major(level: FeatureLevel) -> np.ndarray:
+    """A new C-contiguous (C, H, W) copy of ``level``'s values."""
+    pixels = level.pixels
+    out = np.empty((level.channels, len(pixels)), dtype=np.float32)
+    for s in range(0, len(pixels), _TRANSPOSE_BLOCK):
+        out[:, s : s + _TRANSPOSE_BLOCK] = pixels[s : s + _TRANSPOSE_BLOCK].T
+    return out.reshape(level.data.shape)
+
+
 def save_pyramid(directory, pyr: FeaturePyramid) -> str:
     """Write one tensor file per (camera, level) plus a manifest; returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
@@ -389,7 +404,7 @@ def save_pyramid(directory, pyr: FeaturePyramid) -> str:
         entries = []
         for li, level in enumerate(pyr.levels(ci)):
             if id(level) not in chw:
-                chw[id(level)] = np.ascontiguousarray(level.data)
+                chw[id(level)] = _channel_major(level)
             fname = f"cam{ci:02d}_level{li}.gdt3"
             write_tensor(os.path.join(directory, fname), chw[id(level)])
             entries.append({"file": fname, "stride": level.stride})

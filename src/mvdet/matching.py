@@ -406,7 +406,7 @@ def set_loss(
 
 
 def predictions_to_dict(preds: Sequence[DetectionResult]) -> dict:
-    return {"predictions": [{**_box_to_json(p.box), "score": float(p.score)} for p in preds]}
+    return {"predictions": [{**_box_to_json(p.box), "score": p.score} for p in preds]}
 
 
 def predictions_from_dict(data: dict) -> list[DetectionResult]:

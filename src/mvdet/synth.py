@@ -218,7 +218,12 @@ def render_pyramid(
 
     A level's raster depends only on its width, height and stride, so each
     distinct level is rendered once and cameras with the same image size
-    share the same (read-only) ``FeatureLevel`` object.
+    share the same (read-only) ``FeatureLevel`` object.  A level is evaluated
+    on a (1, W) axis of column coordinates u and an (H, 1) axis of row
+    coordinates v: ``evaluate`` computes ``((a + b*u) + c*v) + (d*u)*v``, so
+    ``b*u``, ``c*v`` and ``d*u`` are one row or column long and only three
+    operations span the level, with the same operations per pixel as on the
+    full grid.
     """
     for stride in strides:
         if stride < 1:
@@ -233,11 +238,9 @@ def render_pyramid(
             lh = max(1, math.ceil(h / stride))
             key = (lw, lh, stride)
             if key not in rendered:
-                uu, vv = np.meshgrid(
-                    np.arange(lw, dtype=np.float64) * stride,
-                    np.arange(lh, dtype=np.float64) * stride,
-                )
-                values = field.evaluate(uu, vv)  # (lh, lw, C)
+                u = np.arange(lw, dtype=np.float64) * stride
+                v = np.arange(lh, dtype=np.float64) * stride
+                values = field.evaluate(u[None, :], v[:, None])  # (lh, lw, C)
                 rendered[key] = FeatureLevel(data=np.moveaxis(values, -1, 0), stride=stride)
             levels.append(rendered[key])
         cams.append(levels)
@@ -325,12 +328,12 @@ def perturb_predictions(
                     class_id=gt.class_id,
                     attribute_id=gt.attribute_id,
                 ),
-                score=float(score),
+                score=score,
             )
         )
     n_fp = int(round(noise.false_positive_rate * len(gts)))
     for fp in gen_objects(seed + 1, n_fp, class_count=class_count):
-        preds.append(DetectionResult(box=fp, score=float(rng.uniform(0.0, _SCORE_SPLIT))))
+        preds.append(DetectionResult(box=fp, score=rng.uniform(0.0, _SCORE_SPLIT)))
     return preds
 
 

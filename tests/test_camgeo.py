@@ -10,6 +10,7 @@ from mvdet.camgeo import (
     CameraIntrinsics,
     CameraModel,
     CameraRig,
+    DetectionResult,
     GeometryError,
     RegionLabel,
     back_project,
@@ -439,6 +440,17 @@ class TestValidation:
     def test_yaw_normalized(self):
         assert Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=3 * math.pi).yaw == pytest.approx(math.pi)
         assert Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=-math.pi).yaw == pytest.approx(math.pi)
+
+    def test_score_stored_as_float(self):
+        box = Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0)
+        result = DetectionResult(box, 2**53 + 1)
+        assert type(result.score) is float and result.score == 2.0**53
+        assert type(DetectionResult(box, np.float32(0.5)).score) is float
+        for score in (math.nan, math.inf):
+            with pytest.raises(GeometryError, match="score must be finite"):
+                DetectionResult(box, score)
+        with pytest.raises(TypeError):
+            DetectionResult(box, "0.5")
 
     def test_duplicate_camera_ids_rejected(self, ident_cam):
         with pytest.raises(GeometryError):

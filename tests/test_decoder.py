@@ -903,3 +903,22 @@ class TestGradCheck:
         # 8 * K = 32 nodes, then one call samples the nodes of all their
         # 8 * 2 * (12 + 4 + 16) signed steps.
         assert calls == [8 * 4, 8 * 64 * 4]
+
+    def test_rig_built_once_and_read_only(self, monkeypatch):
+        rigs = []
+        init = _GradProbe.__init__
+
+        def record(probe, *args, **kwargs):
+            init(probe, *args, **kwargs)
+            rigs.append(probe.rig)
+
+        monkeypatch.setattr(_GradProbe, "__init__", record)
+        grad_check(seed=5, probes=1)
+        grad_check(seed=6, probes=1)
+        assert len(rigs) == 2 and rigs[0] is rigs[1]
+        for cam, fresh in zip(rigs[0], gen_rig("nuscenes-like"), strict=True):
+            assert (cam.id, cam.intrinsics) == (fresh.id, fresh.intrinsics)
+            for name in ("rotation", "translation"):
+                arr = getattr(cam.extrinsics, name)
+                assert not arr.flags.writeable
+                assert arr.tobytes() == getattr(fresh.extrinsics, name).tobytes()

@@ -274,6 +274,13 @@ class TestMatchDetections:
         assert match_detections(preds, gts, 2.0) == []
         assert match_detections(preds, gts, 4.0) == [(0, 0)]
 
+    def test_int_scores_equal_as_floats_tie_by_index(self):
+        # 2**53 + 1 rounds to 2**53, so the scores tie and the first
+        # prediction wins although the second is closer.
+        gts = [gt((0, 0, 0))]
+        preds = [det((0.5, 0, 0), 2**53), det((0.4, 0, 0), 2**53 + 1)]
+        assert match_detections(preds, gts, 2.0) == [(0, 0)]
+
 
 def reference_greedy_pairs(preds, gts, class_id, threshold):
     """The greedy matcher written out per prediction: score order with

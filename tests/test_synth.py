@@ -131,6 +131,33 @@ class TestRenderPyramid:
         with pytest.raises(FeatureError, match="identical per-level shapes"):
             render_pyramid(random_field(3, "bilinear", 4), gen_rig("custom", specs), strides=(8, 16))
 
+    @staticmethod
+    def assert_levels_equal_meshgrid_render(pyr, field):
+        # Reference: the field evaluated on the full meshgrid of each level.
+        for cam in range(pyr.camera_count):
+            for level in pyr.levels(cam):
+                uu, vv = np.meshgrid(
+                    np.arange(level.width, dtype=np.float64) * level.stride,
+                    np.arange(level.height, dtype=np.float64) * level.stride,
+                )
+                expected = np.moveaxis(field.evaluate(uu, vv), -1, 0).astype(np.float32)
+                assert level.data.shape == expected.shape
+                assert level.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("channels", [4, 64])
+    @pytest.mark.parametrize("kind", ["constant", "linear", "bilinear"])
+    def test_levels_equal_meshgrid_render(self, kind, channels):
+        field = random_field(7, kind, channels)
+        pyr = render_pyramid(field, gen_rig("nuscenes-like"), strides=(8, 16, 32, 64))
+        self.assert_levels_equal_meshgrid_render(pyr, field)
+
+    def test_one_pixel_wide_level_equals_meshgrid_render(self):
+        field = random_field(7, "bilinear", 4)
+        rig = gen_rig("custom", [CameraSpec(id="narrow", yaw_deg=0.0, width=2, height=9)])
+        pyr = render_pyramid(field, rig, strides=(1, 4))
+        assert [level.data.shape for level in pyr.levels(0)] == [(4, 9, 2), (4, 3, 1)]
+        self.assert_levels_equal_meshgrid_render(pyr, field)
+
     @pytest.mark.parametrize("stride", [0, -8])
     def test_stride_below_one(self, stride):
         rig = gen_rig("single")
