@@ -30,6 +30,7 @@ from .camgeo import (
     _box_from_json,
     _box_to_json,
     _json_fields,
+    _json_float,
     _json_int,
     _json_records,
     _json_write,
@@ -249,7 +250,7 @@ def _object_to_dict(obj: AnnotatedObject) -> dict:
 
 def _object_from_dict(data: dict) -> AnnotatedObject:
     box = _box_from_json(data, AugmentError, "annotated object")
-    return AnnotatedObject(box=box, **_json_fields(data, {"depth": float}, AugmentError, "annotated object"))
+    return AnnotatedObject(box=box, **_json_fields(data, {"depth": _json_float}, AugmentError, "annotated object"))
 
 
 def frame_to_dict(frame: AnnotatedFrame) -> dict:

@@ -445,7 +445,7 @@ def _json_fields(entry: dict, kinds: dict, error: type[Exception], what: str) ->
     """``kind(entry[key])`` for each ``key: kind`` in ``kinds``."""
     try:
         return {key: kind(entry[key]) for key, kind in kinds.items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what}: missing or malformed field ({exc!r})") from exc
 
 
@@ -464,14 +464,22 @@ def _json_int(value) -> int:
     return operator.index(value)
 
 
+def _json_float(value) -> float:
+    """A number; numeric strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _json_floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    items = np.asarray(value, dtype=object)  # a number or nested lists of them
+    return np.array([_json_float(v) for v in items.flat], dtype=np.float64).reshape(items.shape)
 
 
 _BOX_FIELDS = {
     "center": _json_floats,
     "size": _json_floats,
-    "yaw": float,
+    "yaw": _json_float,
     "velocity": _json_floats,
     "class": _json_int,
     "attribute": _json_int,
@@ -505,7 +513,7 @@ def _box_from_json(entry: dict, error: type[Exception], what: str) -> Box3D:
 
 
 _CAMERA_FIELDS = {
-    **dict.fromkeys(("fx", "fy", "cx", "cy"), float),
+    **dict.fromkeys(("fx", "fy", "cx", "cy"), _json_float),
     "width": _json_int,
     "height": _json_int,
     "rotation": lambda value: _json_floats(value).reshape(3, 3),

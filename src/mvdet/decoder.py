@@ -15,10 +15,12 @@ weighted sum:
 
 ``grad_check`` is the finite-difference oracle of one query's dynamic-graph
 aggregation, run on a fixed configuration (dim 16, 4 nodes, every component).
-It works in two phases: it chooses its probes one at a time, jittering each
-off the bilinear and ReLU kinks, then scores the chosen probes together, with
-one sampling call for their nodes' analytic gradients and one for all their
-finite-difference cases.
+Its loss is the sum of the query plus the sum of the decoder's own
+``_graph_update``, not the residual, as its field has 4 channels and its
+queries 16.  It works in two phases: it chooses its probes one at a time,
+jittering each off the bilinear and ReLU kinks, then scores the chosen probes
+together, with one sampling call for their nodes' analytic gradients and one
+``_graph_update`` call for all their finite-difference cases.
 
 All parameters and arithmetic are 64-bit.  Given identical seeds and inputs
 the decoder is bit-deterministic.
@@ -30,7 +32,7 @@ import enum
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -425,6 +427,18 @@ def init_decoder(
     return built
 
 
+def _graph_update(nodes: np.ndarray, weights: np.ndarray, pyr: FeaturePyramid, rig: CameraRig) -> np.ndarray:
+    """Update (M, C) of M graphs: their nodes (M, K, 3) are sampled in one
+    call and merged in node order with their edge weights (M, K).  A row
+    does not depend on the other graphs of the call."""
+    m, k = weights.shape
+    feats = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3))[0].reshape(m, k, -1)
+    update = np.zeros((m, feats.shape[2]))
+    for j in range(k):
+        update = update + feats[:, j] * weights[:, j : j + 1]
+    return update
+
+
 def _aggregate(
     emb: np.ndarray,
     refs: np.ndarray,
@@ -434,8 +448,7 @@ def _aggregate(
     mode: AggregationMode,
     offset_scale: float,
 ) -> np.ndarray:
-    """Residual update of queries (M, C): each query's graph nodes are
-    sampled in one call and merged in node order with their edge weights."""
+    """Residual update of queries (M, C) by their graphs' ``_graph_update``."""
     if mode is AggregationMode.DYNAMIC_GRAPH:
         nodes, _, weights = graph_nodes(emb, refs, layer.offset_net, layer.weight_net, offset_scale)
     elif mode in (AggregationMode.SINGLE_POINT, AggregationMode.FIXED_POINTS):
@@ -443,12 +456,7 @@ def _aggregate(
         weights = np.ones(nodes.shape[:2])
     else:
         raise DecoderError(f"unknown aggregation mode {mode!r}")
-    m, k = weights.shape
-    feats = sample_multiview_many(pyr, rig, nodes.reshape(-1, 3))[0].reshape(m, k, -1)
-    update = np.zeros_like(emb)
-    for j in range(k):
-        update = update + feats[:, j] * weights[:, j : j + 1]
-    return emb + update
+    return emb + _graph_update(nodes, weights, pyr, rig)
 
 
 def decoder_forward(
@@ -703,19 +711,8 @@ class GradCheckReport:
 
     def to_dict(self) -> dict:
         return {
-            "passed": bool(self.passed),
-            "components": [
-                {
-                    "component": c.component,
-                    "n_checked": int(c.n_checked),
-                    "n_jittered": int(c.n_jittered),
-                    "max_abs_dev": float(c.max_abs_dev),
-                    "max_rel_dev": float(c.max_rel_dev),
-                    "tol": float(c.tol),
-                    "passed": bool(c.passed),
-                }
-                for c in self.components
-            ],
+            "passed": self.passed,
+            "components": [{**asdict(c), "passed": c.passed} for c in self.components],
         }
 
 
@@ -727,12 +724,9 @@ _GRAD_GROUP = 32
 
 
 class _GradProbe:
-    """One propagation pipeline with analytic gradients of loss = sum(q_new).
-
-    The pipeline mirrors the dynamic-graph aggregation of a single query:
-    reference decode, offset/weight prediction, multi-view node sampling,
-    and the weighted residual update.
-    """
+    """Analytic gradients of one query's loss, sum(q) + sum(_graph_update):
+    the decoder's own update, summed apart from q because the oracle's field
+    has 4 channels and q has 16, so the residual q + update does not apply."""
 
     def __init__(self, pyr, rig, ref_net, offset_net, weight_net, bounds, offset_scale):
         self.pyr = pyr
@@ -769,12 +763,6 @@ class _GradProbe:
         qs = np.tile(q, (n, 1))
         return qs, np.broadcast_to(nodes, (n, *offsets.shape)), np.broadcast_to(weights, (n, len(offsets)))
 
-    def losses(self, qs: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Loss of each case (one sampling call; a node's feature does not
-        depend on the other nodes of the call)."""
-        feats = sample_multiview_many(self.pyr, self.rig, nodes)[0].reshape(*weights.shape, -1)
-        return qs.sum(axis=1) + (weights[:, None, :] @ feats)[:, 0].sum(axis=1)
-
     # -- analytic gradients -------------------------------------------------
 
     def node_grads(self, nodes: np.ndarray):
@@ -804,18 +792,15 @@ class _GradProbe:
         weights = derived[3]
         grad_offsets = weights[:, None] * ds
         grad_weights = s
-        # Query gradient: residual + weight path + offset path + reference path.
+        # Query gradient: residual + weight path + node path, where a node is
+        # the reference plus its offset.
         sig_ref = sigmoid(self.ref_net(q))
         dc_dq = (self.bounds.extent * sig_ref * (1 - sig_ref))[:, None] * self.ref_net.jacobian(q)
         z_off = self.offset_net(q)
         doff_dq = (self.offset_scale * (1 - np.tanh(z_off) ** 2))[:, None] * self.offset_net.jacobian(q)
         # The edge weights are the weight net's sigmoid outputs.
         dw_dq = (weights * (1 - weights))[:, None] * self.weight_net.jacobian(q)
-        grad_q = np.ones_like(q)
-        for j in range(len(weights)):
-            grad_q = grad_q + s[j] * dw_dq[j]
-            dnode_dq = dc_dq + doff_dq[3 * j : 3 * j + 3]
-            grad_q = grad_q + weights[j] * (ds[j] @ dnode_dq)
+        grad_q = 1.0 + s @ dw_dq + grad_offsets.sum(axis=0) @ dc_dq + grad_offsets.reshape(-1) @ doff_dq
         return grad_offsets, grad_weights, grad_q
 
     # -- kink detection ------------------------------------------------------
@@ -875,7 +860,7 @@ def grad_check(
     jittered by a small deterministic amount and retried; jitters are
     counted in the report.  The chosen probes are then scored together in
     groups of up to ``_GRAD_GROUP``: one ``node_grads`` call on all their
-    nodes, one ``losses`` call on all their finite-difference cases, and
+    nodes, one ``_graph_update`` call on all their finite-difference cases, and
     one ``analytic`` call per probe, in probe order.  A case's loss and a
     node's gradient do not depend on the other rows of a call, so grouping
     changes no bit.  Relative deviation is |analytic - fd| / (1 + |analytic|).
@@ -930,7 +915,8 @@ def grad_check(
         group = chosen[first : first + _GRAD_GROUP]
         sums, dsums = probe.node_grads(np.concatenate([derived[1] for _, derived in group]))
         steps = [probe.signed_steps(q, derived, name, eps) for q, derived in group for name in _GRAD_COMPONENTS]
-        losses = probe.losses(*(np.concatenate(parts) for parts in zip(*steps)))
+        qs, nodes, weights = (np.concatenate(parts) for parts in zip(*steps))
+        losses = qs.sum(axis=1) + _graph_update(nodes, weights, pyr, _GRAD_RIG).sum(axis=1)
         start = 0
         for (q, derived), s, ds in zip(group, sums.reshape(-1, k), dsums.reshape(-1, k, 3)):
             grads = probe.analytic(q, derived, s, ds)
@@ -949,9 +935,9 @@ def grad_check(
                 component=name,
                 n_checked=len(dev),
                 n_jittered=n_jittered,
-                max_abs_dev=max(0.0, *dev),
-                max_rel_dev=max(0.0, *(dev / (1.0 + np.abs(analytic)))),
-                tol=tol,
+                max_abs_dev=float(max(0.0, *dev)),
+                max_rel_dev=float(max(0.0, *(dev / (1.0 + np.abs(analytic))))),
+                tol=float(tol),
             )
         )
     return GradCheckReport(components=tuple(reports))

@@ -25,6 +25,7 @@ from .camgeo import (
     _box_from_json,
     _box_to_json,
     _json_fields,
+    _json_float,
     _json_int,
     _json_records,
     _json_write,
@@ -413,7 +414,7 @@ def predictions_from_dict(data: dict) -> list[DetectionResult]:
     preds = []
     for entry in _json_records(data, "predictions", MatchingError, "prediction data"):
         box = _box_from_json(entry, MatchingError, "prediction")
-        score = _json_fields(entry, {"score": float}, MatchingError, "prediction")["score"]
+        score = _json_fields(entry, {"score": _json_float}, MatchingError, "prediction")["score"]
         preds.append(DetectionResult(box=box, score=score))
     return preds
 

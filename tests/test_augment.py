@@ -295,6 +295,19 @@ class TestAnnotationJson:
         assert set(obj) == {"center", "size", "yaw", "velocity", "class", "attribute", "depth"}
         assert "calib" in data and "cameras" in data["calib"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("depth", "5"), ("depth", True), ("depth", 10**400), ("yaw", "0.1"), ("center", ["1", "2", "3"])],
+        ids=["depth-string", "depth-bool", "depth-huge", "yaw-string", "center-strings"],
+    )
+    def test_numbers_must_be_json_numbers(self, tmp_path, field, value):
+        data = frame_to_dict(make_frame())
+        data["objects"][0][field] = value
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({"frames": [data]}))
+        with pytest.raises(AugmentError, match="annotated object: missing or malformed field"):
+            load_frames(path)
+
     def test_missing_calib(self):
         data = frame_to_dict(make_frame())
         del data["calib"]

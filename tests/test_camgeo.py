@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -479,3 +480,17 @@ class TestCalibrationJson:
     def test_missing_cameras_key(self):
         with pytest.raises(GeometryError):
             rig_from_dict({})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("fx", "1142.5"), ("cy", True), ("fx", 10**400), ("translation", [True, "0", 0]),
+         ("rotation", [["1", 0, 0], [0, 1, 0], [0, 0, 1]])],
+        ids=["fx-string", "cy-bool", "fx-huge", "translation-bool-string", "rotation-string"],
+    )
+    def test_numbers_must_be_json_numbers(self, tmp_path, field, value):
+        data = rig_to_dict(gen_rig("single"))
+        data["cameras"][0][field] = value
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(GeometryError, match="calibration camera: missing or malformed field"):
+            load_rig(path)

@@ -553,6 +553,9 @@ _MALFORMED = {
     "calib-id-null": ("calib", _calib_with(id=None)),
     "calib-width-fraction": ("calib", _calib_with(width=1600.9)),
     "calib-width-huge": ("calib", _calib_with(width=10**300)),
+    "calib-fx-string": ("calib", _calib_with(fx="1142.5")),
+    "calib-fx-huge": ("calib", _calib_with(fx=10**400)),
+    "calib-translation-bool-string": ("calib", _calib_with(translation=[True, "0", 0])),
     "predictions-list": ("pred", []),
     "predictions-int": ("pred", {"predictions": 5}),
     "predictions-item-int": ("pred", {"predictions": [1]}),
@@ -563,6 +566,8 @@ _MALFORMED = {
     "predictions-class-fraction": ("pred", {"predictions": [dict(_PRED, **{"class": -2.5})]}),
     "predictions-attribute-string": ("pred", {"predictions": [dict(_PRED, attribute="3")]}),
     "predictions-center-object": ("pred", {"predictions": [dict(_PRED, center={"x": 1})]}),
+    "predictions-score-string": ("pred", {"predictions": [dict(_PRED, score="0.9")]}),
+    "predictions-center-strings": ("pred", {"predictions": [dict(_PRED, center=["1", "2", "3"])]}),
     "annotations-list": ("annotations", []),
     "annotations-frames-int": ("annotations", {"frames": 5}),
     "annotations-item-int": ("annotations", {"frames": [1]}),
@@ -571,6 +576,7 @@ _MALFORMED = {
     "annotations-image-sizes-int": ("annotations", _frame_with(image_sizes=[5])),
     "annotations-width-huge": ("annotations", _frame_with(image_sizes=[[10**300, 900]] * 6)),
     "annotations-depth-null": ("annotations", _object_with(depth=None)),
+    "annotations-depth-string": ("annotations", _object_with(depth="5")),
     "annotations-class-list": ("annotations", _object_with(**{"class": [1]})),
     "annotations-regression-mask-string": ("annotations", _frame_with(regression_mask="false")),
 }

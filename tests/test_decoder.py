@@ -829,29 +829,42 @@ class TestGradCheck:
             grad_check(**kwargs)
 
     def test_grad_check_report_regression_hash(self):
-        # sha256 of the sorted-JSON reports, computed before the oracle was
-        # rebuilt on batched sampling; the rebuild must not change a byte.
+        # sha256 of the sorted-JSON reports, computed once the oracle scored
+        # its cases through the decoder's own ``_graph_update``.
         expected = {
-            42: "13540405cdcffcbe876fe2f9acd75cb025c5bb701b8328485e588f4966ab19d5",
-            236352767: "dd87ad0af85aa835112c75d580255349a73767a71e8de669b2e34ba525dfb9c0",
+            42: "b8d7b24778c9db3cbc61da052d3f5d6b08343f27e0da0cfc84a58842a9ed8801",
+            236352767: "5de54c1a707c3c1ee0c05856d744e3757e3e106bbc3e417e88d57f8451088076",
         }
         for seed, digest in expected.items():
             blob = json.dumps(grad_check(seed=seed, probes=8).to_dict(), sort_keys=True)
             assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
     def test_grad_check_report_sweep_hash(self):
-        # sha256 over the sorted-JSON reports of a seed sweep, computed while
-        # every probe was still scored on its own; scoring the probes in
-        # groups must not change a byte.  Seed 3 with 70 probes spans three
-        # groups.
+        # sha256 over the sorted-JSON reports of a seed sweep, computed once
+        # the oracle scored its cases through ``_graph_update``.  Seed 3 with
+        # 70 probes spans three groups.
         sweep = hashlib.sha256()
         for seed in [*range(40), 97, 1000, 1199, 236352767]:
             sweep.update(json.dumps(grad_check(seed=seed, probes=8).to_dict(), sort_keys=True).encode())
-        assert sweep.hexdigest() == "1b98631ba66a1c84638f89ba719be3e26abb8730fce4cf984e53583ff11c616b"
+        assert sweep.hexdigest() == "378da90458590de88193cac73d77c649d2156f97db79f65c3f38cd9af8262682"
         blob = json.dumps(grad_check(seed=3, probes=70).to_dict(), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == (
-            "fe63f636aa15eaa6eb0131e6b3315a2ed3783bfd3208c1eece7fd826cb2d24e9"
+            "e1f0a19f4e5164dabcd742ae907bde87b45f6968b5d6c7dbe5a5bfaee1451929"
         )
+
+    def test_grad_check_report_structure_hash(self):
+        # sha256 over the sweep's sorted-JSON reports without their deviation
+        # fields: which components pass, and how many entries were checked and
+        # probes jittered, on the seeds of the sweep above.  Computed before
+        # the oracle scored its cases through ``_graph_update``, which moved
+        # only deviation bits.
+        sweep = hashlib.sha256()
+        for seed, probes in [*((s, 8) for s in [*range(40), 97, 1000, 1199, 236352767]), (3, 70)]:
+            report = grad_check(seed=seed, probes=probes).to_dict()
+            for comp in report["components"]:
+                del comp["max_abs_dev"], comp["max_rel_dev"]
+            sweep.update(json.dumps(report, sort_keys=True).encode())
+        assert sweep.hexdigest() == "1b9e4a4a4e40c55e74721c729441fca210c28ecc0fca62d2d5994784a6a48cb6"
 
     def test_jacobians_taken_once_per_net_per_probe(self, monkeypatch):
         # Order and count matter to tooling that maps each Jacobian call to
@@ -868,24 +881,60 @@ class TestGradCheck:
         assert calls == [3, 12, 4, 3, 12, 4]
 
     def test_batched_losses_match_per_case_sums(self, monkeypatch):
-        # Reference: each case's loss written out as sum(q) + sum(w @ f),
-        # scored one case at a time on the probes grad_check draws.
-        cases = []
-        losses = _GradProbe.losses
+        # Reference: each case's loss written out as sum(q) plus the row sum of
+        # a one-case ``_graph_update`` call, on the probes grad_check draws.
+        from mvdet import decoder
 
-        def record(probe, qs, nodes, weights):
-            cases.append((probe, qs, nodes, weights))
-            return losses(probe, qs, nodes, weights)
+        steps, updates = [], []
+        signed_steps, graph_update = _GradProbe.signed_steps, decoder._graph_update
 
-        monkeypatch.setattr(_GradProbe, "losses", record)
+        def record_steps(probe, *args):
+            steps.append(signed_steps(probe, *args))
+            return steps[-1]
+
+        def record_update(nodes, weights, pyr, rig):
+            updates.append((nodes, weights, pyr, rig, graph_update(nodes, weights, pyr, rig)))
+            return updates[-1][-1]
+
+        monkeypatch.setattr(_GradProbe, "signed_steps", record_steps)
+        monkeypatch.setattr(decoder, "_graph_update", record_update)
         for seed in (0, 5, 42, 236352767):
             grad_check(seed=seed, probes=4)
-        # One call per grad_check scores the cases of all its probes.
-        assert len(cases) == 4
-        for probe, qs, nodes, weights in cases:
-            feats = sample_multiview_many(probe.pyr, probe.rig, nodes)[0].reshape(*weights.shape, -1)
-            expected = np.array([np.sum(qb) + np.sum(wb @ fb) for qb, wb, fb in zip(qs, weights, feats)])
-            assert losses(probe, qs, nodes, weights).tobytes() == expected.tobytes()
+        # One call per grad_check scores the cases of all its probes, whose
+        # signed steps come 4 probes times 3 components to a call.
+        assert len(updates) == 4 and len(steps) == 4 * 12
+        for call, (nodes, weights, pyr, rig, update) in enumerate(updates):
+            qs, step_nodes, step_weights = map(np.concatenate, zip(*steps[12 * call : 12 * (call + 1)]))
+            assert step_nodes.tobytes() == nodes.tobytes() and step_weights.tobytes() == weights.tobytes()
+            losses = qs.sum(axis=1) + update.sum(axis=1)
+            expected = np.array([
+                np.sum(q) + graph_update(n[None], w[None], pyr, rig).sum(axis=1)[0]
+                for q, n, w in zip(qs, nodes, weights)
+            ])
+            assert losses.tobytes() == expected.tobytes()
+
+    def test_one_graph_update_per_layer_and_per_probe_group(self, monkeypatch):
+        # The decoder and the oracle share one update: one call per layer of
+        # decoder_forward and one per group of grad_check's probes.
+        from mvdet import decoder
+
+        calls = []
+        graph_update = decoder._graph_update
+
+        def record(nodes, weights, pyr, rig):
+            calls.append(weights.shape)
+            return graph_update(nodes, weights, pyr, rig)
+
+        monkeypatch.setattr(decoder, "_graph_update", record)
+        rig = gen_rig("nuscenes-like")
+        pyr = render_pyramid(AnalyticField.constant(np.full(8, 0.5)), rig, strides=(16,))
+        layers = init_decoder(0, layers=3, dim=8, neighbors=2, heads=2)
+        decoder_forward(init_queries(0, 5, 8, BOUNDS), layers, pyr, rig)
+        assert calls == [(5, 2)] * 3
+        calls.clear()
+        grad_check(seed=5, probes=70)
+        # Groups of 32, 32 and 6 probes; each has 2 * (12 + 4 + 16) cases of 4 nodes.
+        assert calls == [(32 * 64, 4), (32 * 64, 4), (6 * 64, 4)]
 
     def test_two_sampling_calls_per_probe_group(self, monkeypatch):
         from mvdet import decoder

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -593,3 +594,17 @@ class TestPredictionJson:
         assert loaded[0].score == 0.87
         assert np.array_equal(loaded[0].box.center, preds[0].box.center)
         assert loaded[0].box.yaw == preds[0].box.yaw
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("score", "0.9"), ("score", False), ("yaw", 10**400), ("center", ["1", "2", "3"]), ("velocity", [0, True])],
+        ids=["score-string", "score-bool", "yaw-huge", "center-strings", "velocity-bool"],
+    )
+    def test_numbers_must_be_json_numbers(self, tmp_path, field, value):
+        path = tmp_path / "preds.json"
+        save_predictions(path, [DetectionResult(box=simple_box(), score=0.5)])
+        data = json.loads(path.read_text())
+        data["predictions"][0][field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(MatchingError, match="prediction: missing or malformed field"):
+            load_predictions(path)
