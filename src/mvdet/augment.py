@@ -34,6 +34,7 @@ from .camgeo import (
     _json_int,
     _json_records,
     _json_write,
+    _scaled_side,
     pixel_size,
     rig_from_dict,
     rig_to_dict,
@@ -155,17 +156,6 @@ def sample_scale(scale_range: Sequence[float], rng: np.random.Generator) -> floa
     return float(rng.uniform(lo, hi))
 
 
-def _scaled_len(n: int, r: float) -> int:
-    if not math.isfinite(n * r):
-        raise AugmentError(f"resize factor {r} makes dimension {n} non-finite")
-    out = round(n * r)  # round-half-even, deterministic across platforms
-    if out < 1:
-        raise AugmentError(f"resize factor {r} collapses dimension {n} below one pixel")
-    if out > _MAX_IMAGE_SIDE:
-        raise AugmentError(f"resize factor {r} makes dimension {n} exceed {_MAX_IMAGE_SIDE} pixels")
-    return out
-
-
 def resize_image(image: np.ndarray, r: float) -> np.ndarray:
     """Bilinearly resize a (C, H, W) array by factor r.
 
@@ -180,8 +170,8 @@ def resize_image(image: np.ndarray, r: float) -> np.ndarray:
     _, h, w = img.shape
     if r == 1.0:
         return img.copy()
-    new_h = _scaled_len(h, r)
-    new_w = _scaled_len(w, r)
+    new_h = _scaled_side(h, r, AugmentError)
+    new_w = _scaled_side(w, r, AugmentError)
     src_u = np.minimum(np.arange(new_w, dtype=np.float64) / r, w - 1)
     src_v = np.minimum(np.arange(new_h, dtype=np.float64) / r, h - 1)
     x0 = np.floor(src_u).astype(np.int64)
@@ -219,7 +209,7 @@ def apply_transform(frame: AnnotatedFrame, r: float, mode: ScaleMode) -> Annotat
     images = frame.images
     if images is not None:
         images = tuple(tuple(resize_image(a, r) for a in cam) for cam in images)
-    sizes = tuple((_scaled_len(w, r), _scaled_len(h, r)) for w, h in frame.image_sizes)
+    sizes = tuple((_scaled_side(w, r, AugmentError), _scaled_side(h, r, AugmentError)) for w, h in frame.image_sizes)
     rig, objects, mask = frame.rig, frame.objects, frame.regression_mask
     if mode is ScaleMode.DEPTH_INVARIANT:
         objects = tuple(replace(obj, depth=obj.depth / r) for obj in objects)

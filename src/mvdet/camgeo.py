@@ -73,6 +73,20 @@ def _as_array(values, shape, name: str) -> np.ndarray:
     return arr
 
 
+def _scaled_side(n: int, r: float, error: type[Exception]) -> int:
+    """Image side ``n`` resized by factor ``r``, rounded half to even (the
+    same on every platform); raises ``error`` unless the result is a finite
+    side in [1, _MAX_IMAGE_SIDE]."""
+    if not math.isfinite(n * r):
+        raise error(f"resize factor {r} makes dimension {n} non-finite")
+    out = round(n * r)
+    if out < 1:
+        raise error(f"resize factor {r} collapses dimension {n} below one pixel")
+    if out > _MAX_IMAGE_SIDE:
+        raise error(f"resize factor {r} makes dimension {n} exceed {_MAX_IMAGE_SIDE} pixels")
+    return out
+
+
 def normalize_yaw(yaw: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     wrapped = (float(yaw) + math.pi) % math.tau - math.pi
@@ -106,18 +120,14 @@ class CameraIntrinsics:
             )
 
     def scaled(self, r: float) -> "CameraIntrinsics":
-        """Intrinsics for an image resized by factor ``r`` (half-even size rounding)."""
-        if r <= 0:
-            raise GeometryError(f"scale factor must be positive, got {r}")
-        if not (math.isfinite(self.width * r) and math.isfinite(self.height * r)):
-            raise GeometryError(f"scale factor {r} gives a non-finite image size")
+        """Intrinsics for an image resized by factor ``r`` (sides as ``_scaled_side``)."""
         return CameraIntrinsics(
             fx=self.fx * r,
             fy=self.fy * r,
             cx=self.cx * r,
             cy=self.cy * r,
-            width=max(1, round(self.width * r)),
-            height=max(1, round(self.height * r)),
+            width=_scaled_side(self.width, r, GeometryError),
+            height=_scaled_side(self.height, r, GeometryError),
         )
 
 

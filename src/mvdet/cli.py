@@ -5,6 +5,12 @@ Every command is deterministic given its inputs and seed: reruns produce
 byte-identical output files (bench timing figures, which are measurements
 rather than outputs, are the one exception and are kept out of files).
 
+Sizes are taken from where they are fixed, never restated here: ``decode``
+adds sampled features to its queries unprojected, so the query width is the
+pyramid's channel count; net sizes come from the ``--params`` bundle (a size
+flag beside it is a usage error) or else from the library, whose defaults
+stand for every flag not given, as in ``synth`` and ``gradcheck``.
+
 Exit codes: 0 success, 1 check failure, 2 usage or I/O error.
 """
 
@@ -41,6 +47,11 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
+def _given(**values) -> dict:
+    """The keyword arguments whose flag was given; the callee's defaults stand for the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _parse_floats(text: str, n: int, what: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != n:
@@ -66,14 +77,10 @@ def _object_depth(box: camgeo.Box3D, rig: camgeo.CameraRig) -> float:
 
 
 def _cmd_synth(args) -> int:
-    strides = tuple(int(s) for s in args.strides.split(","))
+    strides = None if args.strides is None else tuple(int(s) for s in args.strides.split(","))
     scene = synth.make_scene(
         seed=args.seed,
-        style=args.style,
-        object_count=args.objects,
-        field_kind=args.field,
-        channels=args.channels,
-        strides=strides,
+        **_given(style=args.style, object_count=args.objects, field_kind=args.field, channels=args.channels, strides=strides),
     )
     os.makedirs(args.out, exist_ok=True)
     camgeo.save_rig(os.path.join(args.out, "calib.json"), scene.rig)
@@ -136,13 +143,10 @@ def _cmd_project(args) -> int:
 # augment
 
 
-_MODES = {m.value: m for m in aug.ScaleMode}
-
-
 def _cmd_augment(args) -> int:
     scale_range = aug.check_scale_range((args.scale_min, args.scale_max))
     frames = aug.load_frames(args.annotations)
-    mode = _MODES[args.mode]
+    mode = aug.ScaleMode(args.mode)
     transformed = []
     log = []
     for idx, frame in enumerate(frames):
@@ -163,30 +167,28 @@ def _cmd_augment(args) -> int:
 # decode
 
 
-_AGG_MODES = {m.value: m for m in decoder.AggregationMode}
-
-
 def _cmd_decode(args) -> int:
+    given = [f"--{name}" for name in ("layers", "neighbors", "heads", "classes") if getattr(args, name) is not None]
+    if args.params and given:
+        raise ValueError(f"{', '.join(given)} cannot be given with --params: the bundle fixes the net sizes")
+    bounds = camgeo.SceneBounds(
+        lo=synth.DEFAULT_BOUNDS.lo if args.bounds_lo is None else _parse_floats(args.bounds_lo, 3, "--bounds-lo"),
+        hi=synth.DEFAULT_BOUNDS.hi if args.bounds_hi is None else _parse_floats(args.bounds_hi, 3, "--bounds-hi"),
+    )
     pyramid = load_pyramid(args.pyramid)
     rig = camgeo.load_rig(args.calib)
     if args.params:
-        # Bundle metadata wins over the sizing flags.
         layers, head = decoder.load_params(args.params)
         dim = layers[0].ffn.in_dim
     else:
-        dim = args.dim
+        dim = pyramid.channels
         layers = decoder.init_decoder(
-            args.seed, layers=args.layers, dim=dim, neighbors=args.neighbors, heads=args.heads
+            args.seed, dim=dim, **_given(layers=args.layers, neighbors=args.neighbors, heads=args.heads)
         )
-        head = decoder.PredictionHead.seeded(args.seed, dim=dim, num_classes=args.classes)
-    bounds = camgeo.SceneBounds(
-        lo=_parse_floats(args.bounds_lo, 3, "--bounds-lo"),
-        hi=_parse_floats(args.bounds_hi, 3, "--bounds-hi"),
-    )
+        head = decoder.PredictionHead.seeded(args.seed, dim=dim, **_given(num_classes=args.classes))
     qs = decoder.init_queries(args.seed, count=args.queries, dim=dim, bounds=bounds)
-    refined, refs = decoder.decoder_forward(
-        qs, layers, pyramid, rig, mode=_AGG_MODES[args.mode], offset_scale=args.offset_scale
-    )
+    mode = decoder.AggregationMode(args.mode)
+    refined, refs = decoder.decoder_forward(qs, layers, pyramid, rig, mode=mode, **_given(offset_scale=args.offset_scale))
     preds = decoder.decode_predictions(refined, refs[-1], head)
     matching.save_predictions(args.out, preds)
     _emit({"predictions": args.out, "count": len(preds), "mode": args.mode}, args.json)
@@ -198,9 +200,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = decoder.grad_check(
-        seed=args.seed, eps=args.eps, tol=args.tol, probes=args.probes
-    )
+    report = decoder.grad_check(**_given(seed=args.seed, eps=args.eps, tol=args.tol, probes=args.probes))
     payload = report.to_dict()
     if args.out:
         camgeo._json_write(args.out, payload)
@@ -342,12 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
-    p.add_argument("--style", choices=("nuscenes-like", "single"), default="nuscenes-like")
+    p.add_argument("--style", choices=("nuscenes-like", "single"))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--objects", type=int, default=50)
-    p.add_argument("--field", choices=("constant", "linear", "bilinear"), default="bilinear")
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--strides", default="8,16,32,64")
+    p.add_argument("--objects", type=int)
+    p.add_argument("--field", choices=("constant", "linear", "bilinear"))
+    p.add_argument("--channels", type=int)
+    p.add_argument("--strides", help="comma-separated level strides")
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_synth)
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True)
     p.add_argument("--scale-min", type=float, required=True)
     p.add_argument("--scale-max", type=float, required=True)
-    p.add_argument("--mode", choices=sorted(_MODES), default="depth-invariant")
+    p.add_argument("--mode", choices=sorted(m.value for m in aug.ScaleMode), default="depth-invariant")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
@@ -374,26 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pyramid", required=True, help="pyramid manifest path")
     p.add_argument("--calib", required=True)
     p.add_argument("--params", help="parameter bundle manifest; seeded init when omitted")
-    p.add_argument("--mode", choices=sorted(_AGG_MODES), default="dynamic-graph")
-    p.add_argument("--neighbors", type=int, default=16)
-    p.add_argument("--layers", type=int, default=6)
+    p.add_argument("--mode", choices=sorted(m.value for m in decoder.AggregationMode), default="dynamic-graph")
+    seeded_only = "seeded decoder only: a --params bundle fixes it"
+    p.add_argument("--neighbors", type=int, help=seeded_only)
+    p.add_argument("--layers", type=int, help=seeded_only)
     p.add_argument("--queries", type=int, default=900)
-    p.add_argument("--dim", type=int, default=256)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--offset-scale", type=float, default=2.0)
-    p.add_argument("--bounds-lo", default="-40,-40,-0.5")
-    p.add_argument("--bounds-hi", default="40,40,3")
+    p.add_argument("--heads", type=int, help=seeded_only)
+    p.add_argument("--classes", type=int, help=seeded_only)
+    p.add_argument("--offset-scale", type=float)
+    p.add_argument("--bounds-lo", help="x,y,z of the query box's low corner in meters")
+    p.add_argument("--bounds-hi", help="x,y,z of the query box's high corner in meters")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="predictions JSON path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--probes", type=int, default=32)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--probes", type=int)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gradcheck)

@@ -380,7 +380,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     _run_twice_and_compare(
         lambda out: [
             "decode", "--pyramid", str(scene / "pyramid" / "pyramid.json"),
-            "--calib", str(scene / "calib.json"), "--dim", "8", "--queries", "32",
+            "--calib", str(scene / "calib.json"), "--queries", "32",
             "--layers", "2", "--neighbors", "4", "--heads", "2", "--seed", "5",
             "--out", str(out / "predictions.json"),
         ],

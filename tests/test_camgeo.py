@@ -411,8 +411,13 @@ class TestValidation:
     def test_largest_image_side_accepted_and_scaling_past_it_rejected(self):
         intr = CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=2**16, height=2**16)
         assert intr.scaled(0.5).width == 2**15
-        with pytest.raises(GeometryError, match="image size must be within"):
+        with pytest.raises(GeometryError, match="exceed 65536 pixels"):
             intr.scaled(1.0001)
+
+    def test_scaling_below_one_pixel_rejected(self):
+        intr = CameraIntrinsics(fx=1000, fy=1000, cx=800, cy=450, width=1600, height=900)
+        with pytest.raises(GeometryError, match="below one pixel"):
+            intr.scaled(1e-4)
 
     def test_non_orthonormal_rotation_rejected(self):
         with pytest.raises(GeometryError):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from mvdet.augment import AugmentError, load_frames
-from mvdet.camgeo import GeometryError
+from mvdet.camgeo import GeometryError, load_rig, save_rig
 from mvdet.cli import _ERRORS, main
-from mvdet import decoder
-from mvdet.featcore import FeatureError, TensorFormatError, write_tensor
+from mvdet import decoder, synth
+from mvdet.featcore import FeatureError, TensorFormatError, load_pyramid, save_pyramid, write_tensor
 from mvdet.matching import MatchingError, load_predictions, save_predictions
 from mvdet.metrics import MetricsError
 from mvdet.synth import ConfigError, NoiseSpec, perturb_predictions
@@ -56,6 +56,17 @@ class TestSynthCommand:
                 "--strides", "16", "--out", str(out),
             ]) == 0
         assert read_bytes_tree(out_a) == read_bytes_tree(out_b)
+
+    def test_defaults_are_make_scenes(self, tmp_path):
+        assert main(["synth", "--seed", "3", "--out", str(tmp_path / "cli")]) == 0
+        scene = synth.make_scene(3)
+        (tmp_path / "lib").mkdir()
+        save_rig(tmp_path / "lib" / "calib.json", scene.rig)
+        save_pyramid(tmp_path / "lib" / "pyramid", scene.pyramid)
+        written, library = read_bytes_tree(tmp_path / "cli"), read_bytes_tree(tmp_path / "lib")
+        assert {name: written[name] for name in library} == library
+        (frame,) = load_frames(tmp_path / "cli" / "annotations.json")
+        assert [obj.box.center.tolist() for obj in frame.objects] == [box.center.tolist() for box in scene.objects]
 
     def test_annotations_bytes(self, scene_dir):
         # sha256 computed when each object's depth came from the single-point
@@ -256,7 +267,7 @@ class TestDecodeCommand:
         code = main([
             "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
             "--calib", str(scene_dir / "calib.json"),
-            "--dim", "8", "--queries", "12", "--layers", "2", "--neighbors", "16",
+            "--queries", "12", "--layers", "2", "--neighbors", "16",
             "--heads", "2", "--seed", "2", "--out", str(out), "--json",
         ])
         assert code == 0
@@ -272,7 +283,7 @@ class TestDecodeCommand:
         assert main([
             "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
             "--calib", str(scene_dir / "calib.json"),
-            "--dim", "8", "--queries", "12", "--layers", "2", "--neighbors", "16",
+            "--queries", "12", "--layers", "2", "--neighbors", "16",
             "--heads", "2", "--seed", "2", "--out", str(out),
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == "6da6170b1dfb3af50a0fed35e8222294d3c1ae214dc4aa1eecca4405b35f960c"
@@ -296,6 +307,35 @@ class TestDecodeCommand:
             outputs[mode] = out.read_bytes()
         assert outputs["single-point"] == outputs["dynamic-graph"]
 
+    def test_defaults_are_the_library_defaults_at_the_pyramid_width(self, scene_dir, tmp_path):
+        out = tmp_path / "preds.json"
+        manifest, calib = scene_dir / "pyramid" / "pyramid.json", scene_dir / "calib.json"
+        assert main([
+            "decode", "--pyramid", str(manifest), "--calib", str(calib),
+            "--queries", "12", "--seed", "4", "--out", str(out),
+        ]) == 0
+        pyramid = load_pyramid(manifest)
+        dim = pyramid.channels
+        qs = decoder.init_queries(4, count=12, dim=dim, bounds=synth.DEFAULT_BOUNDS)
+        refined, refs = decoder.decoder_forward(qs, decoder.init_decoder(4, dim=dim), pyramid, load_rig(calib))
+        preds = decoder.decode_predictions(refined, refs[-1], decoder.PredictionHead.seeded(4, dim=dim))
+        save_predictions(tmp_path / "library.json", preds)
+        assert out.read_bytes() == (tmp_path / "library.json").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--layers", "--neighbors", "--heads", "--classes"])
+    def test_net_size_flag_beside_params_usage_error(self, scene_dir, tmp_path, capsys, flag):
+        layers = decoder.init_decoder(1, layers=1, dim=8, neighbors=2, heads=2)
+        bundle = decoder.save_params(tmp_path / "params", layers, decoder.PredictionHead.seeded(1, dim=8))
+        out = tmp_path / "p.json"
+        assert main([
+            "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
+            "--calib", str(scene_dir / "calib.json"), "--params", str(bundle),
+            flag, "3", "--queries", "4", "--seed", "1", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not out.exists()
+
     def test_missing_params_io_error(self, scene_dir, tmp_path):
         assert main([
             "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
@@ -305,11 +345,12 @@ class TestDecodeCommand:
         ]) == 2
 
     def test_channel_mismatch_error(self, scene_dir, tmp_path, capsys):
+        layers = decoder.init_decoder(1, layers=1, dim=16, neighbors=2, heads=2)
+        bundle = decoder.save_params(tmp_path / "params", layers, decoder.PredictionHead.seeded(1, dim=16))
         assert main([
             "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
-            "--calib", str(scene_dir / "calib.json"),
-            "--dim", "16", "--queries", "4", "--layers", "1",
-            "--seed", "1", "--out", str(tmp_path / "p.json"),
+            "--calib", str(scene_dir / "calib.json"), "--params", str(bundle),
+            "--queries", "4", "--seed", "1", "--out", str(tmp_path / "p.json"),
         ]) == 2
         # scene_dir's pyramid has 8 channels.
         assert "error: pyramid channels (8) must match query dim (16)" in capsys.readouterr().err
@@ -332,12 +373,12 @@ class TestDecodeCommand:
 
 @pytest.mark.parametrize(
     "command, flag",
-    [("decode", "--heads"), ("decode", "--layers"), ("decode", "--dim"), ("bench", "--heads"), ("bench", "--layers")],
+    [("decode", "--heads"), ("decode", "--layers"), ("bench", "--heads"), ("bench", "--layers")],
 )
 def test_nonpositive_decoder_size_usage_error(scene_dir, tmp_path, capsys, command, flag):
     argv = {
         "decode": ["decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
-                   "--calib", str(scene_dir / "calib.json"), "--dim", "8", "--queries", "4",
+                   "--calib", str(scene_dir / "calib.json"), "--queries", "4",
                    "--layers", "1", "--heads", "2", "--seed", "1", "--out", str(tmp_path / "p.json")],
         "bench": ["bench", "--queries", "4", "--neighbors", "2", "--cameras", "1", "--levels", "1",
                   "--dim", "8", "--layers", "1", "--heads", "2", "--repeats", "1"],
@@ -385,6 +426,10 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--probes", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"]
+
+    def test_defaults_are_grad_checks(self, capsys):
+        assert main(["gradcheck", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == decoder.grad_check().to_dict()
 
     def test_zero_tolerance_fails(self):
         assert main(["gradcheck", "--probes", "2", "--tol", "0"]) == 1
@@ -592,7 +637,7 @@ class TestMalformedInputFiles:
         pyramid, calib = str(scene_dir / "pyramid" / "pyramid.json"), str(scene_dir / "calib.json")
         gt, out = str(scene_dir / "annotations.json"), str(tmp_path / "out")
         argv = {
-            "pyramid": ["decode", "--pyramid", str(bad), "--calib", calib, "--dim", "8", "--heads", "2",
+            "pyramid": ["decode", "--pyramid", str(bad), "--calib", calib, "--heads", "2",
                         "--queries", "16", "--layers", "1", "--seed", "1", "--out", out],
             "params": ["decode", "--pyramid", pyramid, "--calib", calib, "--params", str(bad),
                        "--seed", "1", "--out", out],

@@ -28,6 +28,7 @@ from mvdet.decoder import (
     load_params,
     save_params,
     self_attention,
+    sigmoid,
 )
 from mvdet.featcore import FeatureLevel, FeaturePyramid, sample_multiview_many, write_tensor
 from mvdet.synth import AnalyticField, gen_rig, make_scene, render_pyramid
@@ -59,6 +60,21 @@ def aggregate(emb, refs, pyr, rig, mode=AggregationMode.DYNAMIC_GRAPH, layer=Non
     emb = np.atleast_2d(np.asarray(emb, dtype=np.float64))
     refs = np.atleast_2d(np.asarray(refs, dtype=np.float64))
     return _aggregate(emb, refs, layer, pyr, rig, mode, offset_scale)
+
+
+def test_sigmoid_matches_two_branch_form_bit_for_bit():
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.0, -710.0, 745.2, -745.2]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([edges, *(rng.normal(scale=s, size=20_000) for s in (1e-3, 1.0, 30.0, 800.0))])
+    assert sigmoid(x).tobytes() == two_branch(x).tobytes()
 
 
 class TestMlp:
