@@ -1,20 +1,17 @@
 """Multi-scale training transforms with a depth-invariant variant.
 
-``apply_transform`` resizes a frame's images by a factor r in one of three
-modes: vanilla (intrinsics scaled with the images), depth-invariant (object
-depths divided by r instead), and disentangled (vanilla, with box
-supervision disabled whenever r is not 1).
+``apply_transform`` resizes a frame's recorded image sizes by a factor r in
+one of three modes: vanilla (intrinsics scaled with the images),
+depth-invariant (object depths divided by r instead), and disentangled
+(vanilla, with box supervision disabled whenever r is not 1).
 
 Object depth is carried as an explicit annotation channel next to each box
-so the transform stays exact.  Image resizing uses bilinear resampling with
-integer coordinates at pixel centers (output pixel u maps to input
-coordinate u / r, clamped at the borders) and round-half-even size rounding.
+so the transform stays exact.  Image sides are rounded half to even.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -32,6 +29,7 @@ from .camgeo import (
     _json_fields,
     _json_float,
     _json_int,
+    _json_read,
     _json_records,
     _json_write,
     _scaled_side,
@@ -48,7 +46,6 @@ __all__ = [
     "AnnotatedFrame",
     "check_scale_range",
     "sample_scale",
-    "resize_image",
     "apply_transform",
     "pixel_depth_decode",
     "frame_to_dict",
@@ -95,34 +92,21 @@ class AnnotatedObject:
 
 @dataclass(frozen=True)
 class AnnotatedFrame:
-    """One multi-view sample: rig, objects, optional per-camera image stacks.
+    """One multi-view sample: rig, objects and per-camera image sizes.
 
     ``image_sizes`` records the current (width, height) per camera
     independently of the rig intrinsics, since the depth-invariant transform
-    resizes images without touching intrinsics.  ``images``, when present,
-    holds one list of (C, H, W) arrays per camera.
+    resizes images without touching intrinsics.
     """
 
     rig: CameraRig
     objects: tuple[AnnotatedObject, ...]
-    images: tuple[tuple[np.ndarray, ...], ...] | None = None
     image_sizes: tuple[tuple[int, int], ...] | None = None
     regression_mask: bool = True
 
     def __post_init__(self):
         objects = tuple(self.objects)
         object.__setattr__(self, "objects", objects)
-        if self.images is not None:
-            imgs = tuple(tuple(np.asarray(a, dtype=np.float64) for a in cam) for cam in self.images)
-            if len(imgs) != len(self.rig):
-                raise AugmentError(
-                    f"got images for {len(imgs)} cameras but rig has {len(self.rig)}"
-                )
-            for cam_imgs in imgs:
-                for arr in cam_imgs:
-                    if arr.ndim != 3:
-                        raise AugmentError(f"images must be (C, H, W), got {arr.shape}")
-            object.__setattr__(self, "images", imgs)
         sizes = self.image_sizes
         if sizes is None:
             sizes = tuple((cam.intrinsics.width, cam.intrinsics.height) for cam in self.rig)
@@ -137,7 +121,7 @@ class AnnotatedFrame:
 
 
 # ---------------------------------------------------------------------------
-# Scale sampling and resizing
+# Scale sampling
 
 
 def check_scale_range(scale_range: Sequence[float]) -> tuple[float, float]:
@@ -156,45 +140,12 @@ def sample_scale(scale_range: Sequence[float], rng: np.random.Generator) -> floa
     return float(rng.uniform(lo, hi))
 
 
-def resize_image(image: np.ndarray, r: float) -> np.ndarray:
-    """Bilinearly resize a (C, H, W) array by factor r.
-
-    Output pixel (u, v) samples the input at (u / r, v / r) with border
-    clamping, so a constant image stays constant for any r.
-    """
-    if r <= 0:
-        raise AugmentError(f"resize factor must be positive, got {r}")
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3:
-        raise AugmentError(f"image must be (C, H, W), got {img.shape}")
-    _, h, w = img.shape
-    if r == 1.0:
-        return img.copy()
-    new_h = _scaled_side(h, r, AugmentError)
-    new_w = _scaled_side(w, r, AugmentError)
-    src_u = np.minimum(np.arange(new_w, dtype=np.float64) / r, w - 1)
-    src_v = np.minimum(np.arange(new_h, dtype=np.float64) / r, h - 1)
-    x0 = np.floor(src_u).astype(np.int64)
-    y0 = np.floor(src_v).astype(np.int64)
-    fu = src_u - x0
-    fv = src_v - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    f00 = img[:, y0[:, None], x0[None, :]]
-    f10 = img[:, y0[:, None], x1[None, :]]
-    f01 = img[:, y1[:, None], x0[None, :]]
-    f11 = img[:, y1[:, None], x1[None, :]]
-    top = f00 + fu * (f10 - f00)
-    bot = f01 + fu * (f11 - f01)
-    return top + fv[None, :, None] * (bot - top)
-
-
 # ---------------------------------------------------------------------------
 # Transform
 
 
 def apply_transform(frame: AnnotatedFrame, r: float, mode: ScaleMode) -> AnnotatedFrame:
-    """Resize the frame's images and recorded image sizes by r, then:
+    """Resize the frame's recorded image sizes by r, then:
 
     * depth-invariant: divide every object depth by r; intrinsics untouched,
       and r -> 1/r is an exact inverse on the depth channel.
@@ -206,9 +157,6 @@ def apply_transform(frame: AnnotatedFrame, r: float, mode: ScaleMode) -> Annotat
         raise AugmentError(f"unknown scale mode {mode!r}")
     if r <= 0:
         raise AugmentError(f"resize factor must be positive, got {r}")
-    images = frame.images
-    if images is not None:
-        images = tuple(tuple(resize_image(a, r) for a in cam) for cam in images)
     sizes = tuple((_scaled_side(w, r, AugmentError), _scaled_side(h, r, AugmentError)) for w, h in frame.image_sizes)
     rig, objects, mask = frame.rig, frame.objects, frame.regression_mask
     if mode is ScaleMode.DEPTH_INVARIANT:
@@ -220,7 +168,7 @@ def apply_transform(frame: AnnotatedFrame, r: float, mode: ScaleMode) -> Annotat
             raise AugmentError(str(exc)) from exc
         if mode is ScaleMode.DISENTANGLED:
             mask = r == 1.0
-    return replace(frame, rig=rig, objects=objects, images=images, image_sizes=sizes, regression_mask=mask)
+    return replace(frame, rig=rig, objects=objects, image_sizes=sizes, regression_mask=mask)
 
 
 def pixel_depth_decode(z: float, scaler: DepthScaler, intr: CameraIntrinsics) -> float:
@@ -286,6 +234,5 @@ def save_frames(path, frames: Sequence[AnnotatedFrame]) -> None:
 
 
 def load_frames(path) -> list[AnnotatedFrame]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _json_read(path, AugmentError)
     return [frame_from_dict(f) for f in _json_records(data, "frames", AugmentError, f"annotation file {path}")]

@@ -439,6 +439,16 @@ def _json_write(path, payload) -> None:
         fh.write("\n")
 
 
+def _json_read(path, error: type[Exception]):
+    """The JSON document in ``path``; malformed JSON, text that is not UTF-8,
+    over-long integers and nesting too deep to parse raise ``error``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: unreadable JSON ({exc})") from exc
+
+
 # Parsed JSON input is checked with these helpers; each loader passes its
 # module's own error type, which the CLI reports with exit code 2.
 
@@ -483,7 +493,8 @@ def _json_float(value) -> float:
 
 def _json_floats(value) -> np.ndarray:
     items = np.asarray(value, dtype=object)  # a number or nested lists of them
-    return np.array([_json_float(v) for v in items.flat], dtype=np.float64).reshape(items.shape)
+    # ravel, not flat: numpy's iterator refuses arrays of more than 32 dims.
+    return np.array([_json_float(v) for v in items.ravel()], dtype=np.float64).reshape(items.shape)
 
 
 _BOX_FIELDS = {
@@ -547,5 +558,4 @@ def save_rig(path, rig: CameraRig) -> None:
 
 
 def load_rig(path) -> CameraRig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return rig_from_dict(json.load(fh))
+    return rig_from_dict(_json_read(path, GeometryError))

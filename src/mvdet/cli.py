@@ -35,7 +35,8 @@ from .featcore import load_pyramid, sample_multiview_many, save_pyramid
 __all__ = ["build_parser", "main"]
 
 # Every module error type derives from one of these (TensorFormatError from
-# OSError, the rest and json.JSONDecodeError from ValueError).
+# OSError, the rest from ValueError); the loaders turn malformed JSON into
+# their own error, and an unreadable file stays an OSError.
 _ERRORS = (OSError, ValueError)
 
 

@@ -29,7 +29,6 @@ the decoder is bit-deterministic.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -44,6 +43,7 @@ from .camgeo import (
     SceneBounds,
     _json_fields,
     _json_int,
+    _json_read,
     _json_records,
     _json_text,
     _json_write,
@@ -52,7 +52,9 @@ from .camgeo import (
     project_points,
 )
 from .featcore import (
+    TENSOR_VERSION,
     FeaturePyramid,
+    _check_version,
     _inside_rows,
     _unique_tensor_path,
     bilinear_grad,
@@ -604,7 +606,7 @@ def save_params(directory, layers: Sequence[DecoderLayer], head: PredictionHead)
         "activations": activations,
     }
     manifest_path = os.path.join(directory, "params.json")
-    _json_write(manifest_path, {"version": 1, "meta": meta, "entries": entries})
+    _json_write(manifest_path, {"version": TENSOR_VERSION, "meta": meta, "entries": entries})
     return manifest_path
 
 
@@ -618,18 +620,18 @@ _PARAM_META_FIELDS = {
     "activations": lambda table: {net: tuple(acts) for net, acts in dict(table).items()},
 }
 def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
-    """Read a parameter bundle.  Tensor entries are looked up by the names
-    the meta's layout gives: ``meta.layers`` layers and a head, each net
-    with one ``w<i>``/``b<i>`` pair per item of its ``meta.activations``
-    list.  Each tensor is read when the walk takes it, and the first one
-    missing fails.  A tensor or activations entry outside that layout
-    fails once the walk is done; such a tensor's file is never read.  The
-    meta's ``dim``, ``neighbors`` and ``num_classes`` must match the loaded
-    nets."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        bundle = json.load(fh)
+    """Read a parameter bundle, whose ``version`` must be TENSOR_VERSION.
+    Tensor entries are looked up by the names the meta's layout gives:
+    ``meta.layers`` layers and a head, each net with one ``w<i>``/``b<i>``
+    pair per item of its ``meta.activations`` list.  Each tensor is read
+    when the walk takes it, and the first one missing fails.  A tensor or
+    activations entry outside that layout fails once the walk is done; such
+    a tensor's file is never read.  The meta's ``dim``, ``neighbors`` and
+    ``num_classes`` must match the loaded nets."""
+    bundle = _json_read(manifest_path, DecoderError)
     base = os.path.dirname(os.path.abspath(manifest_path))
     what = f"parameter manifest {manifest_path}"
+    _check_version(bundle, DecoderError, what)
     entries = _json_records(bundle, "entries", DecoderError, what)
     meta = _json_fields(bundle, {"meta": dict}, DecoderError, str(manifest_path))["meta"]
     meta = _json_fields(meta, _PARAM_META_FIELDS, DecoderError, f"the meta of {manifest_path}")

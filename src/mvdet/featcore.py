@@ -20,7 +20,6 @@ each point in one or two of the cameras, so most pairs are skipped.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -29,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import CameraRig, _json_fields, _json_int, _json_records, _json_text, _json_write, _project
+from .camgeo import CameraRig, _json_fields, _json_int, _json_read, _json_records, _json_text, _json_write, _project
 
 __all__ = [
     "FeatureError",
@@ -426,14 +425,18 @@ def _unique_tensor_path(base: str, name: str, seen: set[str], error: type[Except
     return path
 
 
+def _check_version(manifest, error: type[Exception], what: str) -> None:
+    """Refuse a manifest whose ``version`` is not the integer TENSOR_VERSION."""
+    version = _json_fields(manifest, {"version": _json_int}, error, what)["version"]
+    if version != TENSOR_VERSION:
+        raise error(f"{what}: unsupported version {version}")
+
+
 def load_pyramid(manifest_path) -> FeaturePyramid:
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _json_read(manifest_path, FeatureError)
     base = os.path.dirname(os.path.abspath(manifest_path))
     what = f"pyramid manifest {manifest_path}"
-    version = _json_fields(manifest, {"version": _json_int}, FeatureError, what)["version"]
-    if version != TENSOR_VERSION:
-        raise FeatureError(f"{what}: unsupported version {version}")
+    _check_version(manifest, FeatureError, what)
     cams = []
     seen: set[str] = set()
     # Each level copies its file's values into its own channel-last storage,

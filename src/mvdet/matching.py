@@ -11,7 +11,6 @@ term has no wrap discontinuity.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .camgeo import (
     _json_fields,
     _json_float,
     _json_int,
+    _json_read,
     _json_records,
     _json_write,
 )
@@ -424,5 +424,4 @@ def save_predictions(path, preds: Sequence[DetectionResult]) -> None:
 
 
 def load_predictions(path) -> list[DetectionResult]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return predictions_from_dict(json.load(fh))
+    return predictions_from_dict(_json_read(path, MatchingError))

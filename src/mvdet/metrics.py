@@ -5,7 +5,10 @@ AP follows the nuScenes convention: greedy score-descending one-to-one
 matching on 2D center distance, a 101-point interpolated precision/recall
 curve, and normalized area for recall >= 0.1 and precision >= 0.1.  The
 composite score is (5 * mAP + sum(1 - min(1, mTP))) / 10 over the five TP
-error terms.
+error terms.  Unlike the nuScenes devkit, ``evaluate`` scores every
+prediction: it applies neither the devkit's cap of 500 boxes per sample nor
+its per-class detection ranges (no box is dropped for its distance from the
+ego vehicle).
 """
 
 from __future__ import annotations

@@ -15,21 +15,18 @@ from mvdet.featcore import FeatureLevel, FeaturePyramid
 from mvdet.synth import gen_objects, gen_rig
 
 
-def make_frame(objects=None, images=False, rig=None):
+# A JSON file nested too deeply for any JSON parser's recursion limit.
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
+def make_frame(objects=None, rig=None):
     rig = rig or gen_rig("nuscenes-like")
     if objects is None:
         objects = tuple(
             AnnotatedObject(box=b, depth=float(np.linalg.norm(b.center[:2])))
             for b in gen_objects(1, 12)
         )
-    imgs = None
-    if images:
-        rng = np.random.default_rng(0)
-        imgs = tuple(
-            (rng.uniform(0, 1, size=(2, cam.intrinsics.height // 8, cam.intrinsics.width // 8)),)
-            for cam in rig
-        )
-    return AnnotatedFrame(rig=rig, objects=objects, images=imgs)
+    return AnnotatedFrame(rig=rig, objects=objects)
 
 
 def make_ident_cam(cam_id="c0", fx=100.0, width=64, height=48):

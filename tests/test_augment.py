@@ -15,7 +15,6 @@ from mvdet.augment import (
     frame_to_dict,
     load_frames,
     pixel_depth_decode,
-    resize_image,
     sample_scale,
     save_frames,
 )
@@ -45,60 +44,38 @@ class TestSampleScale:
 
 
 class TestResize:
-    def test_identity(self):
-        img = np.arange(24, dtype=float).reshape(1, 4, 6)
-        out = resize_image(img, 1.0)
-        assert np.array_equal(out, img)
+    """The side rule of ``apply_transform`` on a frame's recorded image sizes."""
 
-    def test_constant_stays_constant(self):
-        img = np.full((3, 5, 7), 1.25)
-        for r in (0.4, 0.5, 1.3, 2.0):
-            out = resize_image(img, r)
-            assert np.all(out == 1.25)
-
-    def test_downscale_ramp_matches_analytic(self):
-        # Oracle: bilinear ramp evaluated at the resampled source positions.
-        h = w = 4
-        uu, vv = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-        a, b, c = 0.25, 0.5, -0.75
-        img = (a + b * uu + c * vv)[None]
-        out = resize_image(img, 0.5)
-        assert out.shape == (1, 2, 2)
-        for v_out in range(2):
-            for u_out in range(2):
-                expected = a + b * (u_out / 0.5) + c * (v_out / 0.5)
-                assert out[0, v_out, u_out] == pytest.approx(expected, abs=1e-12)
+    @staticmethod
+    def sized_frame(w, h):
+        return AnnotatedFrame(rig=gen_rig("single"), objects=(), image_sizes=((w, h),))
 
     def test_size_rounding_half_even(self):
-        img = np.zeros((1, 5, 5))
-        out = resize_image(img, 0.5)  # 2.5 rounds to 2
-        assert out.shape == (1, 2, 2)
-        out = resize_image(np.zeros((1, 7, 7)), 0.5)  # 3.5 rounds to 4
-        assert out.shape == (1, 4, 4)
+        out = apply_transform(self.sized_frame(5, 5), 0.5, ScaleMode.DEPTH_INVARIANT)  # 2.5 rounds to 2
+        assert out.image_sizes == ((2, 2),)
+        out = apply_transform(self.sized_frame(7, 7), 0.5, ScaleMode.DEPTH_INVARIANT)  # 3.5 rounds to 4
+        assert out.image_sizes == ((4, 4),)
 
     def test_collapse_rejected(self):
+        with pytest.raises(AugmentError, match="below one pixel"):
+            apply_transform(self.sized_frame(4, 4), 0.05, ScaleMode.DEPTH_INVARIANT)
         with pytest.raises(AugmentError):
-            resize_image(np.zeros((1, 4, 4)), 0.05)
-        with pytest.raises(AugmentError):
-            resize_image(np.zeros((1, 4, 4)), -1.0)
+            apply_transform(self.sized_frame(4, 4), -1.0, ScaleMode.DEPTH_INVARIANT)
 
     def test_oversized_result_rejected(self):
         frame = make_frame()
         with pytest.raises(AugmentError, match="exceed 65536 pixels"):
             apply_transform(frame, 1e300, ScaleMode.DEPTH_INVARIANT)
         with pytest.raises(AugmentError, match="exceed 65536 pixels"):
-            resize_image(np.zeros((1, 4, 4)), 2**15)
+            apply_transform(self.sized_frame(4, 4), 2**15, ScaleMode.DEPTH_INVARIANT)
 
     def test_resize_frame_updates_sizes_not_intrinsics(self):
-        frame = make_frame(images=True)
+        frame = make_frame()
         out = apply_transform(frame, 0.5, ScaleMode.DEPTH_INVARIANT)
         for cam_a, cam_b in zip(frame.rig, out.rig):
             assert cam_a.intrinsics == cam_b.intrinsics
         for (w0, h0), (w1, h1) in zip(frame.image_sizes, out.image_sizes):
             assert w1 == round(w0 * 0.5) and h1 == round(h0 * 0.5)
-        for cam_imgs in out.images:
-            for arr in cam_imgs:
-                assert arr.shape[1] == round(frame.images[0][0].shape[1] * 0.5)
 
 
 class TestDepthInvariant:
@@ -223,23 +200,21 @@ class TestDisentangled:
 
 
 class TestApplyTransform:
-    # sha256 computed while each mode had its own transform function.
+    # sha256 of the image-free bytes, computed while frames could still
+    # carry image arrays.
     DIGESTS = {
-        ScaleMode.VANILLA: "209d4ff22914a7178572297c135c0f90b2db941238e4abd0eb59131c3b68af23",
-        ScaleMode.DEPTH_INVARIANT: "28e25c97d21c65b813e3a3630247403ff533b581946c3aa57597c1cf0d7f3593",
-        ScaleMode.DISENTANGLED: "cc2d18f46182f9ad8573e479193ad30df17a48014d489fc92f6514edebedb4f1",
+        ScaleMode.VANILLA: "d2e1f04a3891b7a618f8b25de186825da48348fb43c56b82706b70b0a21b67f1",
+        ScaleMode.DEPTH_INVARIANT: "f4870919f6e831a98ec8b276e18966a0ba089075fcd6efb045ccafcfe5875ca5",
+        ScaleMode.DISENTANGLED: "119e22a51e2eaf31d5aa2fe4997acde3cc02758e764c571c32d4091b29ea00f1",
     }
 
     @pytest.mark.parametrize("mode", list(ScaleMode), ids=lambda m: m.value)
     def test_regression_hash(self, mode):
-        frame = make_frame(images=True)
+        frame = make_frame()
         h = hashlib.sha256()
         for r in (0.5, 0.7, 1.0, 1.25, 2.0):
             out = apply_transform(frame, r, mode)
             h.update(json.dumps(frame_to_dict(out), sort_keys=True).encode())
-            for cam in out.images:
-                for arr in cam:
-                    h.update(arr.tobytes())
             h.update(repr(out.regression_mask).encode())
         assert h.hexdigest() == self.DIGESTS[mode]
 
@@ -319,8 +294,3 @@ class TestAnnotationJson:
         rig = gen_rig("single")
         with pytest.raises(AugmentError, match="image size must be within"):
             AnnotatedFrame(rig=rig, objects=(), image_sizes=(size,))
-
-    def test_images_per_camera_validated(self):
-        rig = gen_rig("single")
-        with pytest.raises(AugmentError):
-            AnnotatedFrame(rig=rig, objects=(), images=((np.zeros((1, 4, 4)),), (np.zeros((1, 4, 4)),)))

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ from mvdet.matching import MatchingError, load_predictions, save_predictions
 from mvdet.metrics import MetricsError
 from mvdet.synth import ConfigError, NoiseSpec, perturb_predictions
 
-from helpers import degenerate_layer
+from helpers import DEEP_JSON, degenerate_layer
 
 
 def read_bytes_tree(root):
@@ -564,6 +565,7 @@ def _params_file_twice(scene_dir):
 
 _LEVEL = {"file": "level.gdt3", "stride": 8}
 _PRED = {"center": [10.0, 0.0, 1.0], "size": [2.0, 4.0, 1.5], "yaw": 0.0, "score": 0.5}
+_NESTED_40 = functools.reduce(lambda v, _: [v], range(40), 1.0)  # past numpy's 32-dim iterator limit
 _MALFORMED = {
     "pyramid-list": ("pyramid", []),
     "pyramid-cameras-int": ("pyramid", {"version": 1, "cameras": 3}),
@@ -574,10 +576,10 @@ _MALFORMED = {
     "pyramid-version-list": ("pyramid", _pyramid_with(version=["x"])),
     "pyramid-file-twice": ("pyramid", _pyramid_file_twice),
     "params-list": ("params", []),
-    "params-entries-int": ("params", {"meta": {}, "entries": 3}),
-    "params-file-int": ("params", {"meta": {}, "entries": [{"name": "x", "file": 5, "shape": [1]}]}),
-    "params-meta-int": ("params", {"meta": 5, "entries": []}),
-    "params-layers-list": ("params", {"meta": {"layers": [1], "heads": 1, "activations": {}}, "entries": []}),
+    "params-entries-int": ("params", {"version": 1, "meta": {}, "entries": 3}),
+    "params-file-int": ("params", {"version": 1, "meta": {}, "entries": [{"name": "x", "file": 5, "shape": [1]}]}),
+    "params-meta-int": ("params", {"version": 1, "meta": 5, "entries": []}),
+    "params-layers-list": ("params", {"version": 1, "meta": {"layers": [1], "heads": 1, "activations": {}}, "entries": []}),
     "params-layers-zero": ("params", _params_with(layers=0)),
     "params-heads-zero": ("params", _params_with(heads=0)),
     "params-layers-beyond-entries": ("params", _params_with(layers=2)),
@@ -613,6 +615,7 @@ _MALFORMED = {
     "predictions-center-object": ("pred", {"predictions": [dict(_PRED, center={"x": 1})]}),
     "predictions-score-string": ("pred", {"predictions": [dict(_PRED, score="0.9")]}),
     "predictions-center-strings": ("pred", {"predictions": [dict(_PRED, center=["1", "2", "3"])]}),
+    "predictions-center-nested-40": ("pred", {"predictions": [dict(_PRED, center=_NESTED_40)]}),
     "annotations-list": ("annotations", []),
     "annotations-frames-int": ("annotations", {"frames": 5}),
     "annotations-item-int": ("annotations", {"frames": [1]}),
@@ -624,6 +627,11 @@ _MALFORMED = {
     "annotations-depth-string": ("annotations", _object_with(depth="5")),
     "annotations-class-list": ("annotations", _object_with(**{"class": [1]})),
     "annotations-regression-mask-string": ("annotations", _frame_with(regression_mask="false")),
+    "calib-deep-nesting": ("calib", DEEP_JSON),
+    "annotations-deep-nesting": ("annotations", DEEP_JSON),
+    "predictions-deep-nesting": ("pred", DEEP_JSON),
+    "pyramid-deep-nesting": ("pyramid", DEEP_JSON),
+    "params-deep-nesting": ("params", DEEP_JSON),
 }
 
 
@@ -633,7 +641,10 @@ class TestMalformedInputFiles:
         kind, content = _MALFORMED[case]
         bad = tmp_path / "bad.json"
         write_tensor(tmp_path / "level.gdt3", np.zeros((8, 4, 4)))
-        bad.write_text(json.dumps(content(scene_dir) if callable(content) else content))
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(json.dumps(content(scene_dir) if callable(content) else content))
         pyramid, calib = str(scene_dir / "pyramid" / "pyramid.json"), str(scene_dir / "calib.json")
         gt, out = str(scene_dir / "annotations.json"), str(tmp_path / "out")
         argv = {

@@ -627,6 +627,17 @@ class TestPredictions:
         with pytest.raises(DecoderError, match=f"meta {key} is {int(value)}, but the loaded nets have {loaded}"):
             load_params(manifest)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda b: b.update(version=2), lambda b: b.update(version="x"), lambda b: b.update(version=None),
+         lambda b: b.pop("version")],
+        ids=["two", "string", "null", "missing"],
+    )
+    def test_params_version_must_be_one(self, tmp_path, edit):
+        manifest = self.edited_bundle(tmp_path, edit)
+        with pytest.raises(DecoderError, match="parameter manifest .*(unsupported version 2|malformed field)"):
+            load_params(manifest)
+
     @pytest.mark.parametrize("value", [8.5, "8", None, True])
     def test_params_meta_dim_must_be_an_integer(self, tmp_path, value):
         manifest = self.edited_bundle(tmp_path, lambda b: b["meta"].update(dim=value))

@@ -4,7 +4,9 @@ Valid calibration, annotation, prediction, pyramid and parameter files get
 one structural mutation each (a key dropped, or a value replaced by null, a
 list, a string or a negative number), and valid GDT3 tensors get truncated
 or rewritten headers.  Whatever a mutated file holds, its loader may only
-succeed or fail with mvdet's own error types.
+succeed or fail with mvdet's own error types.  Syntax mutants of each JSON
+file (truncated, not UTF-8, an over-long integer, nesting too deep to
+parse) must fail with them.
 """
 
 import copy
@@ -18,7 +20,7 @@ import pytest
 from mvdet import augment, camgeo, decoder, featcore, matching
 from mvdet.synth import NoiseSpec, gen_objects, gen_rig, perturb_predictions
 
-from helpers import constant_pyramid, make_frame
+from helpers import DEEP_JSON, constant_pyramid, make_frame
 
 _OWN_ERRORS = (
     camgeo.GeometryError,
@@ -33,6 +35,7 @@ _ALLOWED = _OWN_ERRORS + (FileNotFoundError,)
 _REPLACEMENTS = (None, [], [1], "x", -1, -2.5)
 _JSON_MUTANTS = 100
 _TENSOR_MUTANTS = 120
+_KINDS = ["calib", "annotations", "predictions", "pyramid", "params"]
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +95,7 @@ def _escapes(loader, path):
     return None
 
 
-@pytest.mark.parametrize("kind", ["calib", "annotations", "predictions", "pyramid", "params"])
+@pytest.mark.parametrize("kind", _KINDS)
 def test_json_mutations_raise_only_own_errors(valid_files, kind):
     path, loader = valid_files[kind]
     loader(path)  # the unmutated file loads
@@ -112,6 +115,24 @@ def test_json_mutations_raise_only_own_errors(valid_files, kind):
             escaped.append(f"{label}: {exc!r}")
     assert not escaped
     assert failures > 0
+
+
+_SYNTAX_MUTANTS = {
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "not-utf8": lambda blob: blob[:1] + b"\xff\xfe" + blob[1:],
+    "long-integer": lambda blob: b"[" + b"9" * 5000 + b"]",
+    "deep-nesting": lambda blob: DEEP_JSON,
+}
+
+
+@pytest.mark.parametrize("mutant", list(_SYNTAX_MUTANTS))
+@pytest.mark.parametrize("kind", _KINDS)
+def test_json_syntax_mutants_raise_own_errors(valid_files, kind, mutant):
+    path, loader = valid_files[kind]
+    bad = path.with_name("mutant.json")
+    bad.write_bytes(_SYNTAX_MUTANTS[mutant](path.read_bytes()))
+    with pytest.raises(_OWN_ERRORS, match="unreadable JSON"):
+        loader(bad)
 
 
 def _pick(rng, values):
