@@ -203,7 +203,9 @@ def frame_to_dict(frame: AnnotatedFrame) -> dict:
 
 
 def _image_sizes(sizes) -> tuple[tuple[int, int], ...] | None:
-    return tuple((_json_int(w), _json_int(h)) for w, h in sizes) if sizes else None
+    """Only null means the calibration's sizes; an empty or non-list value
+    fails the type check or the one-entry-per-camera check."""
+    return None if sizes is None else tuple((_json_int(w), _json_int(h)) for w, h in sizes)
 
 
 def _json_bool(value) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import augment as aug
 from . import camgeo, decoder, matching, metrics, synth
-from .featcore import load_pyramid, sample_multiview_many, save_pyramid
+from .featcore import _WORKERS, load_pyramid, sample_multiview_many, save_pyramid
 
 __all__ = ["build_parser", "main"]
 
@@ -321,6 +321,8 @@ def _cmd_bench(args) -> int:
             "dim": args.dim,
             "layers": args.layers,
             "seed": args.seed,
+            # Threads a large sampling call or softmax pass may split over.
+            "workers": _WORKERS,
         },
         "node_count": int(nodes.shape[0]),
         "output_checksum": checksum,

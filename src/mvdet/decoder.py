@@ -23,7 +23,9 @@ together, with one sampling call for their nodes' analytic gradients and one
 ``_graph_update`` call for all their finite-difference cases.
 
 All parameters and arithmetic are 64-bit.  Given identical seeds and inputs
-the decoder is bit-deterministic.
+the decoder is bit-deterministic, on one thread or two: self-attention's
+softmax passes, like node sampling, may run on two threads split by rows,
+and each row's values depend on no other row.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .featcore import (
     FeaturePyramid,
     _check_version,
     _inside_rows,
+    _split_rows,
     _unique_tensor_path,
     bilinear_grad,
     read_tensor,
@@ -343,12 +346,19 @@ def self_attention(qs: QuerySet, params: AttentionParams) -> QuerySet:
     # One (M, M) buffer holds each head's logits, then its softmax weights.
     weights = np.empty((m, m))
     row = np.empty((m, 1))
+
+    def softmax_rows(lo: int, hi: int) -> None:
+        w, r = weights[lo:hi], row[lo:hi]
+        w *= scale
+        w -= np.max(w, axis=1, keepdims=True, out=r)
+        np.exp(w, out=w)
+        w /= np.sum(w, axis=1, keepdims=True, out=r)
+
     for head in range(h):
+        # The products stay whole: a gemm over part of the rows rounds
+        # differently, while the softmax passes are per row and may split.
         np.matmul(q[:, head], k[:, head].T, out=weights)
-        weights *= scale
-        weights -= np.max(weights, axis=1, keepdims=True, out=row)
-        np.exp(weights, out=weights)
-        weights /= np.sum(weights, axis=1, keepdims=True, out=row)
+        _split_rows(m, m, softmax_rows)
         out[:, head] = weights @ v[:, head]
     merged = out.reshape(m, dim) @ params.w_o.T + params.b_o
     return QuerySet(embeddings=emb + merged, scene_bounds=qs.scene_bounds)

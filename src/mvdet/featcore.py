@@ -16,6 +16,10 @@ Multi-view sampling gathers only the in-view samples: for each
 falls inside that level are interpolated and accumulated.  A real scene puts
 each point in one or two of the cameras, so most pairs are skipped.
 ``bilinear_grad``, the sampling gradient, selects and gathers the same way.
+
+On a machine whose CPU affinity allows two or more CPUs, a large
+multi-view call samples its two halves of the points on two threads.  A
+point's row depends on no other point, so the split changes no bit.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -253,6 +258,60 @@ def bilinear_grad(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
+# Row split
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads ``_split_rows`` may use: two where the process may run on two CPUs
+# when the package is imported.  numpy releases the GIL in the elementwise,
+# gather and scatter loops the halves spend their time in.
+_WORKERS = min(2, _cpu_count())
+
+# Floors below which a split costs more than it saves, measured on a 2-vCPU
+# VM: a call of fewer elements (rows times row width) saves less than a
+# thread's start and join (a 256-query softmax ran slower on two threads),
+# and in narrower rows too little of the work is in the loops that release
+# the GIL (sampling 8-channel rows ran slower on two threads than on one).
+_SPLIT_MIN_SIZE = 2**18
+_SPLIT_MIN_WIDTH = 32
+
+
+def _split_rows(n: int, width: int, fn) -> None:
+    """Run ``fn(start, stop)`` over ``range(n)`` rows of ``width`` values
+    each, on two threads when ``_WORKERS`` allows it and the rows reach
+    ``_SPLIT_MIN_WIDTH`` and ``_SPLIT_MIN_SIZE``: the calling thread runs the
+    first half and a new thread the second.  ``fn`` must write only to its
+    own rows, so the result does not depend on the split.  An exception in
+    either half reaches the caller once both halves have ended."""
+    if _WORKERS < 2 or width < _SPLIT_MIN_WIDTH or n * width < _SPLIT_MIN_SIZE or n < 2:
+        fn(0, n)
+        return
+    mid = (n + 1) // 2
+    failure = []
+
+    def second_half():
+        try:
+            fn(mid, n)
+        except BaseException as exc:
+            failure.append(exc)
+
+    worker = threading.Thread(target=second_half)
+    worker.start()
+    try:
+        fn(0, mid)
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+
+
+# ---------------------------------------------------------------------------
 # Multi-view aggregation
 
 
@@ -276,7 +335,8 @@ def sample_multiview_many(
     Resizing an image is expressed in the rig's intrinsics
     (``CameraIntrinsics.scaled``), not here.  The returned feature is the
     sum of the gathered samples divided by their count, accumulated
-    camera-major then level in a fixed order.
+    camera-major then level in a fixed order.  A large call samples two
+    halves of the points on two threads (``_split_rows``).
 
     Returns:
         (features, counts): features (N, C) float64 (zero rows where no
@@ -290,25 +350,31 @@ def sample_multiview_many(
     n = len(pts)
     total = np.zeros((n, pyr.channels), dtype=np.float64)
     counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, _BLOCK_POINTS):
-        block = pts[start : start + _BLOCK_POINTS]
-        for ci, cam in enumerate(rig):
-            # One camera per core call: a rig-wide call gains no time here
-            # and holds every camera's arrays at once.
-            (u,), (v,), (depths,) = _project(block, (cam,))
-            front = np.flatnonzero(depths > 0)
-            if not len(front):
-                continue
-            u = u[front]
-            v = v[front]
-            front += start
-            for level in pyr.levels(ci):
-                rows, feats = _bilinear_inside(level, u / level.stride, v / level.stride)
-                rows = front[rows]
-                total[rows] += feats
-                counts[rows] += 1
-    # Rows without a visible sample stay zero.
-    np.divide(total, counts[:, None], out=total, where=counts[:, None] > 0)
+
+    def sample(lo: int, hi: int) -> None:
+        # Each call writes only the rows lo:hi of total and counts.
+        for start in range(lo, hi, _BLOCK_POINTS):
+            block = pts[start : min(start + _BLOCK_POINTS, hi)]
+            for ci, cam in enumerate(rig):
+                # One camera per core call: a rig-wide call gains no time
+                # here and holds every camera's arrays at once.
+                (u,), (v,), (depths,) = _project(block, (cam,))
+                front = np.flatnonzero(depths > 0)
+                if not len(front):
+                    continue
+                u = u[front]
+                v = v[front]
+                front += start
+                for level in pyr.levels(ci):
+                    rows, feats = _bilinear_inside(level, u / level.stride, v / level.stride)
+                    rows = front[rows]
+                    total[rows] += feats
+                    counts[rows] += 1
+        # Rows without a visible sample stay zero.
+        seen = counts[lo:hi, None]
+        np.divide(total[lo:hi], seen, out=total[lo:hi], where=seen > 0)
+
+    _split_rows(n, pyr.channels, sample)
     return total, counts
 
 

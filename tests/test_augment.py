@@ -289,6 +289,21 @@ class TestAnnotationJson:
         with pytest.raises(AugmentError, match="'calib'"):
             frame_from_dict(data)
 
+    @pytest.mark.parametrize("sizes", [[], 0, "", False], ids=["empty-list", "zero", "empty-string", "false"])
+    def test_empty_or_false_image_sizes_rejected(self, sizes):
+        data = frame_to_dict(make_frame())
+        data["image_sizes"] = sizes
+        with pytest.raises(AugmentError, match="one entry per camera|missing or malformed field"):
+            frame_from_dict(data)
+
+    def test_null_or_missing_image_sizes_take_the_calibration(self):
+        frame = make_frame()
+        data = frame_to_dict(frame)
+        data["image_sizes"] = None
+        assert frame_from_dict(data).image_sizes == frame.image_sizes
+        del data["image_sizes"]
+        assert frame_from_dict(data).image_sizes == frame.image_sizes
+
     @pytest.mark.parametrize("size", [(10**300, 900), (1600, 2**16 + 1), (0, 900)], ids=["huge", "tall", "zero"])
     def test_image_size_out_of_range_rejected(self, size):
         rig = gen_rig("single")

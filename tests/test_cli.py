@@ -694,6 +694,18 @@ class TestEvaluateCommand:
         assert (out / "report.json").exists()
         assert (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("sizes", [[], 0, "", False], ids=["empty-list", "zero", "empty-string", "false"])
+    def test_empty_or_false_image_sizes_exit_2(self, scene_dir, tmp_path, capsys, sizes):
+        (tmp_path / "gt.json").write_text(json.dumps(_frame_with(image_sizes=sizes)(scene_dir)))
+        (tmp_path / "preds.json").write_text(json.dumps({"predictions": []}))
+        assert main([
+            "evaluate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "preds.json"),
+            "--calib", str(scene_dir / "calib.json"), "--out", str(tmp_path / "eval"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith(
+            ("error: image_sizes must have one entry per camera", "error: annotation frame: missing or malformed field")
+        )
+
     def test_class_ids_beyond_int64(self, scene_dir, tmp_path, capsys):
         # Class ids are Python ints end to end: ids past int64 load, match
         # and are written as decimal numbers and strings.
@@ -776,6 +788,7 @@ class TestBenchCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["node_count"] == 64
+        assert payload["config"]["workers"] == min(2, len(os.sched_getaffinity(0)))
         assert payload["timing"]["decoder_pass"]["median_s"] > 0
         assert len(payload["output_checksum"]) == 64
 

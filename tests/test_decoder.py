@@ -30,6 +30,7 @@ from mvdet.decoder import (
     self_attention,
     sigmoid,
 )
+from mvdet import featcore
 from mvdet.featcore import FeatureLevel, FeaturePyramid, sample_multiview_many, write_tensor
 from mvdet.synth import AnalyticField, gen_rig, make_scene, render_pyramid
 
@@ -358,6 +359,16 @@ class TestSelfAttention:
         got = self_attention(QuerySet(embeddings=emb, scene_bounds=BOUNDS), params).embeddings
         assert got.tobytes() == expected.tobytes()
 
+    def test_two_threads_bit_identical_at_odd_m(self, split_runs):
+        rng = np.random.Generator(np.random.PCG64(11))
+        # The scene-decode shape with one query more: a row-split product of
+        # this size would round some logits differently.
+        params = AttentionParams.seeded(64, 8, rng)
+        qs = QuerySet(embeddings=rng.uniform(-1, 1, (901, 64)), scene_bounds=BOUNDS)
+        one, two, threads = split_runs(lambda: self_attention(qs, params).embeddings)
+        assert threads == 8  # one per head
+        assert one.tobytes() == two.tobytes()
+
     def test_head_divisibility_enforced(self):
         with pytest.raises(DecoderError):
             AttentionParams.seeded(10, 4, np.random.Generator(np.random.PCG64(0)))
@@ -460,6 +471,20 @@ class TestDecoderForward:
         out, refs = decoder_forward(qs, layers, scene.pyramid, scene.rig, mode=AggregationMode.DYNAMIC_GRAPH)
         digest = hashlib.sha256(out.embeddings.tobytes() + refs.tobytes()).hexdigest()
         assert digest == "9de257aabb18c022d62b7d0fc2217b334213273f8fdeea16e7ca21d32a468f22"
+
+    def test_seeded_regression_hash_on_two_threads(self, split_runs):
+        scene = make_scene(77, object_count=0, channels=16, strides=(8, 16))
+        qs = init_queries(7, count=6, dim=16, bounds=BOUNDS)
+        layers = init_decoder(7, layers=2, dim=16, neighbors=4, heads=4)
+
+        def digest():
+            out, refs = decoder_forward(qs, layers, scene.pyramid, scene.rig, mode=AggregationMode.DYNAMIC_GRAPH)
+            return hashlib.sha256(out.embeddings.tobytes() + refs.tobytes()).hexdigest()
+
+        one, two, threads = split_runs(digest)
+        # Per layer: one sampling call and one softmax split per head.
+        assert threads == 2 * (1 + 4)
+        assert one == two == "9de257aabb18c022d62b7d0fc2217b334213273f8fdeea16e7ca21d32a468f22"
 
     def test_fixed_points_regression_hash(self):
         scene = make_scene(4, object_count=0, channels=8, strides=(8, 16))
@@ -892,6 +917,17 @@ class TestGradCheck:
                 del comp["max_abs_dev"], comp["max_rel_dev"]
             sweep.update(json.dumps(report, sort_keys=True).encode())
         assert sweep.hexdigest() == "1b9e4a4a4e40c55e74721c729441fca210c28ecc0fca62d2d5994784a6a48cb6"
+
+    def test_starts_no_thread(self, monkeypatch):
+        # Its sampling calls of a 4-channel field are below the row split's
+        # floors, so the oracle runs on the calling thread even where two
+        # CPUs are free.
+        def refuse(*args, **kwargs):
+            raise AssertionError("grad_check started a thread")
+
+        monkeypatch.setattr(featcore, "_WORKERS", 2)
+        monkeypatch.setattr(featcore.threading, "Thread", refuse)
+        assert grad_check(seed=7, probes=8).passed
 
     def test_jacobians_taken_once_per_net_per_probe(self, monkeypatch):
         # Order and count matter to tooling that maps each Jacobian call to

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -423,6 +425,75 @@ def reference_grad(data, u, v):
     du = (1 - fv) * (f10 - f00) + fv * (f11 - f01)
     dv = (1 - fu) * (f01 - f00) + fu * (f11 - f10)
     return np.stack([du, dv], axis=-1)
+
+
+class TestRowSplit:
+    """Large calls sample two halves of their points on two threads; each
+    half writes only its own rows, so the bytes equal one thread's."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        rig = gen_rig("nuscenes-like")
+        return rig, random_pyramid(rig, (8, 16), 3, seed=4)
+
+    @pytest.mark.parametrize("n", [1, 301, 2 * featcore._BLOCK_POINTS + 3])
+    def test_sampling_bit_identical(self, scene, split_runs, n):
+        # 2 * _BLOCK_POINTS + 3 points put a block boundary inside each half.
+        rig, pyr = scene
+        pts = np.random.default_rng(n).uniform(DEFAULT_BOUNDS.lo, DEFAULT_BOUNDS.hi, (n, 3))
+        pts[1::5, 2] = -1e4  # far below the ground: in no camera's view
+        one, two, threads = split_runs(lambda: sample_multiview_many(pyr, rig, pts))
+        assert threads == (n > 1)
+        assert one[0].tobytes() == two[0].tobytes()
+        assert one[1].tobytes() == two[1].tobytes()
+        if n > 1:
+            assert 0 < np.count_nonzero(one[1]) < n
+
+    def test_sampling_with_no_visible_node(self, split_runs):
+        rig = CameraRig(cameras=(make_ident_cam(),))
+        pyr = random_pyramid(rig, (2, 4), 3, seed=5)
+        pts = np.column_stack([np.zeros((9, 2)), -np.arange(1.0, 10.0)])
+        one, two, threads = split_runs(lambda: sample_multiview_many(pyr, rig, pts))
+        assert threads == 1
+        assert not one[1].any() and not one[0].any()
+        assert one[0].tobytes() == two[0].tobytes() and one[1].tobytes() == two[1].tobytes()
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_exception_in_either_half_reaches_caller(self, monkeypatch, failing):
+        monkeypatch.setattr(featcore, "_WORKERS", 2)
+        before = threading.active_count()
+        ranges = []
+
+        def fn(lo, hi):
+            ranges.append((lo, hi))
+            if (lo == 0) == (failing == "first"):
+                raise RuntimeError(failing)
+
+        with pytest.raises(RuntimeError, match=failing):
+            featcore._split_rows(7, featcore._SPLIT_MIN_SIZE, fn)
+        assert sorted(ranges) == [(0, 4), (4, 7)]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "workers, n, width",
+        [
+            (1, 2**20, 64),
+            (2, 2**20, featcore._SPLIT_MIN_WIDTH - 1),
+            (2, featcore._SPLIT_MIN_SIZE // 64 - 1, 64),
+        ],
+        ids=["one-worker", "narrow-rows", "small-call"],
+    )
+    def test_one_worker_or_small_call_runs_inline(self, monkeypatch, workers, n, width):
+        monkeypatch.setattr(featcore, "_WORKERS", workers)
+        ranges = []
+        featcore._split_rows(n, width, lambda lo, hi: ranges.append((lo, hi, threading.current_thread())))
+        assert ranges == [(0, n, threading.main_thread())]
+
+    def test_workers_follow_affinity_then_cpu_count(self, monkeypatch):
+        assert featcore._WORKERS == min(2, len(os.sched_getaffinity(0)))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert featcore._cpu_count() == 3
 
 
 class TestLevelLayout:
