@@ -321,7 +321,7 @@ def _cmd_bench(args) -> int:
             "dim": args.dim,
             "layers": args.layers,
             "seed": args.seed,
-            # Threads a large sampling call or softmax pass may split over.
+            # Threads a large sampling call or an attention layer's heads may split over.
             "workers": _WORKERS,
         },
         "node_count": int(nodes.shape[0]),

@@ -234,8 +234,13 @@ class QuerySet:
         return self.embeddings.shape[1]
 
 
+_MAX_QUERIES = 4096  # self-attention's two (M, M) float64 buffers: 256 MiB
+
+
 def init_queries(seed: int, count: int, dim: int, bounds: SceneBounds) -> QuerySet:
     _check_sizes(count=count, dim=dim)
+    if count > _MAX_QUERIES:
+        raise DecoderError(f"count must be at most {_MAX_QUERIES}, got {count}")
     rng = derived_rng(seed, 10)
     bound = 1.0 / math.sqrt(dim)
     return QuerySet(embeddings=rng.uniform(-bound, bound, size=(count, dim)), scene_bounds=bounds)
@@ -343,23 +348,23 @@ def self_attention(qs: QuerySet, params: AttentionParams) -> QuerySet:
     v = (emb @ params.w_v.T + params.b_v).reshape(m, h, dh)
     out = np.empty((m, h, dh))
     scale = 1.0 / math.sqrt(dh)
-    # One (M, M) buffer holds each head's logits, then its softmax weights.
-    weights = np.empty((m, m))
-    row = np.empty((m, 1))
+    # Each thread runs whole heads (a gemm over part of the rows rounds
+    # differently) in one (M, M) buffer.  The worker runs the last heads, so
+    # theirs is allocated here; the calling thread allocates the first heads'
+    # only when the heads split, as a buffer made in the worker costs more RSS.
+    last = np.empty((m, m))
 
-    def softmax_rows(lo: int, hi: int) -> None:
-        w, r = weights[lo:hi], row[lo:hi]
-        w *= scale
-        w -= np.max(w, axis=1, keepdims=True, out=r)
-        np.exp(w, out=w)
-        w /= np.sum(w, axis=1, keepdims=True, out=r)
+    def run_heads(lo: int, hi: int) -> None:
+        weights = last if hi == h else np.empty((m, m))
+        for head in range(lo, hi):
+            np.matmul(q[:, head], k[:, head].T, out=weights)
+            weights *= scale
+            weights -= np.max(weights, axis=1, keepdims=True)
+            np.exp(weights, out=weights)
+            weights /= np.sum(weights, axis=1, keepdims=True)
+            out[:, head] = weights @ v[:, head]
 
-    for head in range(h):
-        # The products stay whole: a gemm over part of the rows rounds
-        # differently, while the softmax passes are per row and may split.
-        np.matmul(q[:, head], k[:, head].T, out=weights)
-        _split_rows(m, m, softmax_rows)
-        out[:, head] = weights @ v[:, head]
+    _split_rows(h, m * m, run_heads)
     merged = out.reshape(m, dim) @ params.w_o.T + params.b_o
     return QuerySet(embeddings=emb + merged, scene_bounds=qs.scene_bounds)
 

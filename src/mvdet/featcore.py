@@ -258,7 +258,7 @@ def bilinear_grad(level: FeatureLevel, pos: np.ndarray) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# Row split
+# Two-thread split
 
 
 def _cpu_count() -> int:
@@ -270,11 +270,11 @@ def _cpu_count() -> int:
 
 # Threads ``_split_rows`` may use: two where the process may run on two CPUs
 # when the package is imported.  numpy releases the GIL in the elementwise,
-# gather and scatter loops the halves spend their time in.
+# gather, scatter and matmul loops the halves spend their time in.
 _WORKERS = min(2, _cpu_count())
 
 # Floors below which a split costs more than it saves, measured on a 2-vCPU
-# VM: a call of fewer elements (rows times row width) saves less than a
+# VM: a call of fewer elements (items times width) saves less than a
 # thread's start and join (a 256-query softmax ran slower on two threads),
 # and in narrower rows too little of the work is in the loops that release
 # the GIL (sampling 8-channel rows ran slower on two threads than on one).
@@ -283,12 +283,12 @@ _SPLIT_MIN_WIDTH = 32
 
 
 def _split_rows(n: int, width: int, fn) -> None:
-    """Run ``fn(start, stop)`` over ``range(n)`` rows of ``width`` values
-    each, on two threads when ``_WORKERS`` allows it and the rows reach
-    ``_SPLIT_MIN_WIDTH`` and ``_SPLIT_MIN_SIZE``: the calling thread runs the
-    first half and a new thread the second.  ``fn`` must write only to its
-    own rows, so the result does not depend on the split.  An exception in
-    either half reaches the caller once both halves have ended."""
+    """Run ``fn(start, stop)`` over ``range(n)`` items (rows or heads) of
+    ``width`` values each, on two threads when ``_WORKERS`` allows it and the
+    items reach ``_SPLIT_MIN_WIDTH`` and ``_SPLIT_MIN_SIZE``: the calling
+    thread runs the first half and a new thread the second.  ``fn`` must
+    write only to its own items, so the result does not depend on the split.
+    An exception in either half reaches the caller once both halves end."""
     if _WORKERS < 2 or width < _SPLIT_MIN_WIDTH or n * width < _SPLIT_MIN_SIZE or n < 2:
         fn(0, n)
         return

@@ -390,6 +390,26 @@ def test_nonpositive_decoder_size_usage_error(scene_dir, tmp_path, capsys, comma
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["decode", "bench"])
+def test_queries_above_bound_usage_error(scene_dir, tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("self_attention reached")
+
+    monkeypatch.setattr(decoder, "self_attention", refuse)
+    queries = str(decoder._MAX_QUERIES + 1)
+    argv = {
+        "decode": ["decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
+                   "--calib", str(scene_dir / "calib.json"), "--queries", queries,
+                   "--layers", "1", "--heads", "2", "--seed", "1", "--out", str(tmp_path / "p.json")],
+        "bench": ["bench", "--queries", queries, "--neighbors", "2", "--cameras", "1", "--levels", "1",
+                  "--dim", "8", "--layers", "1", "--heads", "2", "--repeats", "1"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: count must be at most {decoder._MAX_QUERIES}, got {queries}\n"
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value, named",
     [

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -366,8 +367,39 @@ class TestSelfAttention:
         params = AttentionParams.seeded(64, 8, rng)
         qs = QuerySet(embeddings=rng.uniform(-1, 1, (901, 64)), scene_bounds=BOUNDS)
         one, two, threads = split_runs(lambda: self_attention(qs, params).embeddings)
-        assert threads == 8  # one per head
+        assert threads == 1  # four heads on each thread
         assert one.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("dim, heads", [(48, 3), (64, 1)], ids=["uneven-halves", "one-head"])
+    def test_two_threads_bit_identical_at_other_head_counts(self, split_runs, dim, heads):
+        # Three heads split two and one; one head runs inline.
+        rng = np.random.Generator(np.random.PCG64(12))
+        params = AttentionParams.seeded(dim, heads, rng)
+        qs = QuerySet(embeddings=rng.uniform(-1, 1, (301, dim)), scene_bounds=BOUNDS)
+        one, two, threads = split_runs(lambda: self_attention(qs, params).embeddings)
+        assert threads == (heads > 1)
+        assert one.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_is_one_buffer_per_thread(self, monkeypatch, workers):
+        # At the scene-decode shape the heads split wherever two CPUs are
+        # free, and each thread then holds one (M, M) float64 buffer.  The
+        # rest is q, k, v and the output's (M, C) arrays, seven at most.
+        m, dim = 900, 64
+        buffer, slack = m * m * 8, 8 * m * dim * 8
+        rng = np.random.Generator(np.random.PCG64(13))
+        params = AttentionParams.seeded(dim, 8, rng)
+        qs = QuerySet(embeddings=rng.uniform(-1, 1, (m, dim)), scene_bounds=BOUNDS)
+        monkeypatch.setattr(featcore, "_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            self_attention(qs, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert workers * buffer <= peak < workers * buffer + slack
 
     def test_head_divisibility_enforced(self):
         with pytest.raises(DecoderError):
@@ -482,8 +514,8 @@ class TestDecoderForward:
             return hashlib.sha256(out.embeddings.tobytes() + refs.tobytes()).hexdigest()
 
         one, two, threads = split_runs(digest)
-        # Per layer: one sampling call and one softmax split per head.
-        assert threads == 2 * (1 + 4)
+        # Per layer: one sampling call and one attention call, split by heads.
+        assert threads == 2 * (1 + 1)
         assert one == two == "9de257aabb18c022d62b7d0fc2217b334213273f8fdeea16e7ca21d32a468f22"
 
     def test_fixed_points_regression_hash(self):
