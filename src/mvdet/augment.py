@@ -23,9 +23,9 @@ from .camgeo import (
     CameraIntrinsics,
     CameraRig,
     GeometryError,
-    _MAX_IMAGE_SIDE,
     _box_from_json,
     _box_to_json,
+    _check_image_size,
     _json_fields,
     _json_float,
     _json_int,
@@ -115,8 +115,7 @@ class AnnotatedFrame:
             if len(sizes) != len(self.rig):
                 raise AugmentError("image_sizes must have one entry per camera")
             for w, h in sizes:
-                if not (0 < w <= _MAX_IMAGE_SIDE and 0 < h <= _MAX_IMAGE_SIDE):
-                    raise AugmentError(f"image size must be within [1, {_MAX_IMAGE_SIDE}] pixels, got ({w}, {h})")
+                _check_image_size(w, h, AugmentError)
         object.__setattr__(self, "image_sizes", sizes)
 
 

@@ -73,6 +73,12 @@ def _as_array(values, shape, name: str) -> np.ndarray:
     return arr
 
 
+def _check_image_size(width: int, height: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless both sides are in [1, _MAX_IMAGE_SIDE]."""
+    if not (0 < width <= _MAX_IMAGE_SIDE and 0 < height <= _MAX_IMAGE_SIDE):
+        raise error(f"image size must be within [1, {_MAX_IMAGE_SIDE}] pixels, got ({width}, {height})")
+
+
 def _scaled_side(n: int, r: float, error: type[Exception]) -> int:
     """Image side ``n`` resized by factor ``r``, rounded half to even (the
     same on every platform); raises ``error`` unless the result is a finite
@@ -109,10 +115,7 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise GeometryError(f"focal lengths must be finite and positive, got ({self.fx}, {self.fy})")
-        if not (0 < self.width <= _MAX_IMAGE_SIDE and 0 < self.height <= _MAX_IMAGE_SIDE):
-            raise GeometryError(
-                f"image size must be within [1, {_MAX_IMAGE_SIDE}] pixels, got ({self.width}, {self.height})"
-            )
+        _check_image_size(self.width, self.height, GeometryError)
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise GeometryError(
                 f"principal point ({self.cx}, {self.cy}) outside image "
@@ -435,8 +438,7 @@ def _json_write(path, payload) -> None:
     """Write ``payload`` as sorted, 2-space-indented JSON plus a newline;
     every JSON file the package writes goes through here."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _json_read(path, error: type[Exception]):

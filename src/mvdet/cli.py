@@ -9,7 +9,8 @@ Sizes are taken from where they are fixed, never restated here: ``decode``
 adds sampled features to its queries unprojected, so the query width is the
 pyramid's channel count; net sizes come from the ``--params`` bundle (a size
 flag beside it is a usage error) or else from the library, whose defaults
-stand for every flag not given, as in ``synth`` and ``gradcheck``.
+stand for every flag not given, as in ``synth``, ``gradcheck`` and ``bench``.
+A flag that would do nothing (``--offset-scale`` beside a fixed graph) is too.
 
 Exit codes: 0 success, 1 check failure, 2 usage or I/O error.
 """
@@ -172,6 +173,9 @@ def _cmd_decode(args) -> int:
     given = [f"--{name}" for name in ("layers", "neighbors", "heads", "classes") if getattr(args, name) is not None]
     if args.params and given:
         raise ValueError(f"{', '.join(given)} cannot be given with --params: the bundle fixes the net sizes")
+    mode = decoder.AggregationMode(args.mode)
+    if args.offset_scale is not None and mode is not decoder.AggregationMode.DYNAMIC_GRAPH:
+        raise ValueError(f"--offset-scale cannot be given with --mode {args.mode}: only dynamic graphs read it")
     bounds = camgeo.SceneBounds(
         lo=synth.DEFAULT_BOUNDS.lo if args.bounds_lo is None else _parse_floats(args.bounds_lo, 3, "--bounds-lo"),
         hi=synth.DEFAULT_BOUNDS.hi if args.bounds_hi is None else _parse_floats(args.bounds_hi, 3, "--bounds-hi"),
@@ -188,7 +192,6 @@ def _cmd_decode(args) -> int:
         )
         head = decoder.PredictionHead.seeded(args.seed, dim=dim, **_given(num_classes=args.classes))
     qs = decoder.init_queries(args.seed, count=args.queries, dim=dim, bounds=bounds)
-    mode = decoder.AggregationMode(args.mode)
     refined, refs = decoder.decoder_forward(qs, layers, pyramid, rig, mode=mode, **_given(offset_scale=args.offset_scale))
     preds = decoder.decode_predictions(refined, refs[-1], head)
     matching.save_predictions(args.out, preds)
@@ -257,15 +260,15 @@ def _cmd_evaluate(args) -> int:
 # bench
 
 
-def _bench_times(fn, repeats: int) -> dict:
-    fn()  # warmup
+def _bench_times(fn, repeats: int) -> tuple:
+    first = fn()  # warm-up, untimed; its result is returned with the timings
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
     ordered = sorted(times)
-    return {
+    return first, {
         "median_s": statistics.median(times),
         "p95_s": ordered[min(len(ordered) - 1, int(math.ceil(0.95 * len(ordered))) - 1)],
         "min_s": ordered[0],
@@ -274,60 +277,47 @@ def _bench_times(fn, repeats: int) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    if args.cameras < 1 or args.cameras > 6:
-        raise ValueError("--cameras must be between 1 and 6")
-    if args.levels < 1 or args.levels > len(synth.DEFAULT_STRIDES):
-        raise ValueError(f"--levels must be between 1 and {len(synth.DEFAULT_STRIDES)}")
+    for flag, items in (("--cameras", synth.SURROUND_SPECS), ("--levels", synth.DEFAULT_STRIDES)):
+        if not 1 <= getattr(args, flag[2:]) <= len(items):
+            raise ValueError(f"{flag} must be between 1 and {len(items)}")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
-    specs = synth.SURROUND_SPECS[: args.cameras]
-    rig = synth.gen_rig("custom", specs=specs)
-    strides = synth.DEFAULT_STRIDES[: args.levels]
+    rig = synth.gen_rig("custom", specs=synth.SURROUND_SPECS[: args.cameras])
     field = synth.random_field(args.seed, "bilinear", args.dim)
-    pyramid = synth.render_pyramid(field, rig, strides)
+    pyramid = synth.render_pyramid(field, rig, synth.DEFAULT_STRIDES[: args.levels])
     layers = decoder.init_decoder(
-        args.seed, layers=args.layers, dim=args.dim, neighbors=args.neighbors, heads=args.heads
+        args.seed, dim=args.dim, **_given(layers=args.layers, neighbors=args.neighbors, heads=args.heads)
     )
-    bounds = synth.DEFAULT_BOUNDS
-    qs = decoder.init_queries(args.seed, count=args.queries, dim=args.dim, bounds=bounds)
-
-    refined, refs = decoder.decoder_forward(qs, layers, pyramid, rig)
-    checksum = hashlib.sha256(
-        refined.embeddings.tobytes() + refs.tobytes()
-    ).hexdigest()
-
-    def run_pass():
-        decoder.decoder_forward(qs, layers, pyramid, rig)
+    qs = decoder.init_queries(args.seed, count=args.queries, dim=args.dim, bounds=synth.DEFAULT_BOUNDS)
 
     # Node-feature sampling isolated: the per-neighbor cost of one layer.
-    layer = layers[0]
-    emb = qs.embeddings
-    refs0 = decoder.decode_reference_point(emb, layer.ref_net, bounds)
-    nodes, _, _ = decoder.graph_nodes(emb, refs0, layer.offset_net, layer.weight_net, 2.0)
+    layer, emb = layers[0], qs.embeddings
+    refs0 = decoder.decode_reference_point(emb, layer.ref_net, qs.scene_bounds)
+    nodes, _, _ = decoder.graph_nodes(emb, refs0, layer.offset_net, layer.weight_net, decoder.DEFAULT_OFFSET_SCALE)
     nodes = nodes.reshape(-1, 3)
 
-    def run_sampling():
-        sample_multiview_many(pyramid, rig, nodes)
-
-    timing = {"node_sampling": _bench_times(run_sampling, args.repeats)}
-    if not args.sampling_only:
-        timing["decoder_pass"] = _bench_times(run_pass, args.repeats)
+    timing = {"node_sampling": _bench_times(lambda: sample_multiview_many(pyramid, rig, nodes), args.repeats)[1]}
     payload = {
         "config": {
             "queries": args.queries,
-            "neighbors": args.neighbors,
+            "neighbors": layer.neighbors,
             "cameras": args.cameras,
             "levels": args.levels,
             "dim": args.dim,
-            "layers": args.layers,
+            "layers": len(layers),
+            "heads": layer.attention.heads,
             "seed": args.seed,
             # Threads a large sampling call or an attention layer's heads may split over.
             "workers": _WORKERS,
         },
         "node_count": int(nodes.shape[0]),
-        "output_checksum": checksum,
-        "timing": timing,
     }
+    if not args.sampling_only:
+        (refined, refs), timing["decoder_pass"] = _bench_times(
+            lambda: decoder.decoder_forward(qs, layers, pyramid, rig), args.repeats
+        )
+        payload["output_checksum"] = hashlib.sha256(refined.embeddings.tobytes() + refs.tobytes()).hexdigest()
+    payload["timing"] = timing
     _emit(payload, args.json)
     return 0
 
@@ -373,7 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("decode", help="run the query decoder over a pyramid")
+    # decode and bench share one query count.
+    queries = argparse.ArgumentParser(add_help=False)
+    queries.add_argument("--queries", type=int, default=900)
+
+    p = sub.add_parser("decode", parents=[queries], help="run the query decoder over a pyramid")
     p.add_argument("--pyramid", required=True, help="pyramid manifest path")
     p.add_argument("--calib", required=True)
     p.add_argument("--params", help="parameter bundle manifest; seeded init when omitted")
@@ -381,10 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     seeded_only = "seeded decoder only: a --params bundle fixes it"
     p.add_argument("--neighbors", type=int, help=seeded_only)
     p.add_argument("--layers", type=int, help=seeded_only)
-    p.add_argument("--queries", type=int, default=900)
     p.add_argument("--heads", type=int, help=seeded_only)
     p.add_argument("--classes", type=int, help=seeded_only)
-    p.add_argument("--offset-scale", type=float)
+    p.add_argument("--offset-scale", type=float, help="dynamic-graph mode only")
     p.add_argument("--bounds-lo", help="x,y,z of the query box's low corner in meters")
     p.add_argument("--bounds-hi", help="x,y,z of the query box's high corner in meters")
     p.add_argument("--seed", type=int, required=True)
@@ -410,18 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("bench", help="decoder latency and sampling throughput")
-    p.add_argument("--queries", type=int, default=900)
-    p.add_argument("--neighbors", type=int, default=16)
-    p.add_argument("--cameras", type=int, default=6)
-    p.add_argument("--levels", type=int, default=4)
+    p = sub.add_parser("bench", parents=[queries], help="decoder latency and sampling throughput")
+    p.add_argument("--neighbors", type=int)
+    p.add_argument("--cameras", type=int, default=len(synth.SURROUND_SPECS))
+    p.add_argument("--levels", type=int, default=len(synth.DEFAULT_STRIDES))
     p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--layers", type=int, default=6)
-    p.add_argument("--heads", type=int, default=8)
+    p.add_argument("--layers", type=int)
+    p.add_argument("--heads", type=int)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampling-only", action="store_true",
-                   help="time node-feature sampling only, skip full decoder passes")
+                   help="time node-feature sampling only; run no decoder pass and report no output_checksum")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)
 

@@ -23,9 +23,9 @@ together, with one sampling call for their nodes' analytic gradients and one
 ``_graph_update`` call for all their finite-difference cases.
 
 All parameters and arithmetic are 64-bit.  Given identical seeds and inputs
-the decoder is bit-deterministic, on one thread or two: self-attention's
-softmax passes, like node sampling, may run on two threads split by rows,
-and each row's values depend on no other row.
+the decoder is bit-deterministic, on one thread or two: node sampling may
+run on two threads split by rows and self-attention split by whole heads,
+and each row's or head's values depend on no other.
 """
 
 from __future__ import annotations
@@ -472,19 +472,22 @@ def _aggregate(
     return emb + _graph_update(nodes, weights, pyr, rig)
 
 
+DEFAULT_OFFSET_SCALE = 2.0  # meters a dynamic-graph node may walk per axis (``graph_nodes``)
+
+
 def decoder_forward(
     qs: QuerySet,
     layers: Sequence[DecoderLayer],
     pyr: FeaturePyramid,
     rig: CameraRig,
     mode: AggregationMode = AggregationMode.DYNAMIC_GRAPH,
-    offset_scale: float = 2.0,
+    offset_scale: float = DEFAULT_OFFSET_SCALE,
 ) -> tuple[QuerySet, np.ndarray]:
     """Run the full layer stack.
 
     Returns the refined query set and the per-layer reference points with
     shape (num_layers, M, 3).  Reference points are re-decoded from the
-    updated queries at every layer.
+    updated queries at every layer.  Only dynamic graphs read ``offset_scale``.
     """
     if not layers:
         raise DecoderError("the decoder needs at least one layer")

@@ -403,6 +403,9 @@ def _read_tensor(path, scratch: np.ndarray | None) -> np.ndarray:
     """``read_tensor``, reading the payload into the front of the flat
     float32 ``scratch`` when it fits (the result is then a view of it) and
     into a new array otherwise."""
+    # Before opening: a FIFO's open would wait for a writer. A missing file fails in open.
+    if not os.path.isfile(path) and os.path.exists(path):
+        raise TensorFormatError(f"{path}: not a regular file")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)

@@ -1,8 +1,11 @@
 import functools
 import hashlib
+import inspect
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 from mvdet.augment import AugmentError, load_frames
 from mvdet.camgeo import GeometryError, load_rig, save_rig
 from mvdet.cli import _ERRORS, main
-from mvdet import decoder, synth
+from mvdet import camgeo, cli, decoder, synth
 from mvdet.featcore import FeatureError, TensorFormatError, load_pyramid, save_pyramid, write_tensor
 from mvdet.matching import MatchingError, load_predictions, save_predictions
 from mvdet.metrics import MetricsError
@@ -337,6 +340,35 @@ class TestDecodeCommand:
         assert err.startswith("error: ") and flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["single-point", "fixed-points"])
+    def test_offset_scale_beside_fixed_graph_usage_error(self, tmp_path, capsys, monkeypatch, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(cli, "load_pyramid", refuse)
+        monkeypatch.setattr(camgeo, "load_rig", refuse)
+        out = tmp_path / "p.json"
+        assert main([
+            "decode", "--pyramid", str(tmp_path / "absent.json"), "--calib", str(tmp_path / "absent-calib.json"),
+            "--mode", mode, "--offset-scale", "3", "--queries", "4", "--seed", "1", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --offset-scale cannot be given with --mode {mode}: only dynamic graphs read it\n"
+        assert not out.exists()
+
+    def test_offset_scale_moves_dynamic_graph_predictions(self, scene_dir, tmp_path):
+        outputs = {}
+        for scale in (None, "2", "3"):
+            out = tmp_path / f"{scale}.json"
+            assert main([
+                "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
+                "--calib", str(scene_dir / "calib.json"), "--queries", "6", "--layers", "1",
+                "--heads", "2", "--seed", "3", "--out", str(out),
+                *([] if scale is None else ["--offset-scale", scale]),
+            ]) == 0
+            outputs[scale] = out.read_bytes()
+        assert outputs[None] == outputs["2"] != outputs["3"]
+
     def test_missing_params_io_error(self, scene_dir, tmp_path):
         assert main([
             "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
@@ -555,6 +587,13 @@ def _pyramid_file_twice(scene_dir):
     return manifest
 
 
+def _params_file_directory(scene_dir):
+    """A real one-layer bundle whose first entry names a directory."""
+    bundle = _params_with()(scene_dir)
+    bundle["entries"][0]["file"] = "."
+    return bundle
+
+
 def _params_with_entry(name):
     """A real one-layer bundle with one more entry, ``name``, on a tensor file
     of its own (the test's ``level.gdt3``, beside the manifest)."""
@@ -595,6 +634,7 @@ _MALFORMED = {
     "pyramid-stride-fraction": ("pyramid", _pyramid_with(level={"stride": 8.7})),
     "pyramid-version-list": ("pyramid", _pyramid_with(version=["x"])),
     "pyramid-file-twice": ("pyramid", _pyramid_file_twice),
+    "pyramid-file-directory": ("pyramid", _pyramid_with(level={"file": "."})),
     "params-list": ("params", []),
     "params-entries-int": ("params", {"version": 1, "meta": {}, "entries": 3}),
     "params-file-int": ("params", {"version": 1, "meta": {}, "entries": [{"name": "x", "file": 5, "shape": [1]}]}),
@@ -614,6 +654,7 @@ _MALFORMED = {
     "params-entry-outside-layout": ("params", _params_with_entry("extra")),
     "params-entry-unread": ("params", _params_with_entry("layer00.ffn.w7")),
     "params-file-twice": ("params", _params_file_twice),
+    "params-file-directory": ("params", _params_file_directory),
     "params-activations-outside-layout": ("params", _params_with_activations("layer05.ffn", ["relu", "bogus"])),
     "calib-fx-null": ("calib", _calib_with(fx=None)),
     "calib-fx-inf": ("calib", _calib_with(fx=float("inf"))),
@@ -680,6 +721,34 @@ class TestMalformedInputFiles:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["pyramid", "params"])
+    def test_fifo_tensor_file_usage_error(self, scene_dir, tmp_path, kind):
+        # Opening a FIFO for reading waits for a writer, so the CLI runs in a
+        # process of its own that a timeout ends if it waits.
+        fifo = tmp_path / "level.gdt3"
+        os.mkfifo(fifo)
+        if kind == "pyramid":
+            manifest = _pyramid_with(level={"file": str(fifo)})(scene_dir)
+        else:
+            manifest = _params_with()(scene_dir)
+            manifest["entries"][0]["file"] = str(fifo)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        argv = {
+            "pyramid": ["--pyramid", str(bad), "--heads", "2", "--queries", "4", "--layers", "1"],
+            "params": ["--pyramid", str(scene_dir / "pyramid" / "pyramid.json"), "--params", str(bad)],
+        }[kind]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvdet.cli", "decode", *argv, "--calib", str(scene_dir / "calib.json"),
+             "--seed", "1", "--out", str(tmp_path / "p.json")],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {fifo}: not a regular file\n"
+        assert not (tmp_path / "p.json").exists()
 
 
 def test_every_module_error_is_a_usage_error():
@@ -822,3 +891,41 @@ class TestBenchCommand:
             assert code == 0
             checksums.append(json.loads(capsys.readouterr().out)["output_checksum"])
         assert checksums[0] == checksums[1]
+
+    def test_sizes_not_given_are_init_decoders(self, capsys):
+        # Checksum computed with --layers 6 --neighbors 16 --heads 8 given,
+        # when bench restated init_decoder's defaults as its own.
+        assert main(["bench", "--queries", "4", "--cameras", "1", "--levels", "1", "--dim", "8",
+                     "--repeats", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        defaults = inspect.signature(decoder.init_decoder).parameters
+        config = payload["config"]
+        assert (config["layers"], config["neighbors"], config["heads"]) == tuple(
+            defaults[name].default for name in ("layers", "neighbors", "heads")
+        )
+        assert payload["node_count"] == 4 * defaults["neighbors"].default
+        assert payload["output_checksum"] == "147f50a08db3debe0e37e636d414fae3aaf4e102810de221b544965abd5b2de6"
+
+    def test_output_checksum_pin(self, capsys):
+        assert main(["bench", "--queries", "16", "--neighbors", "4", "--cameras", "2", "--levels", "2",
+                     "--dim", "8", "--layers", "1", "--heads", "2", "--repeats", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["output_checksum"] == "342b17f8796ac1212d2a66d699c2e4a639f3e463ab51947692f4b73e3eba44d5"
+
+    @pytest.mark.parametrize("sampling_only, passes", [(False, 1 + 3), (True, 0)], ids=["full", "sampling-only"])
+    def test_decoder_passes_are_the_timed_ones(self, capsys, monkeypatch, sampling_only, passes):
+        calls = []
+        forward = decoder.decoder_forward
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "decoder_forward", counted)
+        assert main(["bench", "--queries", "8", "--neighbors", "2", "--cameras", "1", "--levels", "1",
+                     "--dim", "8", "--layers", "1", "--repeats", "3", "--json",
+                     *(["--sampling-only"] if sampling_only else [])]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == passes
+        assert ("output_checksum" in payload) is not sampling_only
+        assert ("decoder_pass" in payload["timing"]) is not sampling_only
