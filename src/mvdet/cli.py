@@ -27,11 +27,17 @@ import sys
 import time
 from typing import Sequence
 
-import numpy as np
+# OpenBLAS reads its thread count once, when numpy loads it, and its threads
+# round some of a 900-query decode's products differently than one thread
+# does.  One thread by default keeps every output byte the same on any
+# number of CPUs.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import augment as aug
-from . import camgeo, decoder, matching, metrics, synth
-from .featcore import _WORKERS, load_pyramid, sample_multiview_many, save_pyramid
+import numpy as np  # noqa: E402
+
+from . import augment as aug  # noqa: E402
+from . import camgeo, decoder, matching, metrics, synth  # noqa: E402
+from .featcore import _WORKERS, load_pyramid, sample_multiview_many, save_pyramid  # noqa: E402
 
 __all__ = ["build_parser", "main"]
 

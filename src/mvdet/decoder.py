@@ -2,7 +2,9 @@
 
 Each decoder layer runs self-attention across object queries, decodes a 3D
 reference point per query, gathers image evidence from a graph of nodes
-around it, and applies a residual feed-forward block.  Every aggregation mode
+around it, and applies a residual feed-forward block.  The layers pass the
+queries on as a bare (M, C) array; ``decoder_forward`` wraps the last
+layer's in one ``QuerySet``.  Every aggregation mode
 is a graph, sampled in one call and merged in node order through the same
 weighted sum:
 
@@ -17,10 +19,11 @@ weighted sum:
 aggregation, run on a fixed configuration (dim 16, 4 nodes, every component).
 Its loss is the sum of the query plus the sum of the decoder's own
 ``_graph_update``, not the residual, as its field has 4 channels and its
-queries 16.  It works in two phases: it chooses its probes one at a time,
-jittering each off the bilinear and ReLU kinks, then scores the chosen probes
-together, with one sampling call for their nodes' analytic gradients and one
-``_graph_update`` call for all their finite-difference cases.
+queries 16.  It works in groups of 32 probes: it chooses a group's probes one
+at a time, jittering each off the bilinear and ReLU kinks, then scores the
+group at once, with one sampling call for its nodes' analytic gradients and
+one ``_graph_update`` call for all its finite-difference cases, and folds the
+deviations into running counts and maxima before it chooses the next group.
 
 All parameters and arithmetic are 64-bit.  Given identical seeds and inputs
 the decoder is bit-deterministic, on one thread or two: node sampling may
@@ -335,9 +338,21 @@ class AttentionParams:
         return cls(heads=heads, **tensors)
 
 
-def self_attention(qs: QuerySet, params: AttentionParams) -> QuerySet:
-    """Scaled dot-product multi-head self-attention with a residual connection."""
-    emb = qs.embeddings
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of the float64 array ``x``, in place."""
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=-1, keepdims=True)
+    return x
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    return _softmax_rows(np.array(logits, dtype=np.float64))
+
+
+def self_attention(emb: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Scaled dot-product multi-head self-attention with a residual
+    connection, from query embeddings (M, C) to (M, C)."""
     m, dim = emb.shape
     if dim != params.dim:
         raise DecoderError(f"query dim {dim} does not match attention dim {params.dim}")
@@ -359,14 +374,10 @@ def self_attention(qs: QuerySet, params: AttentionParams) -> QuerySet:
         for head in range(lo, hi):
             np.matmul(q[:, head], k[:, head].T, out=weights)
             weights *= scale
-            weights -= np.max(weights, axis=1, keepdims=True)
-            np.exp(weights, out=weights)
-            weights /= np.sum(weights, axis=1, keepdims=True)
-            out[:, head] = weights @ v[:, head]
+            out[:, head] = _softmax_rows(weights) @ v[:, head]
 
     _split_rows(h, m * m, run_heads)
-    merged = out.reshape(m, dim) @ params.w_o.T + params.b_o
-    return QuerySet(embeddings=emb + merged, scene_bounds=qs.scene_bounds)
+    return emb + (out.reshape(m, dim) @ params.w_o.T + params.b_o)
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +508,15 @@ def decoder_forward(
         raise DecoderError(
             f"pyramid channels ({pyr.channels}) must match query dim ({qs.dim})"
         )
-    current = qs
+    emb, bounds = qs.embeddings, qs.scene_bounds
     all_refs = np.empty((len(layers), len(qs), 3))
     for li, layer in enumerate(layers):
-        current = self_attention(current, layer.attention)
-        emb = current.embeddings
-        bounds = current.scene_bounds
+        emb = self_attention(emb, layer.attention)
         refs = decode_reference_point(emb, layer.ref_net, bounds)
         all_refs[li] = refs
         emb = _aggregate(emb, refs, layer, pyr, rig, mode, offset_scale)
         emb = emb + layer.ffn(emb)
-        current = QuerySet(embeddings=emb, scene_bounds=bounds)
-    return current, all_refs
+    return QuerySet(embeddings=emb, scene_bounds=bounds), all_refs
 
 
 # ---------------------------------------------------------------------------
@@ -543,32 +551,22 @@ class PredictionHead:
         return cls(reg_net=Mlp.seeded([dim, dim, 10], rng), cls_net=Mlp.seeded([dim, num_classes], rng))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def decode_predictions(qs: QuerySet, refs: np.ndarray, head: PredictionHead) -> list[DetectionResult]:
     """Turn refined queries plus final reference points into scored boxes."""
     emb = qs.embeddings
     reg = head.reg_net(emb)
     probs = softmax(head.cls_net(emb))
-    refs = np.asarray(refs, dtype=np.float64).reshape(len(qs), 3)
-    results = []
-    for i in range(len(qs)):
-        center = refs[i] + reg[i, 0:3]
-        size = np.exp(reg[i, 3:6])
-        yaw = math.atan2(reg[i, 6], reg[i, 7])
-        velocity = reg[i, 8:10]
-        class_id = int(np.argmax(probs[i]))
-        results.append(
-            DetectionResult(
-                box=Box3D(center=center, size=size, yaw=yaw, velocity=velocity, class_id=class_id),
-                score=probs[i, class_id],
-            )
+    centers = np.asarray(refs, dtype=np.float64).reshape(len(qs), 3) + reg[:, 0:3]
+    sizes = np.exp(reg[:, 3:6])
+    class_ids = np.argmax(probs, axis=1)
+    scores = probs[np.arange(len(qs)), class_ids]
+    return [
+        DetectionResult(
+            box=Box3D(center=center, size=size, yaw=math.atan2(r[6], r[7]), velocity=r[8:10], class_id=class_id),
+            score=score,
         )
-    return results
+        for r, center, size, class_id, score in zip(reg, centers, sizes, class_ids.tolist(), scores)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +587,7 @@ def _bundle_meta(layers: Sequence[DecoderLayer], head: PredictionHead) -> dict:
     sizes = {
         "dim": {layer.ffn.in_dim for layer in layers},
         "neighbors": {layer.neighbors for layer in layers},
+        "heads": {layer.attention.heads for layer in layers},
     }
     for key, values in sizes.items():
         if len(values) != 1:
@@ -617,12 +616,7 @@ def save_params(directory, layers: Sequence[DecoderLayer], head: PredictionHead)
             fname = name.replace(".", "_") + ".gdt3"
             write_tensor(os.path.join(directory, fname), arr)
             entries.append({"file": fname, "name": name, "shape": list(arr.shape)})
-    meta = {
-        "heads": layers[0].attention.heads,
-        "layers": len(layers),
-        **_bundle_meta(layers, head),
-        "activations": activations,
-    }
+    meta = {"layers": len(layers), **_bundle_meta(layers, head), "activations": activations}
     manifest_path = os.path.join(directory, "params.json")
     _json_write(manifest_path, {"version": TENSOR_VERSION, "meta": meta, "entries": entries})
     return manifest_path
@@ -644,8 +638,8 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
     pair per item of its ``meta.activations`` list.  Each tensor is read
     when the walk takes it, and the first one missing fails.  A tensor or
     activations entry outside that layout fails once the walk is done; such
-    a tensor's file is never read.  The meta's ``dim``, ``neighbors`` and
-    ``num_classes`` must match the loaded nets."""
+    a tensor's file is never read.  The meta's ``dim``, ``neighbors``,
+    ``heads`` and ``num_classes`` must match the loaded nets."""
     bundle = _json_read(manifest_path, DecoderError)
     base = os.path.dirname(os.path.abspath(manifest_path))
     what = f"parameter manifest {manifest_path}"
@@ -735,7 +729,8 @@ class GradCheckReport:
 _GRAD_COMPONENTS = ("offset", "weight", "query")
 # grad_check's fixed rig, built once: a rig is frozen and its arrays read-only.
 _GRAD_RIG = gen_rig("nuscenes-like")
-# Probes scored per batch; bounds the memory of a grad_check call of any size.
+# Probes chosen and scored per group; only one group is held at a time, so
+# this bounds the memory of a grad_check call of any size.
 _GRAD_GROUP = 32
 
 
@@ -870,16 +865,19 @@ def grad_check(
     finite differences, for queries of dim 16 and graphs of 4 nodes, in every
     component ("offset", "weight", "query").
 
-    The probes are chosen first, one at a time: a probe whose sample
-    positions land on (or too close to) a bilinear kink, or whose query
-    steps can cross a ReLU kink of the ref, offset or weight net, is
-    jittered by a small deterministic amount and retried; jitters are
-    counted in the report.  The chosen probes are then scored together in
-    groups of up to ``_GRAD_GROUP``: one ``node_grads`` call on all their
-    nodes, one ``_graph_update`` call on all their finite-difference cases, and
-    one ``analytic`` call per probe, in probe order.  A case's loss and a
-    node's gradient do not depend on the other rows of a call, so grouping
-    changes no bit.  Relative deviation is |analytic - fd| / (1 + |analytic|).
+    The probes come in groups of up to ``_GRAD_GROUP``.  A group's probes
+    are chosen one at a time: a probe whose sample positions land on (or too
+    close to) a bilinear kink, or whose query steps can cross a ReLU kink of
+    the ref, offset or weight net, is jittered by a small deterministic
+    amount and retried; jitters are counted in the report.  The group is
+    then scored at once: one ``node_grads`` call on all its nodes, one
+    ``_graph_update`` call on all its finite-difference cases, and one
+    ``analytic`` call per probe, in probe order.  Each component's count and
+    maximum deviations are running values, so no probe outlives its group.
+    Scoring draws no random numbers, a case's loss and a node's gradient do
+    not depend on the other rows of a call, and a maximum does not depend on
+    order, so grouping changes no bit.  Relative deviation is
+    |analytic - fd| / (1 + |analytic|).
 
     ``eps`` must be finite and positive, ``tol`` finite and at least 0, and
     ``probes`` at least 1.
@@ -912,23 +910,22 @@ def grad_check(
         bounds=bounds,
         offset_scale=1.0,
     )
-    chosen = []  # per probe: (q, derived)
+    stats = dict.fromkeys(_GRAD_COMPONENTS, (0, 0.0, 0.0))  # (checked, max abs dev, max rel dev)
     n_jittered = 0
     kink_margin = 1e-3
-    for _ in range(probes):
-        q = rng.uniform(-1.0, 1.0, size=dim)
-        derived = probe.derive(q)
-        for _attempt in range(8):
-            if probe.min_level_margin(derived[1]) > kink_margin and not probe.near_relu_kink(q, eps):
-                break
-            q = q + rng.uniform(-0.05, 0.05, size=dim)
-            n_jittered += 1
-            derived = probe.derive(q)
-        chosen.append((q, derived))
-
-    checked = {name: [] for name in _GRAD_COMPONENTS}  # per probe: (analytic, fd) arrays
     for first in range(0, probes, _GRAD_GROUP):
-        group = chosen[first : first + _GRAD_GROUP]
+        group = []  # per probe: (q, derived)
+        for _ in range(min(_GRAD_GROUP, probes - first)):
+            q = rng.uniform(-1.0, 1.0, size=dim)
+            derived = probe.derive(q)
+            for _attempt in range(8):
+                if probe.min_level_margin(derived[1]) > kink_margin and not probe.near_relu_kink(q, eps):
+                    break
+                q = q + rng.uniform(-0.05, 0.05, size=dim)
+                n_jittered += 1
+                derived = probe.derive(q)
+            group.append((q, derived))
+
         sums, dsums = probe.node_grads(np.concatenate([derived[1] for _, derived in group]))
         steps = [probe.signed_steps(q, derived, name, eps) for q, derived in group for name in _GRAD_COMPONENTS]
         qs, nodes, weights = (np.concatenate(parts) for parts in zip(*steps))
@@ -939,21 +936,15 @@ def grad_check(
             # A component has one +eps and one -eps case per gradient entry.
             for name, grad in zip(_GRAD_COMPONENTS, grads):
                 lp, lm = losses[start : start + 2 * grad.size].reshape(2, -1)
-                checked[name].append((grad.ravel(), (lp - lm) / (2 * eps)))
                 start += 2 * grad.size
+                dev = np.abs(grad.ravel() - (lp - lm) / (2 * eps))
+                rel = dev / (1.0 + np.abs(grad.ravel()))
+                checked, worst_abs, worst_rel = stats[name]
+                # Python's max, unlike np.max, skips a NaN that does not come first.
+                stats[name] = checked + len(dev), max(worst_abs, *dev), max(worst_rel, *rel)
 
-    reports = []
-    for name, pairs in checked.items():
-        analytic, fd = map(np.concatenate, zip(*pairs))
-        dev = np.abs(analytic - fd)
-        reports.append(
-            ComponentReport(
-                component=name,
-                n_checked=len(dev),
-                n_jittered=n_jittered,
-                max_abs_dev=float(max(0.0, *dev)),
-                max_rel_dev=float(max(0.0, *(dev / (1.0 + np.abs(analytic))))),
-                tol=float(tol),
-            )
-        )
+    reports = [
+        ComponentReport(name, checked, n_jittered, float(worst_abs), float(worst_rel), float(tol))
+        for name, (checked, worst_abs, worst_rel) in stats.items()
+    ]
     return GradCheckReport(components=tuple(reports))

@@ -369,6 +369,29 @@ class TestDecodeCommand:
             outputs[scale] = out.read_bytes()
         assert outputs[None] == outputs["2"] != outputs["3"]
 
+    def test_bytes_do_not_depend_on_cpu_count(self, tmp_path):
+        # OpenBLAS's own threads round some of a 900-query, dim-64 decode's
+        # products differently from one thread, so the CLI runs it on one
+        # unless OPENBLAS_NUM_THREADS is set.  numpy reads the variable when
+        # it loads, so each decode runs in a process of its own, once on the
+        # CPUs this one may use and once pinned to one of them.
+        scene = tmp_path / "scene"
+        assert main(["synth", "--seed", "1", "--channels", "64", "--out", str(scene)]) == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for pin in ("", "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "):
+            out = tmp_path / f"p{len(outputs)}.json"
+            subprocess.run(
+                [sys.executable, "-c", f"import os, runpy; {pin}runpy.run_module('mvdet.cli', run_name='__main__')",
+                 "decode", "--pyramid", str(scene / "pyramid" / "pyramid.json"), "--calib", str(scene / "calib.json"),
+                 "--queries", "900", "--seed", "1", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_params_io_error(self, scene_dir, tmp_path):
         assert main([
             "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
