@@ -62,13 +62,17 @@ class GeometryError(ValueError):
     """Camera or box parameters violate their invariants."""
 
 
-def _as_array(values, shape, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != shape:
-        raise GeometryError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise GeometryError(f"{name} contains non-finite values")
-    arr = arr.copy()
+def _as_array(values, shape: tuple, name: str, error: type[Exception]) -> np.ndarray:
+    """A finite, read-only, C-ordered float64 copy of ``values``, the one
+    form in which the package stores an array; raises ``error`` unless its
+    shape is ``shape``, where a ``None`` dimension takes any length."""
+    arr = np.array(values, dtype=np.float64, order="C")
+    if arr.shape != shape and (
+        arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+    ):
+        raise error(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise error(f"{name} contains non-finite values")
     arr.flags.writeable = False
     return arr
 
@@ -142,8 +146,8 @@ class CameraExtrinsics:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = _as_array(self.rotation, (3, 3), "rotation")
-        trans = _as_array(self.translation, (3,), "translation")
+        rot = _as_array(self.rotation, (3, 3), "rotation", GeometryError)
+        trans = _as_array(self.translation, (3,), "translation", GeometryError)
         if not np.allclose(rot.T @ rot, np.eye(3), atol=_ORTHO_TOL):
             raise GeometryError("rotation is not orthonormal")
         if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
@@ -201,9 +205,9 @@ class Box3D:
     attribute_id: int = 0
 
     def __post_init__(self):
-        center = _as_array(self.center, (3,), "center")
-        size = _as_array(self.size, (3,), "size")
-        velocity = _as_array(self.velocity, (2,), "velocity")
+        center = _as_array(self.center, (3,), "center", GeometryError)
+        size = _as_array(self.size, (3,), "size", GeometryError)
+        velocity = _as_array(self.velocity, (2,), "velocity", GeometryError)
         if not np.all(size > 0):
             raise GeometryError(f"box size must be positive, got {size}")
         if not math.isfinite(float(self.yaw)):
@@ -239,8 +243,8 @@ class SceneBounds:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _as_array(self.lo, (3,), "lo")
-        hi = _as_array(self.hi, (3,), "hi")
+        lo = _as_array(self.lo, (3,), "lo", GeometryError)
+        hi = _as_array(self.hi, (3,), "hi", GeometryError)
         if not np.all(hi > lo):
             raise GeometryError(f"bounds must have positive extent, got lo={lo} hi={hi}")
         object.__setattr__(self, "lo", lo)

@@ -25,10 +25,11 @@ group at once, with one sampling call for its nodes' analytic gradients and
 one ``_graph_update`` call for all its finite-difference cases, and folds the
 deviations into running counts and maxima before it chooses the next group.
 
-All parameters and arithmetic are 64-bit.  Given identical seeds and inputs
-the decoder is bit-deterministic, on one thread or two: node sampling may
-run on two threads split by rows and self-attention split by whole heads,
-and each row's or head's values depend on no other.
+All parameters are stored as finite, read-only 64-bit copies and all
+arithmetic is 64-bit.  Given identical seeds and inputs the decoder is
+bit-deterministic, on one thread or two: node sampling may run on two
+threads split by rows and self-attention split by whole heads, and each
+row's or head's values depend on no other.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .camgeo import (
     CameraRig,
     DetectionResult,
     SceneBounds,
+    _as_array,
     _json_fields,
     _json_int,
     _json_read,
@@ -133,22 +135,18 @@ class Mlp:
     activations: tuple[str, ...]
 
     def __post_init__(self):
-        ws = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        bs = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
-        acts = tuple(self.activations)
-        if not (len(ws) == len(bs) == len(acts)) or not ws:
+        weights, biases, acts = tuple(self.weights), tuple(self.biases), tuple(self.activations)
+        if not (len(weights) == len(biases) == len(acts)) or not weights:
             raise DecoderError("weights, biases, activations must align and be nonempty")
-        for i, (w, b, act) in enumerate(zip(ws, bs, acts)):
-            if w.ndim != 2 or b.shape != (w.shape[0],):
-                raise DecoderError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
+        ws, bs = [], []
+        for i, (w, b, act) in enumerate(zip(weights, biases, acts)):
             if act not in ("relu", "identity"):
                 raise DecoderError(f"layer {i}: unknown activation {act!r}")
-            if i and w.shape[1] != ws[i - 1].shape[0]:
-                raise DecoderError(f"layer {i}: input dim {w.shape[1]} != previous out")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise DecoderError(f"layer {i}: non-finite parameters")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "biases", bs)
+            # A layer's input dim is the previous layer's output dim.
+            ws.append(_as_array(w, (None, ws[-1].shape[0] if ws else None), f"layer {i} weight", DecoderError))
+            bs.append(_as_array(b, ws[-1].shape[:1], f"layer {i} bias", DecoderError))
+        object.__setattr__(self, "weights", tuple(ws))
+        object.__setattr__(self, "biases", tuple(bs))
         object.__setattr__(self, "activations", acts)
 
     @property
@@ -220,13 +218,9 @@ class QuerySet:
     scene_bounds: SceneBounds
 
     def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=np.float64)
-        if emb.ndim != 2 or emb.shape[0] < 1:
+        emb = _as_array(self.embeddings, (None, None), "query embeddings", DecoderError)
+        if emb.shape[0] < 1:
             raise DecoderError(f"embeddings must be (M, C) with M >= 1, got {emb.shape}")
-        if not np.all(np.isfinite(emb)):
-            raise DecoderError("query embeddings must be finite")
-        emb = emb.copy()
-        emb.flags.writeable = False
         object.__setattr__(self, "embeddings", emb)
 
     def __len__(self) -> int:
@@ -312,17 +306,14 @@ class AttentionParams:
     b_o: np.ndarray
 
     def __post_init__(self):
-        dim = np.asarray(self.w_q).shape[0]
         if self.heads < 1:
             raise DecoderError(f"heads must be at least 1, got {self.heads}")
+        dim = (np.shape(self.w_q) or (None,))[0]  # a 0-d w_q fails its own shape check
+        for name in _ATTENTION_TENSORS:
+            shape = (dim, dim) if name.startswith("w") else (dim,)
+            object.__setattr__(self, name, _as_array(getattr(self, name), shape, name, DecoderError))
         if dim % self.heads != 0:
             raise DecoderError(f"dim {dim} not divisible by heads {self.heads}")
-        for name in _ATTENTION_TENSORS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            shape = (dim, dim) if name.startswith("w") else (dim,)
-            if arr.shape != shape:
-                raise DecoderError(f"{name} must be {shape}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -622,7 +613,9 @@ def save_params(directory, layers: Sequence[DecoderLayer], head: PredictionHead)
     return manifest_path
 
 
-_PARAM_ENTRY_FIELDS = {"name": _json_text, "file": _json_text, "shape": list}
+# Each dimension is parsed as an integer: a null one would be a wildcard to
+# ``_as_array``.
+_PARAM_ENTRY_FIELDS = {"name": _json_text, "file": _json_text, "shape": lambda dims: tuple(map(_json_int, dims))}
 _PARAM_META_FIELDS = {
     "layers": _json_int,
     "heads": _json_int,
@@ -665,10 +658,7 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
 
     def read(name: str) -> np.ndarray:
         path, shape = take(table, name, "tensor")
-        arr = read_tensor(path).astype(np.float64)
-        if list(arr.shape) != shape:
-            raise DecoderError(f"parameter {name}: shape mismatch")
-        return arr
+        return _as_array(read_tensor(path), shape, f"{what}: parameter {name}", DecoderError)
 
     def load_mlp(prefix: str) -> Mlp:
         acts = take(meta["activations"], prefix, "activations of")

@@ -68,9 +68,9 @@ class FeatureLevel:
 
     The values live in one read-only, C-contiguous (H, W, C) float32 buffer
     that the level owns: it is always a copy of the input, so no other
-    array can change it.  ``data`` is the (C, H, W) view of it and
-    ``pixels`` the (H * W, C) view, one row per pixel in row-major order,
-    which sampling gathers from.
+    array can change it, and every stored value must be finite.  ``data`` is
+    the (C, H, W) view of it and ``pixels`` the (H * W, C) view, one row per
+    pixel in row-major order, which sampling gathers from.
     """
 
     data: np.ndarray
@@ -85,7 +85,10 @@ class FeatureLevel:
             raise FeatureError(f"feature dimensions must be >= 1, got {arr.shape}")
         if self.stride < 1:
             raise FeatureError(f"stride must be >= 1, got {self.stride}")
-        hwc = np.array(arr.transpose(1, 2, 0), dtype=np.float32, order="C")
+        with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, refused below
+            hwc = np.array(arr.transpose(1, 2, 0), dtype=np.float32, order="C")
+        if not np.isfinite(hwc).all():
+            raise FeatureError("feature values must be finite")
         hwc.flags.writeable = False
         object.__setattr__(self, "data", hwc.transpose(2, 0, 1))
         object.__setattr__(self, "pixels", hwc.reshape(-1, arr.shape[0]))
@@ -521,6 +524,9 @@ def load_pyramid(manifest_path) -> FeaturePyramid:
             data = _read_tensor(path, scratch)
             if data.size > scratch.size:
                 scratch = data.reshape(-1)
-            levels.append(FeatureLevel(data=data, stride=lv["stride"]))
+            try:
+                levels.append(FeatureLevel(data=data, stride=lv["stride"]))
+            except FeatureError as exc:
+                raise FeatureError(f"{what}: level file {path}: {exc}") from exc
         cams.append(levels)
     return FeaturePyramid(cams)

@@ -114,6 +114,9 @@ class RegionSplitReport:
 # ---------------------------------------------------------------------------
 # Matching
 
+# Most distances ``_greedy_matches`` computes at once for one class.
+_DIST_BLOCK = 2**16
+
 
 def _greedy_matches(
     preds: Sequence[DetectionResult],
@@ -128,7 +131,9 @@ def _greedy_matches(
     which breaks ties (0.0 and -0.0 among them) by original order.  Class
     ids are mapped to their position in ``classes`` through a dict, so ids
     of any size work; a prediction of a class not in ``classes`` gets -1.
-    Per class, one planar center-distance matrix serves every threshold.
+    Per class, the rows of the planar center-distance matrix are computed in
+    score order, ``_DIST_BLOCK`` distances at a time, and each block serves
+    every threshold, so memory grows with the box counts, not their product.
     Returns one (rows, cols, hits) per class: the class's prediction
     indices in score order, its ground-truth indices, and per threshold the
     position in ``cols`` matched by each row, or -1.
@@ -144,36 +149,48 @@ def _greedy_matches(
     for k in range(len(classes)):
         rows = order[pred_pos == k]
         cols = np.flatnonzero(gt_pos == k)
-        dist = np.linalg.norm(gt_xy[cols][None] - pred_xy[rows][:, None], axis=2)
-        out.append((rows.tolist(), cols.tolist(), _greedy_pass(dist, thresholds)))
+        xy, gt_class_xy = pred_xy[rows], gt_xy[cols]
+        step = max(1, _DIST_BLOCK // max(1, len(cols)))
+        blocks = (
+            np.linalg.norm(gt_class_xy[None] - xy[lo : lo + step, None], axis=2) for lo in range(0, len(rows), step)
+        )
+        out.append((rows.tolist(), cols.tolist(), _greedy_pass(blocks, len(cols), thresholds)))
     return out
 
 
-def _greedy_pass(dist: np.ndarray, thresholds: Sequence[float]) -> dict[float, list[int]]:
-    """Per threshold, each row in turn takes the nearest untaken column, the
-    lowest index among equal distances, if strictly closer than the
-    threshold; the taken column per row, or -1.
+def _greedy_pass(blocks, cols: int, thresholds: Sequence[float]) -> dict[float, list[int]]:
+    """Per threshold, each row in turn takes the nearest untaken column of
+    ``cols``, the lowest index among equal distances, if strictly closer
+    than the threshold; the taken column per row, or -1.  ``blocks`` yields
+    the distance rows in order, as (rows, cols) arrays; the untaken columns
+    carry over from one block to the next.
 
     The untaken columns only shrink, so a row whose nearest column of all is
     not closer than the threshold never matches, nor does any row once every
-    column is taken: those rows get -1 without a scan.  The distance rows
-    and their minimums are read once for all thresholds.
+    column is taken: those rows get -1 without a scan.  A block's distance
+    rows and their minimums are read once for all thresholds.
     """
-    hits = {th: [-1] * len(dist) for th in thresholds}
-    if dist.shape[1] == 0:
-        return hits
-    rows = dist.tolist()
-    nearest = dist.min(axis=1)
-    for th, taken in hits.items():
-        free = list(range(dist.shape[1]))
-        for i in np.flatnonzero(nearest < th).tolist():
-            row = rows[i]
-            j = min(free, key=row.__getitem__)
-            if row[j] < th:
-                taken[i] = j
-                free.remove(j)
-                if not free:
-                    break
+    hits = {th: [] for th in thresholds}
+    free = {th: list(range(cols)) for th in thresholds}
+    start = 0
+    for dist in blocks:
+        for taken in hits.values():
+            taken.extend([-1] * len(dist))
+        live = [th for th in hits if free[th]]
+        if live:
+            rows = dist.tolist()
+            nearest = dist.min(axis=1)
+            for th in live:
+                taken, left = hits[th], free[th]
+                for i in np.flatnonzero(nearest < th).tolist():
+                    row = rows[i]
+                    j = min(left, key=row.__getitem__)
+                    if row[j] < th:
+                        taken[start + i] = j
+                        left.remove(j)
+                        if not left:
+                            break
+        start += len(dist)
     return hits
 
 

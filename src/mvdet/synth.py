@@ -23,6 +23,7 @@ from .camgeo import (
     DetectionResult,
     GeometryError,
     SceneBounds,
+    _as_array,
     normalize_yaw,
 )
 from .featcore import FeatureLevel, FeaturePyramid
@@ -72,17 +73,10 @@ class AnalyticField:
     d: np.ndarray
 
     def __post_init__(self):
-        coeffs = []
+        channels = None  # set by ``a``; b, c and d must match it
         for name in ("a", "b", "c", "d"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise ConfigError(f"field coefficient {name} must be a finite 1-D array")
-            coeffs.append(arr)
-        if len({len(x) for x in coeffs}) != 1:
-            raise ConfigError("field coefficients must share one channel count")
-        for name, arr in zip(("a", "b", "c", "d"), coeffs):
-            arr = arr.copy()
-            arr.flags.writeable = False
+            arr = _as_array(np.atleast_1d(getattr(self, name)), (channels,), f"field coefficient {name}", ConfigError)
+            channels = len(arr)
             object.__setattr__(self, name, arr)
 
     @classmethod

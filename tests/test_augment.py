@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from mvdet.augment import (
     sample_scale,
     save_frames,
 )
-from mvdet.camgeo import Box3D, CameraIntrinsics, pixel_size, project_points
+from mvdet.camgeo import Box3D, CameraIntrinsics, CameraRig, pixel_size, project_points
 from mvdet.synth import derived_rng, gen_rig
 
-from helpers import make_frame
+from helpers import make_frame, make_ident_cam
 
 
 class TestSampleScale:
@@ -217,6 +218,24 @@ class TestApplyTransform:
             h.update(json.dumps(frame_to_dict(out), sort_keys=True).encode())
             h.update(repr(out.regression_mask).encode())
         assert h.hexdigest() == self.DIGESTS[mode]
+
+
+# Invalid values the module's own checks refuse; a frame whose scaled rig the
+# geometry refuses (here fx * 2 overflows) fails as an AugmentError too.
+_INVALID_VALUES = {
+    "depth-scaler-nan": lambda: DepthScaler(sigma=math.nan),
+    "object-depth-inf": lambda: AnnotatedObject(box=Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0), depth=math.inf),
+    "transform-mode-string": lambda: apply_transform(make_frame(), 1.0, "vanilla"),
+    "transform-fx-overflow": lambda: apply_transform(
+        make_frame(objects=(), rig=CameraRig(cameras=(make_ident_cam(fx=1e308),))), 2.0, ScaleMode.VANILLA
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID_VALUES))
+def test_invalid_value_raises_augment_error(case):
+    with pytest.raises(AugmentError):
+        _INVALID_VALUES[case]()
 
 
 class TestPixelDepthDecode:

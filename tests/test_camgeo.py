@@ -14,6 +14,7 @@ from mvdet.camgeo import (
     DetectionResult,
     GeometryError,
     RegionLabel,
+    SceneBounds,
     back_project,
     box_corners,
     classify_regions,
@@ -387,6 +388,17 @@ class TestPixelSize:
             assert abs(pixel_size(b) - pixel_size(a) / r) <= 1e-12 * pixel_size(a) / r
 
 
+# Invalid values the module's own checks refuse; a None dimension of
+# ``_as_array`` takes any length but keeps the others and the rank exact.
+_INVALID_VALUES = {
+    "box-center-nan": lambda: Box3D(center=(math.nan, 0, 0), size=(1, 1, 1), yaw=0.0),
+    "box-velocity-inf": lambda: Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0, velocity=(0, math.inf)),
+    "bounds-no-extent": lambda: SceneBounds(lo=(0, 0, 0), hi=(1, 0, 1)),
+    "array-wildcard-other-dim": lambda: camgeo._as_array(np.zeros((2, 3)), (None, 4), "x", GeometryError),
+    "array-wildcard-rank": lambda: camgeo._as_array(np.zeros(3), (None, None), "x", GeometryError),
+}
+
+
 class TestValidation:
     def test_negative_focal_rejected(self):
         with pytest.raises(GeometryError):
@@ -461,6 +473,18 @@ class TestValidation:
     def test_duplicate_camera_ids_rejected(self, ident_cam):
         with pytest.raises(GeometryError):
             CameraRig(cameras=(ident_cam, ident_cam))
+
+    @pytest.mark.parametrize("case", sorted(_INVALID_VALUES))
+    def test_invalid_value_raises_geometry_error(self, case):
+        with pytest.raises(GeometryError):
+            _INVALID_VALUES[case]()
+
+    def test_stored_array_is_a_read_only_float64_copy(self):
+        given = np.zeros((2, 3), dtype=np.float32)
+        stored = camgeo._as_array(given, (None, 3), "x", GeometryError)
+        assert stored.shape == (2, 3) and stored.dtype == np.float64 and not stored.flags.writeable
+        given[0, 0] = 1.0
+        assert stored[0, 0] == 0.0
 
 
 class TestCalibrationJson:

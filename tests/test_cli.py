@@ -14,7 +14,7 @@ from mvdet.augment import AugmentError, load_frames
 from mvdet.camgeo import GeometryError, load_rig, save_rig
 from mvdet.cli import _ERRORS, main
 from mvdet import camgeo, cli, decoder, synth
-from mvdet.featcore import FeatureError, TensorFormatError, load_pyramid, save_pyramid, write_tensor
+from mvdet.featcore import FeatureError, TensorFormatError, load_pyramid, read_tensor, save_pyramid, write_tensor
 from mvdet.matching import MatchingError, load_predictions, save_predictions
 from mvdet.metrics import MetricsError
 from mvdet.synth import ConfigError, NoiseSpec, perturb_predictions
@@ -772,6 +772,32 @@ class TestMalformedInputFiles:
         assert proc.returncode == 2
         assert proc.stderr == f"error: {fifo}: not a regular file\n"
         assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["params", "pyramid"])
+def test_non_finite_tensor_file_names_its_entry(scene_dir, tmp_path, capsys, kind):
+    # One NaN in the first attention tensor of a bundle, or in camera 0's
+    # first level, fails at load with the manifest's own error.
+    bad, nan_file = tmp_path / "bad.json", tmp_path / "nan.gdt3"
+    pyramid, calib = str(scene_dir / "pyramid" / "pyramid.json"), str(scene_dir / "calib.json")
+    if kind == "params":
+        manifest = _params_with()(scene_dir)
+        entry = next(e for e in manifest["entries"] if e["name"] == "layer00.attention.w_q")
+        argv = ["--pyramid", pyramid, "--params", str(bad)]
+        expected = f"parameter manifest {bad}: parameter layer00.attention.w_q contains non-finite values"
+    else:
+        manifest = _pyramid_with()(scene_dir)
+        entry = manifest["cameras"][0]["levels"][0]
+        argv = ["--pyramid", str(bad), "--heads", "2", "--queries", "4", "--layers", "1"]
+        expected = f"pyramid manifest {bad}: level file {nan_file}: feature values must be finite"
+    data = read_tensor(entry["file"])
+    data.flat[0] = np.nan
+    write_tensor(nan_file, data)
+    entry["file"] = str(nan_file)
+    bad.write_text(json.dumps(manifest))
+    assert main(["decode", *argv, "--calib", calib, "--seed", "1", "--out", str(tmp_path / "p.json")]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_every_module_error_is_a_usage_error():

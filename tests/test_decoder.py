@@ -131,6 +131,81 @@ class TestMlp:
             Mlp(weights=(np.array([[np.inf]]),), biases=(np.zeros(1),), activations=("identity",))
 
 
+def _attention(**tensors) -> AttentionParams:
+    """Seeded dim-4, one-head attention with ``tensors`` replaced."""
+    return replace(AttentionParams.seeded(4, 1, np.random.Generator(np.random.PCG64(0))), **tensors)
+
+
+def _layer(**parts) -> DecoderLayer:
+    """A seeded dim-4, one-neighbor layer with ``parts`` replaced."""
+    return replace(init_decoder(0, layers=1, dim=4, neighbors=1, heads=1)[0], **parts)
+
+
+# Invalid values the module's own checks refuse.
+_INVALID_VALUES = {
+    "mlp-unaligned": lambda: Mlp(weights=(np.zeros((2, 2)),), biases=(), activations=("identity",)),
+    "mlp-empty": lambda: Mlp(weights=(), biases=(), activations=()),
+    "mlp-bias-shape": lambda: Mlp(weights=(np.zeros((2, 3)),), biases=(np.zeros(3),), activations=("identity",)),
+    "mlp-weight-rank": lambda: Mlp(weights=(np.zeros(3),), biases=(np.zeros(3),), activations=("identity",)),
+    "mlp-nan-bias": lambda: Mlp(weights=(np.zeros((1, 1)),), biases=(np.full(1, np.nan),), activations=("identity",)),
+    "queries-rank": lambda: QuerySet(embeddings=np.zeros(4), scene_bounds=BOUNDS),
+    "queries-none": lambda: QuerySet(embeddings=np.zeros((0, 4)), scene_bounds=BOUNDS),
+    "queries-nan": lambda: QuerySet(embeddings=np.full((2, 4), np.nan), scene_bounds=BOUNDS),
+    "attention-shape": lambda: _attention(w_k=np.zeros((4, 3))),
+    "attention-w_q-0d": lambda: _attention(w_q=np.float64(1.0)),
+    "attention-w_q-non-square": lambda: _attention(w_q=np.zeros((4, 5))),
+    "attention-nan": lambda: _attention(w_v=np.full((4, 4), np.nan)),
+    "attention-inf-bias": lambda: _attention(b_o=np.full(4, np.inf)),
+    "self-attention-dim": lambda: self_attention(np.zeros((2, 8)), _attention()),
+    "layer-ref-net": lambda: _layer(ref_net=Mlp.zeros([4, 4])),
+    "layer-offset-net": lambda: _layer(offset_net=Mlp.zeros([4, 4])),
+    "layer-weight-net": lambda: _layer(weight_net=Mlp.zeros([4, 2])),
+    "layer-ffn": lambda: _layer(ffn=Mlp.zeros([4, 5])),
+    "aggregate-mode": lambda: _aggregate(np.zeros((1, 4)), np.zeros((1, 3)), _layer(), None, None, "bogus", 1.0),
+    "head-reg-net": lambda: PredictionHead(reg_net=Mlp.zeros([4, 9]), cls_net=Mlp.zeros([4, 2])),
+    "head-no-classes": lambda: PredictionHead(reg_net=Mlp.zeros([4, 10]), cls_net=Mlp.zeros([4, 0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID_VALUES))
+def test_invalid_value_raises_decoder_error(case):
+    with pytest.raises(DecoderError):
+        _INVALID_VALUES[case]()
+
+
+class TestStoredTensors:
+    """Every tensor a net, the attention or a query set stores is its own
+    read-only float64 copy of the caller's array."""
+
+    @staticmethod
+    def given_and_stored(part):
+        rng = np.random.Generator(np.random.PCG64(0))
+        w, b = rng.uniform(-1, 1, (4, 4)).astype(np.float32), rng.uniform(-1, 1, 4)
+        if part == "mlp":
+            mlp = Mlp(weights=[w], biases=[b], activations=["identity"])
+            return (w, b), mlp.weights + mlp.biases
+        if part == "attention":
+            att = AttentionParams(heads=2, w_q=w, w_k=w, w_v=w, w_o=w, b_q=b, b_k=b, b_v=b, b_o=b)
+            return (w, b), (att.w_q, att.w_o, att.b_q, att.b_o)
+        return (w,), (QuerySet(embeddings=w, scene_bounds=BOUNDS).embeddings,)
+
+    @pytest.mark.parametrize("part", ["mlp", "attention", "queries"])
+    def test_writing_a_stored_tensor_raises(self, part):
+        _, stored = self.given_and_stored(part)
+        for arr in stored:
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("part", ["mlp", "attention", "queries"])
+    def test_mutating_the_callers_array_changes_nothing(self, part):
+        given, stored = self.given_and_stored(part)
+        before = [arr.tobytes() for arr in stored]
+        for arr in given:
+            arr[...] = np.nan
+        assert [arr.tobytes() for arr in stored] == before
+
+
 class TestReferencePoints:
     def test_zero_net_gives_bounds_center(self):
         net = Mlp.zeros([8, 8, 3])
@@ -437,13 +512,15 @@ class TestDecoderForward:
 
     @pytest.mark.parametrize("layer", [0, 1], ids=["first", "last"])
     def test_non_finite_attention_output_rejected(self, layer):
-        # The layers pass bare arrays: the nets' own output checks, and the
-        # returned QuerySet's after the last layer, catch an attention output
-        # that is not finite.
+        # The layers pass bare arrays: the nets' own output checks catch an
+        # attention output that is not finite.  The parameters are finite,
+        # but v is 1e308 in every row and w_o sums its four entries twice,
+        # so the output projection overflows to inf.
         scene = make_scene(1, object_count=0, channels=4, strides=(16,))
         layers = init_decoder(0, layers=2, dim=4, neighbors=1, heads=1)
-        layers[layer] = replace(layers[layer], attention=replace(layers[layer].attention, b_o=np.full(4, np.inf)))
-        with pytest.raises(DecoderError, match="finite"), np.errstate(invalid="ignore"):
+        overflow = dict(w_v=np.zeros((4, 4)), b_v=np.full(4, 1e308), w_o=np.full((4, 4), 2.0))
+        layers[layer] = replace(layers[layer], attention=replace(layers[layer].attention, **overflow))
+        with pytest.raises(DecoderError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
             decoder_forward(init_queries(0, count=3, dim=4, bounds=BOUNDS), layers, scene.pyramid, scene.rig)
 
     def test_zero_params_zero_field(self):

@@ -535,6 +535,14 @@ class TestLevelLayout:
         src[0, 0, 0] += 1.0
         assert np.array_equal(level.data, expected)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "beyond-float32"])
+    def test_non_finite_stored_value_rejected(self, value):
+        # 1e39 is a finite float64 that float32 stores as inf.
+        data = np.zeros((2, 3, 4))
+        data[1, 2, 3] = value
+        with pytest.raises(FeatureError, match="feature values must be finite"):
+            FeatureLevel(data=data, stride=8)
+
     @pytest.mark.parametrize("shape", [(3, 5, 1), (3, 1, 6), (1, 5, 6)], ids=["W=1", "H=1", "C=1"])
     def test_degenerate_levels_match_float64_reference(self, shape):
         rng = np.random.default_rng(31)

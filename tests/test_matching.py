@@ -190,6 +190,21 @@ class TestMatchCost:
             match_cost(preds, gts)
 
 
+_NO_CLASSES = (np.zeros(0), Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0))
+# Invalid values the module's own checks refuse.
+_INVALID_VALUES = {
+    "focal-loss-no-classes": lambda: focal_loss(_NO_CLASSES[0], None),
+    "match-cost-no-classes": lambda: match_cost([_NO_CLASSES], []),
+    "set-loss-no-classes": lambda: set_loss([_NO_CLASSES], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID_VALUES))
+def test_invalid_value_raises_matching_error(case):
+    with pytest.raises(MatchingError):
+        _INVALID_VALUES[case]()
+
+
 class TestHungarian:
     def test_two_by_two(self):
         result = hungarian(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ class TestEvaluate:
         report = evaluate(preds, gts)
         recomputed = nds(report.mean_ap, report.tp.as_tuple())
         assert abs(recomputed - report.nds) <= 1e-12
+
+    def test_traced_peak_grows_linearly_with_the_box_counts(self):
+        # One class of uniform centres.  A whole (N, G) distance matrix and
+        # its list took 6.0 MB at 500 x 250 and 24.1 MB at 1,000 x 500.
+        def peak(n, g):
+            rng = np.random.default_rng(0)
+            gts = [gt((*rng.uniform(-50, 50, 2), 1.0)) for _ in range(g)]
+            preds = [det((*rng.uniform(-50, 50, 2), 1.0), score) for score in rng.uniform(size=n).tolist()]
+            tracemalloc.start()
+            try:
+                evaluate(preds, gts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000, 500) <= 2.5 * peak(500, 250)
 
     def test_empty_gts_flagged(self):
         report = evaluate([det((0, 0, 0), 0.9)], [])
@@ -445,18 +462,34 @@ class TestGreedyPass:
         dist = rng.integers(0, 9, size=(rows, cols)) * 0.5
         dist[rng.uniform(size=rows) < 0.2] = 2.0
         thresholds = (0.5, 1.0, 2.0, 4.0, 10.0)
-        together = metrics._greedy_pass(dist, thresholds)
+        together = metrics._greedy_pass([dist], dist.shape[1], thresholds)
         assert list(together) == list(thresholds)
+        # Split into blocks, the free columns carry over from block to block.
+        blocks = np.array_split(dist, int(rng.integers(1, rows + 1)))
+        assert metrics._greedy_pass(blocks, cols, thresholds) == together
         for threshold in thresholds:
             expected = reference_greedy_hits(dist, threshold)
-            assert metrics._greedy_pass(dist, (threshold,))[threshold] == expected
+            assert metrics._greedy_pass([dist], dist.shape[1], (threshold,))[threshold] == expected
             assert together[threshold] == expected
+
+    def test_distance_blocks_equal_the_whole_matrix(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        pred_xy, gt_xy = rng.uniform(-10, 10, (300, 2)), rng.uniform(-10, 10, (40, 2))
+        whole = np.linalg.norm(gt_xy[None] - pred_xy[:, None], axis=2)
+        for step in (1, 7, 64):
+            rows = [np.linalg.norm(gt_xy[None] - pred_xy[lo : lo + step, None], axis=2) for lo in range(0, 300, step)]
+            assert np.concatenate(rows).tobytes() == whole.tobytes()
+        gts = [gt((*xy, 1.0)) for xy in gt_xy.tolist()]
+        preds = [det((*xy, 1.0), score) for xy, score in zip(pred_xy.tolist(), rng.uniform(size=300).tolist())]
+        one_block = evaluate(preds, gts).to_dict()
+        monkeypatch.setattr(metrics, "_DIST_BLOCK", 100)  # blocks of two rows
+        assert evaluate(preds, gts).to_dict() == one_block
 
     def test_ties_go_to_the_lowest_untaken_column(self):
         dist = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.5, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        assert metrics._greedy_pass(dist, (2.0,))[2.0] == [0, 1, 2, -1]
-        assert metrics._greedy_pass(dist, (1.0,))[1.0] == [-1, -1, 0, -1]
+        assert metrics._greedy_pass([dist], dist.shape[1], (2.0,))[2.0] == [0, 1, 2, -1]
+        assert metrics._greedy_pass([dist], dist.shape[1], (1.0,))[1.0] == [-1, -1, 0, -1]
 
     def test_empty_sides(self):
-        assert metrics._greedy_pass(np.zeros((3, 0)), (1.0,))[1.0] == [-1, -1, -1]
-        assert metrics._greedy_pass(np.zeros((0, 4)), (1.0,))[1.0] == []
+        assert metrics._greedy_pass([np.zeros((3, 0))], 0, (1.0,))[1.0] == [-1, -1, -1]
+        assert metrics._greedy_pass([np.zeros((0, 4))], 4, (1.0,))[1.0] == []

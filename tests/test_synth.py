@@ -272,6 +272,25 @@ class TestPerturbPredictions:
             NoiseSpec(center_sigma=-0.1)
 
 
+# Invalid values the module's own checks refuse; a rig the geometry refuses
+# fails as a ConfigError too.
+_INVALID_VALUES = {
+    "field-nan": lambda: AnalyticField(a=[math.nan], b=[0.0], c=[0.0], d=[0.0]),
+    "field-2d": lambda: AnalyticField(a=np.zeros((2, 2)), b=0.0, c=0.0, d=0.0),
+    "field-channel-count": lambda: AnalyticField(a=np.zeros(2), b=np.zeros(3), c=np.zeros(2), d=np.zeros(2)),
+    "camera-fov": lambda: CameraSpec(id="c", yaw_deg=0.0, hfov_deg=180.0),
+    "camera-size": lambda: CameraSpec(id="c", yaw_deg=0.0, width=1),
+    "custom-rig-duplicate-ids": lambda: gen_rig("custom", [CameraSpec(id="c", yaw_deg=0.0), CameraSpec(id="c", yaw_deg=90.0)]),
+    "objects-negative-count": lambda: gen_objects(0, count=-1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID_VALUES))
+def test_invalid_value_raises_config_error(case):
+    with pytest.raises(ConfigError):
+        _INVALID_VALUES[case]()
+
+
 class TestSceneDeterminism:
     def test_scene_bit_identical(self):
         a = make_scene(13, object_count=20, channels=4, strides=(16, 32))
