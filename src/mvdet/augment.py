@@ -26,6 +26,7 @@ from .camgeo import (
     _box_from_json,
     _box_to_json,
     _check_image_size,
+    _check_int,
     _json_fields,
     _json_float,
     _json_int,
@@ -111,7 +112,9 @@ class AnnotatedFrame:
         if sizes is None:
             sizes = tuple((cam.intrinsics.width, cam.intrinsics.height) for cam in self.rig)
         else:
-            sizes = tuple((int(w), int(h)) for w, h in sizes)
+            sizes = tuple(
+                (_check_int(w, "image width", AugmentError), _check_int(h, "image height", AugmentError)) for w, h in sizes
+            )
             if len(sizes) != len(self.rig):
                 raise AugmentError("image_sizes must have one entry per camera")
             for w, h in sizes:

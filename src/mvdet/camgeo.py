@@ -62,17 +62,24 @@ class GeometryError(ValueError):
     """Camera or box parameters violate their invariants."""
 
 
-def _as_array(values, shape: tuple, name: str, error: type[Exception]) -> np.ndarray:
-    """A finite, read-only, C-ordered float64 copy of ``values``, the one
-    form in which the package stores an array; raises ``error`` unless its
-    shape is ``shape``, where a ``None`` dimension takes any length."""
-    arr = np.array(values, dtype=np.float64, order="C")
+def _check_array(arr: np.ndarray, shape: tuple, name: str, error: type[Exception]) -> np.ndarray:
+    """``arr``, unchanged; raises ``error`` unless its shape is ``shape``,
+    where a ``None`` dimension takes any length, and every value is finite.
+    Every array the package stores passes this check."""
     if arr.shape != shape and (
         arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape))
     ):
         raise error(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise error(f"{name} contains non-finite values")
+    return arr
+
+
+def _as_array(values, shape: tuple, name: str, error: type[Exception]) -> np.ndarray:
+    """A read-only, C-ordered float64 copy of ``values`` that passes
+    ``_check_array``, the one form in which the package stores a float64
+    array."""
+    arr = _check_array(np.array(values, dtype=np.float64, order="C"), shape, name, error)
     arr.flags.writeable = False
     return arr
 
@@ -119,6 +126,8 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise GeometryError(f"focal lengths must be finite and positive, got ({self.fx}, {self.fy})")
+        for side in ("width", "height"):
+            object.__setattr__(self, side, _check_int(getattr(self, side), side, GeometryError))
         _check_image_size(self.width, self.height, GeometryError)
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise GeometryError(
@@ -216,8 +225,8 @@ class Box3D:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "velocity", velocity)
         object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
-        object.__setattr__(self, "class_id", int(self.class_id))
-        object.__setattr__(self, "attribute_id", int(self.attribute_id))
+        object.__setattr__(self, "class_id", _check_int(self.class_id, "class_id", GeometryError))
+        object.__setattr__(self, "attribute_id", _check_int(self.attribute_id, "attribute_id", GeometryError))
 
 
 @dataclass(frozen=True)
@@ -488,6 +497,16 @@ def _json_int(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return operator.index(value)
+
+
+def _check_int(value, name: str, error: type[Exception]) -> int:
+    """``value`` as an int by ``_json_int``'s rule; raises ``error`` naming
+    ``name`` for anything else, so a fractional size or id is never
+    truncated."""
+    try:
+        return _json_int(value)
+    except TypeError as exc:
+        raise error(f"{name} must be an integer, got {value!r}") from exc
 
 
 def _json_float(value) -> float:

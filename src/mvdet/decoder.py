@@ -48,6 +48,8 @@ from .camgeo import (
     DetectionResult,
     SceneBounds,
     _as_array,
+    _check_array,
+    _check_int,
     _json_fields,
     _json_int,
     _json_read,
@@ -101,10 +103,13 @@ class DecoderError(ValueError):
     """Decoder configuration or numeric state is invalid."""
 
 
-def _check_sizes(**sizes: int) -> None:
-    for name, value in sizes.items():
+def _check_sizes(**sizes: int) -> list[int]:
+    """The given sizes as ints (``_check_int``'s rule), each at least 1."""
+    checked = [_check_int(value, name, DecoderError) for name, value in sizes.items()]
+    for name, value in zip(sizes, checked):
         if value < 1:
             raise DecoderError(f"{name} must be at least 1, got {value}")
+    return checked
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -235,7 +240,7 @@ _MAX_QUERIES = 4096  # self-attention's two (M, M) float64 buffers: 256 MiB
 
 
 def init_queries(seed: int, count: int, dim: int, bounds: SceneBounds) -> QuerySet:
-    _check_sizes(count=count, dim=dim)
+    count, dim = _check_sizes(count=count, dim=dim)
     if count > _MAX_QUERIES:
         raise DecoderError(f"count must be at most {_MAX_QUERIES}, got {count}")
     rng = derived_rng(seed, 10)
@@ -426,7 +431,7 @@ def init_decoder(
     heads: int = 8,
 ) -> list[DecoderLayer]:
     """Deterministic seeded decoder stack."""
-    _check_sizes(layers=layers, dim=dim, neighbors=neighbors, heads=heads)
+    layers, dim, neighbors, heads = _check_sizes(layers=layers, dim=dim, neighbors=neighbors, heads=heads)
     built = []
     for li in range(layers):
         rng = derived_rng(seed, 20, li)
@@ -614,7 +619,7 @@ def save_params(directory, layers: Sequence[DecoderLayer], head: PredictionHead)
 
 
 # Each dimension is parsed as an integer: a null one would be a wildcard to
-# ``_as_array``.
+# ``_check_array``.
 _PARAM_ENTRY_FIELDS = {"name": _json_text, "file": _json_text, "shape": lambda dims: tuple(map(_json_int, dims))}
 _PARAM_META_FIELDS = {
     "layers": _json_int,
@@ -658,7 +663,7 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
 
     def read(name: str) -> np.ndarray:
         path, shape = take(table, name, "tensor")
-        return _as_array(read_tensor(path), shape, f"{what}: parameter {name}", DecoderError)
+        return _check_array(read_tensor(path), shape, f"{what}: parameter {name}", DecoderError)
 
     def load_mlp(prefix: str) -> Mlp:
         acts = take(meta["activations"], prefix, "activations of")

@@ -33,7 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .camgeo import CameraRig, _json_fields, _json_int, _json_read, _json_records, _json_text, _json_write, _project
+from .camgeo import (
+    CameraRig, _check_array, _check_int, _json_fields, _json_int, _json_read, _json_records, _json_text, _json_write,
+    _project,
+)
 
 __all__ = [
     "FeatureError",
@@ -83,16 +86,16 @@ class FeatureLevel:
             raise FeatureError(f"feature data must be (C, H, W), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise FeatureError(f"feature dimensions must be >= 1, got {arr.shape}")
-        if self.stride < 1:
-            raise FeatureError(f"stride must be >= 1, got {self.stride}")
+        stride = _check_int(self.stride, "stride", FeatureError)
+        if stride < 1:
+            raise FeatureError(f"stride must be >= 1, got {stride}")
         with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, refused below
             hwc = np.array(arr.transpose(1, 2, 0), dtype=np.float32, order="C")
-        if not np.isfinite(hwc).all():
-            raise FeatureError("feature values must be finite")
+        _check_array(hwc, (None, None, None), "feature data", FeatureError)
         hwc.flags.writeable = False
         object.__setattr__(self, "data", hwc.transpose(2, 0, 1))
         object.__setattr__(self, "pixels", hwc.reshape(-1, arr.shape[0]))
-        object.__setattr__(self, "stride", int(self.stride))
+        object.__setattr__(self, "stride", stride)
 
     @property
     def channels(self) -> int:
@@ -399,13 +402,6 @@ def read_tensor(path) -> np.ndarray:
     """Read a GDT3 tensor into a new array.  The header is checked against
     the file before the payload is read, so a hostile header cannot request
     a huge read."""
-    return _read_tensor(path, None)
-
-
-def _read_tensor(path, scratch: np.ndarray | None) -> np.ndarray:
-    """``read_tensor``, reading the payload into the front of the flat
-    float32 ``scratch`` when it fits (the result is then a view of it) and
-    into a new array otherwise."""
     # Before opening: a FIFO's open would wait for a writer. A missing file fails in open.
     if not os.path.isfile(path) and os.path.exists(path):
         raise TensorFormatError(f"{path}: not a regular file")
@@ -435,10 +431,7 @@ def _read_tensor(path, scratch: np.ndarray | None) -> np.ndarray:
                 f"{path}: truncated payload (dims {dims} need {nbytes} bytes, {remaining} remain)"
             )
         try:
-            if scratch is not None and count <= scratch.size:
-                arr = scratch[:count].reshape(dims)
-            else:
-                arr = np.empty(dims, dtype="<f4")
+            arr = np.empty(dims, dtype="<f4")
         except ValueError as exc:  # e.g. a zero-size shape with a dim numpy cannot index
             raise TensorFormatError(f"{path}: unsupported shape {dims}: {exc}") from exc
         # A flat byte view, not memoryview(arr).cast("B"), which rejects
@@ -511,21 +504,13 @@ def load_pyramid(manifest_path) -> FeaturePyramid:
     _check_version(manifest, FeatureError, what)
     cams = []
     seen: set[str] = set()
-    # Each level copies its file's values into its own channel-last storage,
-    # so all files are read through one buffer, kept at the largest payload
-    # so far: a new array per file would cost a second fresh allocation of
-    # every payload.
-    scratch = np.empty(0, dtype="<f4")
     for cam_entry in _json_records(manifest, "cameras", FeatureError, what):
         levels = []
         for lv in _json_records(cam_entry, "levels", FeatureError, f"a camera of {manifest_path}"):
             lv = _json_fields(lv, {"file": _json_text, "stride": _json_int}, FeatureError, f"a level of {manifest_path}")
             path = _unique_tensor_path(base, lv["file"], seen, FeatureError, what)
-            data = _read_tensor(path, scratch)
-            if data.size > scratch.size:
-                scratch = data.reshape(-1)
             try:
-                levels.append(FeatureLevel(data=data, stride=lv["stride"]))
+                levels.append(FeatureLevel(data=read_tensor(path), stride=lv["stride"]))
             except FeatureError as exc:
                 raise FeatureError(f"{what}: level file {path}: {exc}") from exc
         cams.append(levels)

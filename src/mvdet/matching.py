@@ -242,9 +242,9 @@ def _optimal_with_constraints(
     cost: np.ndarray,
     fixed: list[tuple[int, int]],
     banned_rows: set[int],
-) -> list[tuple[int, int]] | None:
+) -> list[tuple[int, int]]:
     """Best full assignment containing ``fixed`` with ``banned_rows`` left
-    unmatched; None when infeasible."""
+    unmatched."""
     rows, cols = cost.shape
     quota = min(rows, cols)
     used_rows = {r for r, _ in fixed}
@@ -252,8 +252,6 @@ def _optimal_with_constraints(
     free_rows = [r for r in range(rows) if r not in used_rows and r not in banned_rows]
     free_cols = [c for c in range(cols) if c not in used_cols]
     need = quota - len(fixed)
-    if need > min(len(free_rows), len(free_cols)):
-        return None
     if need == 0:
         return sorted(fixed)
     sub_pairs, _ = _solve(cost[np.ix_(free_rows, free_cols)])
@@ -288,8 +286,13 @@ def _lexicographic_refine(
         for flat in np.flatnonzero(candidates).tolist():
             r, c = divmod(flat, cols)
             r += start_r
+            # Always feasible: ``fixed`` is incumbent[:position] and
+            # r <= cur_r, so the incumbent's later pairs hold
+            # quota - position - 1 rows after r, none fixed or banned, and
+            # its pairs from ``position`` on hold quota - position columns
+            # outside ``fixed``, at most one of them c.
             candidate = _optimal_with_constraints(cost, fixed + [(r, c)], banned_rows | set(range(start_r, r)))
-            if candidate is not None and _pairs_total(cost, candidate) == total:
+            if _pairs_total(cost, candidate) == total:
                 incumbent = candidate
                 break
         cur_r, cur_c = incumbent[position]

@@ -24,6 +24,7 @@ from .camgeo import (
     GeometryError,
     SceneBounds,
     _as_array,
+    _check_int,
     normalize_yaw,
 )
 from .featcore import FeatureLevel, FeaturePyramid
@@ -89,10 +90,6 @@ class AnalyticField:
     def linear(cls, a, b, c) -> "AnalyticField":
         a = np.atleast_1d(np.asarray(a, dtype=np.float64))
         return cls(a=a, b=b, c=c, d=np.zeros_like(a))
-
-    @property
-    def channels(self) -> int:
-        return len(self.a)
 
     def evaluate(self, u, v) -> np.ndarray:
         """Field value at image coordinates; broadcasts to (..., C)."""
@@ -219,6 +216,7 @@ def render_pyramid(
     operations span the level, with the same operations per pixel as on the
     full grid.
     """
+    strides = [_check_int(stride, "stride", ConfigError) for stride in strides]
     for stride in strides:
         if stride < 1:
             raise ConfigError(f"stride must be >= 1, got {stride}")
@@ -244,6 +242,7 @@ def render_pyramid(
 def gen_objects(seed: int, count: int, class_count: int = 10) -> list[Box3D]:
     """Seeded uniform box layout inside DEFAULT_BOUNDS; sizes in [0.5, 5] m,
     attributes in [0, 4)."""
+    count = _check_int(count, "count", ConfigError)
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     rng = derived_rng(seed, 0)

@@ -229,6 +229,9 @@ _INVALID_VALUES = {
     "transform-fx-overflow": lambda: apply_transform(
         make_frame(objects=(), rig=CameraRig(cameras=(make_ident_cam(fx=1e308),))), 2.0, ScaleMode.VANILLA
     ),
+    "frame-image-size-fraction": lambda: AnnotatedFrame(
+        rig=CameraRig(cameras=(make_ident_cam(),)), objects=(), image_sizes=((1600.9, 900.2),)
+    ),
 }
 
 

@@ -396,6 +396,10 @@ _INVALID_VALUES = {
     "bounds-no-extent": lambda: SceneBounds(lo=(0, 0, 0), hi=(1, 0, 1)),
     "array-wildcard-other-dim": lambda: camgeo._as_array(np.zeros((2, 3)), (None, 4), "x", GeometryError),
     "array-wildcard-rank": lambda: camgeo._as_array(np.zeros(3), (None, None), "x", GeometryError),
+    "box-class-fraction": lambda: Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0, class_id=2.7),
+    "box-attribute-bool": lambda: Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0, attribute_id=True),
+    "intrinsics-width-fraction": lambda: CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=10.5, height=4),
+    "intrinsics-height-fraction": lambda: CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=10, height=4.2),
 }
 
 
@@ -478,6 +482,12 @@ class TestValidation:
     def test_invalid_value_raises_geometry_error(self, case):
         with pytest.raises(GeometryError):
             _INVALID_VALUES[case]()
+
+    def test_integral_fields_are_stored_as_ints(self):
+        box = Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0, class_id=np.int64(3), attribute_id=2.0)
+        intr = CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=np.uint16(10), height=4.0)
+        stored = (box.class_id, box.attribute_id, intr.width, intr.height)
+        assert stored == (3, 2, 10, 4) and all(type(v) is int for v in stored)
 
     def test_stored_array_is_a_read_only_float64_copy(self):
         given = np.zeros((2, 3), dtype=np.float32)

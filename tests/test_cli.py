@@ -110,6 +110,17 @@ class TestSynthCommand:
             main(["synth", "--style", "warped", "--seed", "1", "--out", str(tmp_path)])
         assert err.value.code == 2
 
+    def test_constant_field_levels_are_constant_per_channel(self, tmp_path):
+        assert main([
+            "synth", "--seed", "4", "--field", "constant", "--objects", "0", "--channels", "3",
+            "--strides", "16,32", "--out", str(tmp_path),
+        ]) == 0
+        pyr = load_pyramid(tmp_path / "pyramid" / "pyramid.json")
+        for ci in range(pyr.camera_count):
+            for level in pyr.levels(ci):
+                assert np.array_equal(level.data, np.broadcast_to(level.data[:, :1, :1], level.data.shape))
+                assert len(set(level.data[:, 0, 0].tolist())) == 3
+
 
 class TestProjectCommand:
     def test_reports_visibility(self, scene_dir, capsys):
@@ -354,6 +365,40 @@ class TestDecodeCommand:
         ]) == 2
         err = capsys.readouterr().err
         assert err == f"error: --offset-scale cannot be given with --mode {mode}: only dynamic graphs read it\n"
+        assert not out.exists()
+
+    def test_bounds_flags_set_the_query_box(self, scene_dir, tmp_path):
+        outputs = {}
+        for name, bounds in [
+            ("absent", []),
+            ("default", ["--bounds-lo=-40,-40,-0.5", "--bounds-hi", "40,40,3"]),
+            ("other", ["--bounds-lo=-10,-10,0", "--bounds-hi", "10,10,2"]),
+        ]:
+            out = tmp_path / f"{name}.json"
+            assert main([
+                "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
+                "--calib", str(scene_dir / "calib.json"), "--queries", "6", "--layers", "1",
+                "--heads", "2", "--seed", "3", "--out", str(out), *bounds,
+            ]) == 0
+            outputs[name] = out.read_bytes()
+        assert outputs["absent"] == outputs["default"] != outputs["other"]
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--bounds-lo", "5,5,5", "--bounds-hi", "5,6,7"],
+             "bounds must have positive extent, got lo=[5. 5. 5.] hi=[5. 6. 7.]"),
+            (["--bounds-lo", "1,2"], "--bounds-lo needs 3 comma-separated numbers, got 2"),
+        ],
+        ids=["no-extent", "two-numbers"],
+    )
+    def test_bad_bounds_usage_error(self, scene_dir, tmp_path, capsys, bounds, message):
+        out = tmp_path / "p.json"
+        assert main([
+            "decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
+            "--calib", str(scene_dir / "calib.json"), "--seed", "1", "--out", str(out), *bounds,
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_offset_scale_moves_dynamic_graph_predictions(self, scene_dir, tmp_path):
@@ -789,7 +834,7 @@ def test_non_finite_tensor_file_names_its_entry(scene_dir, tmp_path, capsys, kin
         manifest = _pyramid_with()(scene_dir)
         entry = manifest["cameras"][0]["levels"][0]
         argv = ["--pyramid", str(bad), "--heads", "2", "--queries", "4", "--layers", "1"]
-        expected = f"pyramid manifest {bad}: level file {nan_file}: feature values must be finite"
+        expected = f"pyramid manifest {bad}: level file {nan_file}: feature data contains non-finite values"
     data = read_tensor(entry["file"])
     data.flat[0] = np.nan
     write_tensor(nan_file, data)

@@ -164,6 +164,8 @@ _INVALID_VALUES = {
     "aggregate-mode": lambda: _aggregate(np.zeros((1, 4)), np.zeros((1, 3)), _layer(), None, None, "bogus", 1.0),
     "head-reg-net": lambda: PredictionHead(reg_net=Mlp.zeros([4, 9]), cls_net=Mlp.zeros([4, 2])),
     "head-no-classes": lambda: PredictionHead(reg_net=Mlp.zeros([4, 10]), cls_net=Mlp.zeros([4, 0])),
+    "init-decoder-dim-fraction": lambda: init_decoder(0, layers=1, dim=8.5, neighbors=1, heads=1),
+    "init-queries-count-fraction": lambda: init_queries(0, 2.5, 4, BOUNDS),
 }
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -540,7 +541,7 @@ class TestLevelLayout:
         # 1e39 is a finite float64 that float32 stores as inf.
         data = np.zeros((2, 3, 4))
         data[1, 2, 3] = value
-        with pytest.raises(FeatureError, match="feature values must be finite"):
+        with pytest.raises(FeatureError, match="feature data contains non-finite values"):
             FeatureLevel(data=data, stride=8)
 
     @pytest.mark.parametrize("shape", [(3, 5, 1), (3, 1, 6), (1, 5, 6)], ids=["W=1", "H=1", "C=1"])
@@ -614,6 +615,17 @@ class TestTensorFiles:
         with pytest.raises(TensorFormatError):
             read_tensor(path)
 
+    def test_payload_cut_short_during_read_rejected(self, tmp_path, monkeypatch):
+        # The size taken before the read says the payload fits, but the file
+        # ends early, as when it is cut short while being read.
+        path = tmp_path / "t.gdt3"
+        write_tensor(path, np.zeros((4, 4), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:-8])
+        size = path.stat().st_size
+        monkeypatch.setattr(featcore.os, "fstat", lambda fd: SimpleNamespace(st_size=size + 8))
+        with pytest.raises(TensorFormatError, match="truncated payload$"):
+            read_tensor(path)
+
     def test_huge_declared_dim_rejected(self, tmp_path):
         # 40 bytes that declare 2^40 floats: rejected before any payload read.
         path = tmp_path / "huge.gdt3"
@@ -656,8 +668,8 @@ class TestTensorFiles:
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_pyramid_round_trip_keeps_every_level(self, tmp_path, channels):
-        # Different values in every (camera, level) file, read through one
-        # buffer: a level that kept a view of it would show a later file.
+        # Different values in every (camera, level) file: a level that
+        # showed another file's values would fail.
         rig = gen_rig("nuscenes-like")
         pyr = random_pyramid(rig, (32, 64, 16), channels=channels, seed=33)
         loaded = load_pyramid(save_pyramid(tmp_path / "pyr", pyr))
@@ -698,6 +710,15 @@ class TestValidation:
     def test_bad_stride_rejected(self):
         with pytest.raises(FeatureError):
             FeatureLevel(data=np.zeros((1, 4, 4)), stride=0)
+
+    @pytest.mark.parametrize("stride", [8.9, True, "8"], ids=["fraction", "bool", "string"])
+    def test_non_integer_stride_rejected(self, stride):
+        with pytest.raises(FeatureError, match="stride must be an integer"):
+            FeatureLevel(data=np.zeros((1, 4, 4)), stride=stride)
+
+    def test_integral_stride_stored_as_int(self):
+        assert type(FeatureLevel(data=np.zeros((1, 4, 4)), stride=np.int32(8)).stride) is int
+        assert FeatureLevel(data=np.zeros((1, 4, 4)), stride=8.0).stride == 8
 
     def test_pyramid_shape_mismatch_rejected(self):
         a = [FeatureLevel(data=np.zeros((1, 4, 4)), stride=8)]

@@ -282,6 +282,9 @@ _INVALID_VALUES = {
     "camera-size": lambda: CameraSpec(id="c", yaw_deg=0.0, width=1),
     "custom-rig-duplicate-ids": lambda: gen_rig("custom", [CameraSpec(id="c", yaw_deg=0.0), CameraSpec(id="c", yaw_deg=90.0)]),
     "objects-negative-count": lambda: gen_objects(0, count=-1),
+    "objects-count-fraction": lambda: gen_objects(1, 2.5),
+    "camera-width-fraction": lambda: gen_rig("custom", [CameraSpec(id="c", yaw_deg=0.0, width=1600.5)]),
+    "render-stride-fraction": lambda: render_pyramid(AnalyticField.constant([1.0]), gen_rig("single"), strides=(8.5,)),
 }
 
 
