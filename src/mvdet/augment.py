@@ -25,7 +25,7 @@ from .camgeo import (
     GeometryError,
     _box_from_json,
     _box_to_json,
-    _check_image_size,
+    _MAX_IMAGE_SIDE,
     _check_int,
     _json_fields,
     _json_float,
@@ -112,13 +112,12 @@ class AnnotatedFrame:
         if sizes is None:
             sizes = tuple((cam.intrinsics.width, cam.intrinsics.height) for cam in self.rig)
         else:
-            sizes = tuple(
-                (_check_int(w, "image width", AugmentError), _check_int(h, "image height", AugmentError)) for w, h in sizes
-            )
+            def side(n, name: str) -> int:
+                return _check_int(n, f"image {name}", AugmentError, lo=1, hi=_MAX_IMAGE_SIDE)
+
+            sizes = tuple((side(w, "width"), side(h, "height")) for w, h in sizes)
             if len(sizes) != len(self.rig):
                 raise AugmentError("image_sizes must have one entry per camera")
-            for w, h in sizes:
-                _check_image_size(w, h, AugmentError)
         object.__setattr__(self, "image_sizes", sizes)
 
 

@@ -84,12 +84,6 @@ def _as_array(values, shape: tuple, name: str, error: type[Exception]) -> np.nda
     return arr
 
 
-def _check_image_size(width: int, height: int, error: type[Exception]) -> None:
-    """Raise ``error`` unless both sides are in [1, _MAX_IMAGE_SIDE]."""
-    if not (0 < width <= _MAX_IMAGE_SIDE and 0 < height <= _MAX_IMAGE_SIDE):
-        raise error(f"image size must be within [1, {_MAX_IMAGE_SIDE}] pixels, got ({width}, {height})")
-
-
 def _scaled_side(n: int, r: float, error: type[Exception]) -> int:
     """Image side ``n`` resized by factor ``r``, rounded half to even (the
     same on every platform); raises ``error`` unless the result is a finite
@@ -127,8 +121,7 @@ class CameraIntrinsics:
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise GeometryError(f"focal lengths must be finite and positive, got ({self.fx}, {self.fy})")
         for side in ("width", "height"):
-            object.__setattr__(self, side, _check_int(getattr(self, side), side, GeometryError))
-        _check_image_size(self.width, self.height, GeometryError)
+            object.__setattr__(self, side, _check_int(getattr(self, side), side, GeometryError, lo=1, hi=_MAX_IMAGE_SIDE))
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise GeometryError(
                 f"principal point ({self.cx}, {self.cy}) outside image "
@@ -499,14 +492,20 @@ def _json_int(value) -> int:
     return operator.index(value)
 
 
-def _check_int(value, name: str, error: type[Exception]) -> int:
-    """``value`` as an int by ``_json_int``'s rule; raises ``error`` naming
-    ``name`` for anything else, so a fractional size or id is never
-    truncated."""
+def _check_int(value, name: str, error: type[Exception], lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an int by ``_json_int``'s rule, at least ``lo`` and at
+    most ``hi`` where they are given; raises ``error`` naming ``name`` for
+    anything else, so a fractional size or id is never truncated.  Every
+    size, count, stride and class index the package takes passes here."""
     try:
-        return _json_int(value)
+        checked = _json_int(value)
     except TypeError as exc:
         raise error(f"{name} must be an integer, got {value!r}") from exc
+    if lo is not None and checked < lo:
+        raise error(f"{name} must be at least {lo}, got {checked}")
+    if hi is not None and checked > hi:
+        raise error(f"{name} must be at most {hi}, got {checked}")
+    return checked
 
 
 def _json_float(value) -> float:

@@ -283,11 +283,8 @@ def _bench_times(fn, repeats: int) -> tuple:
 
 
 def _cmd_bench(args) -> int:
-    for flag, items in (("--cameras", synth.SURROUND_SPECS), ("--levels", synth.DEFAULT_STRIDES)):
-        if not 1 <= getattr(args, flag[2:]) <= len(items):
-            raise ValueError(f"{flag} must be between 1 and {len(items)}")
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    for flag, hi in (("--cameras", len(synth.SURROUND_SPECS)), ("--levels", len(synth.DEFAULT_STRIDES)), ("--repeats", None)):
+        camgeo._check_int(getattr(args, flag[2:]), flag, ValueError, lo=1, hi=hi)
     rig = synth.gen_rig("custom", specs=synth.SURROUND_SPECS[: args.cameras])
     field = synth.random_field(args.seed, "bilinear", args.dim)
     pyramid = synth.render_pyramid(field, rig, synth.DEFAULT_STRIDES[: args.levels])

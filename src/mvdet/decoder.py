@@ -103,15 +103,6 @@ class DecoderError(ValueError):
     """Decoder configuration or numeric state is invalid."""
 
 
-def _check_sizes(**sizes: int) -> list[int]:
-    """The given sizes as ints (``_check_int``'s rule), each at least 1."""
-    checked = [_check_int(value, name, DecoderError) for name, value in sizes.items()]
-    for name, value in zip(sizes, checked):
-        if value < 1:
-            raise DecoderError(f"{name} must be at least 1, got {value}")
-    return checked
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(np.minimum(x, -x))  # -|x|, keeping a NaN's sign bit as -np.abs would not
@@ -240,9 +231,8 @@ _MAX_QUERIES = 4096  # self-attention's two (M, M) float64 buffers: 256 MiB
 
 
 def init_queries(seed: int, count: int, dim: int, bounds: SceneBounds) -> QuerySet:
-    count, dim = _check_sizes(count=count, dim=dim)
-    if count > _MAX_QUERIES:
-        raise DecoderError(f"count must be at most {_MAX_QUERIES}, got {count}")
+    count = _check_int(count, "count", DecoderError, lo=1, hi=_MAX_QUERIES)
+    dim = _check_int(dim, "dim", DecoderError, lo=1)
     rng = derived_rng(seed, 10)
     bound = 1.0 / math.sqrt(dim)
     return QuerySet(embeddings=rng.uniform(-bound, bound, size=(count, dim)), scene_bounds=bounds)
@@ -311,8 +301,7 @@ class AttentionParams:
     b_o: np.ndarray
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise DecoderError(f"heads must be at least 1, got {self.heads}")
+        object.__setattr__(self, "heads", _check_int(self.heads, "heads", DecoderError, lo=1))
         dim = (np.shape(self.w_q) or (None,))[0]  # a 0-d w_q fails its own shape check
         for name in _ATTENTION_TENSORS:
             shape = (dim, dim) if name.startswith("w") else (dim,)
@@ -431,7 +420,10 @@ def init_decoder(
     heads: int = 8,
 ) -> list[DecoderLayer]:
     """Deterministic seeded decoder stack."""
-    layers, dim, neighbors, heads = _check_sizes(layers=layers, dim=dim, neighbors=neighbors, heads=heads)
+    layers = _check_int(layers, "layers", DecoderError, lo=1)
+    dim = _check_int(dim, "dim", DecoderError, lo=1)
+    neighbors = _check_int(neighbors, "neighbors", DecoderError, lo=1)
+    heads = _check_int(heads, "heads", DecoderError, lo=1)
     built = []
     for li in range(layers):
         rng = derived_rng(seed, 20, li)
@@ -543,6 +535,8 @@ class PredictionHead:
 
     @classmethod
     def seeded(cls, seed: int, dim: int, num_classes: int = 10) -> "PredictionHead":
+        dim = _check_int(dim, "dim", DecoderError, lo=1)
+        num_classes = _check_int(num_classes, "num_classes", DecoderError, lo=1)
         rng = derived_rng(seed, 30)
         return cls(reg_net=Mlp.seeded([dim, dim, 10], rng), cls_net=Mlp.seeded([dim, num_classes], rng))
 
@@ -595,7 +589,7 @@ def save_params(directory, layers: Sequence[DecoderLayer], head: PredictionHead)
     """Write the parameter bundle; tensors are stored as 32-bit floats, so a
     load returns the stored (truncated) values rather than the in-memory
     64-bit originals.  Returns the manifest path."""
-    _check_sizes(layers=len(layers))
+    _check_int(len(layers), "layers", DecoderError, lo=1)
     os.makedirs(directory, exist_ok=True)
     entries = []
     activations = {}
@@ -645,7 +639,8 @@ def load_params(manifest_path) -> tuple[list[DecoderLayer], PredictionHead]:
     entries = _json_records(bundle, "entries", DecoderError, what)
     meta = _json_fields(bundle, {"meta": dict}, DecoderError, str(manifest_path))["meta"]
     meta = _json_fields(meta, _PARAM_META_FIELDS, DecoderError, f"the meta of {manifest_path}")
-    _check_sizes(layers=meta["layers"], num_classes=meta["num_classes"])
+    _check_int(meta["layers"], "layers", DecoderError, lo=1)
+    _check_int(meta["num_classes"], "num_classes", DecoderError, lo=1)
     table = {}
     seen: set[str] = set()
     for entry in entries:
@@ -881,8 +876,7 @@ def grad_check(
         raise DecoderError(f"eps must be finite and positive, got {eps}")
     if not (math.isfinite(tol) and tol >= 0):
         raise DecoderError(f"tol must be finite and at least 0, got {tol}")
-    if probes < 1:
-        raise DecoderError(f"probes must be at least 1, got {probes}")
+    probes = _check_int(probes, "probes", DecoderError, lo=1)
 
     dim, k = 16, 4
     rng = derived_rng(seed, 40)

@@ -86,9 +86,7 @@ class FeatureLevel:
             raise FeatureError(f"feature data must be (C, H, W), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise FeatureError(f"feature dimensions must be >= 1, got {arr.shape}")
-        stride = _check_int(self.stride, "stride", FeatureError)
-        if stride < 1:
-            raise FeatureError(f"stride must be >= 1, got {stride}")
+        stride = _check_int(self.stride, "stride", FeatureError, lo=1)
         with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, refused below
             hwc = np.array(arr.transpose(1, 2, 0), dtype=np.float32, order="C")
         _check_array(hwc, (None, None, None), "feature data", FeatureError)

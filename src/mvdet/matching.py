@@ -23,9 +23,9 @@ from .camgeo import (
     DetectionResult,
     _box_from_json,
     _box_to_json,
+    _check_int,
     _json_fields,
     _json_float,
-    _json_int,
     _json_read,
     _json_records,
     _json_write,
@@ -119,18 +119,6 @@ def _check_probs(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _class_index(value, num_classes: int) -> int:
-    """A ground-truth class in [0, num_classes): an integer, or a float of
-    integral value; booleans are rejected."""
-    try:
-        cls = _json_int(value)
-    except TypeError:
-        raise MatchingError(f"gt class must be an integer, got {value!r}") from None
-    if not 0 <= cls < num_classes:
-        raise MatchingError(f"gt class {cls} out of range for {num_classes} classes")
-    return cls
-
-
 def match_cost(
     preds: Sequence[tuple[np.ndarray, Box3D]],
     gts: Sequence[tuple[int, Box3D]],
@@ -146,7 +134,7 @@ def match_cost(
     if not preds:
         return np.zeros((0, len(gts)))
     probs = _check_probs(_stack_probs(p for p, _ in preds))
-    gt_cls = np.array([_class_index(c, probs.shape[1]) for c, _ in gts], dtype=np.int64)
+    gt_cls = np.array([_check_int(c, "gt class", MatchingError, lo=0, hi=probs.shape[1] - 1) for c, _ in gts], dtype=np.int64)
     pv = _regression_rows([b for _, b in preds])
     gv = _regression_rows([b for _, b in gts])
     # The L1 term, _COST_BLOCK prediction rows at a time through one reused
@@ -367,7 +355,7 @@ def focal_loss(probs, gt_class: int | None) -> float:
     at 1e-12 with a warning.
     """
     rows = _check_probs(_stack_probs([probs]))
-    target = None if gt_class is None else _class_index(gt_class, rows.shape[1])
+    target = None if gt_class is None else _check_int(gt_class, "gt class", MatchingError, lo=0, hi=rows.shape[1] - 1)
     return _focal_sum(rows, [target])
 
 

@@ -115,8 +115,8 @@ class CameraSpec:
     def __post_init__(self):
         if not (0 < self.hfov_deg < 180):
             raise ConfigError(f"horizontal FOV must be in (0, 180), got {self.hfov_deg}")
-        if self.width < 2 or self.height < 2:
-            raise ConfigError(f"image size too small: {self.width}x{self.height}")
+        for side in ("width", "height"):
+            object.__setattr__(self, side, _check_int(getattr(self, side), side, ConfigError, lo=2))
 
 
 # Every camera is mounted 1 m out along its forward axis from this point.
@@ -216,10 +216,7 @@ def render_pyramid(
     operations span the level, with the same operations per pixel as on the
     full grid.
     """
-    strides = [_check_int(stride, "stride", ConfigError) for stride in strides]
-    for stride in strides:
-        if stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {stride}")
+    strides = [_check_int(stride, "stride", ConfigError, lo=1) for stride in strides]
     rendered: dict[tuple[int, int, int], FeatureLevel] = {}
     cams = []
     for cam in rig:
@@ -242,9 +239,8 @@ def render_pyramid(
 def gen_objects(seed: int, count: int, class_count: int = 10) -> list[Box3D]:
     """Seeded uniform box layout inside DEFAULT_BOUNDS; sizes in [0.5, 5] m,
     attributes in [0, 4)."""
-    count = _check_int(count, "count", ConfigError)
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
+    count = _check_int(count, "count", ConfigError, lo=0)
+    class_count = _check_int(class_count, "class_count", ConfigError, lo=1)
     rng = derived_rng(seed, 0)
     boxes = []
     for _ in range(count):
@@ -283,8 +279,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("center_sigma", "yaw_sigma", "velocity_sigma", "drop_rate", "false_positive_rate"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not (0.0 <= self.drop_rate <= 1.0):
             raise ConfigError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
 
@@ -332,6 +328,7 @@ def perturb_predictions(
 
 def random_field(seed: int, kind: str, channels: int) -> AnalyticField:
     """Seeded field coefficients; slopes are scaled down so values stay O(1)."""
+    channels = _check_int(channels, "channels", ConfigError, lo=1)
     rng = derived_rng(seed, 2)
     a = rng.uniform(-1.0, 1.0, size=channels)
     b = rng.uniform(-1.0, 1.0, size=channels) * 1e-3

@@ -418,10 +418,17 @@ class TestValidation:
             CameraIntrinsics(fx=1, fy=1, cx=4, cy=0, width=4, height=4)
 
     @pytest.mark.parametrize(
-        "width, height", [(2**16 + 1, 4), (4, 2**16 + 1), (10**300, 4), (0, 4)], ids=["wide", "tall", "huge", "zero"]
+        "width, height, message",
+        [
+            (2**16 + 1, 4, "width must be at most 65536, got 65537"),
+            (4, 2**16 + 1, "height must be at most 65536, got 65537"),
+            (10**300, 4, "width must be at most 65536, got 1000"),
+            (0, 4, "width must be at least 1, got 0"),
+        ],
+        ids=["wide", "tall", "huge", "zero"],
     )
-    def test_image_side_out_of_range_rejected(self, width, height):
-        with pytest.raises(GeometryError, match="image size must be within"):
+    def test_image_side_out_of_range_rejected(self, width, height, message):
+        with pytest.raises(GeometryError, match=message):
             CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=width, height=height)
 
     def test_largest_image_side_accepted_and_scaling_past_it_rejected(self):

@@ -513,7 +513,8 @@ def test_queries_above_bound_usage_error(scene_dir, tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize(
     "command, flag, value, named",
     [
-        ("synth", "--strides", "8,0", "stride must be >= 1, got 0"),
+        ("synth", "--strides", "8,0", "stride must be at least 1, got 0"),
+        ("synth", "--channels", "0", "channels must be at least 1, got 0"),
         ("bench", "--repeats", "0", "--repeats"),
         ("bench", "--levels", "0", "--levels"),
         ("bench", "--levels", "5", "--levels"),

@@ -166,6 +166,12 @@ _INVALID_VALUES = {
     "head-no-classes": lambda: PredictionHead(reg_net=Mlp.zeros([4, 10]), cls_net=Mlp.zeros([4, 0])),
     "init-decoder-dim-fraction": lambda: init_decoder(0, layers=1, dim=8.5, neighbors=1, heads=1),
     "init-queries-count-fraction": lambda: init_queries(0, 2.5, 4, BOUNDS),
+    "attention-heads-fraction": lambda: AttentionParams.seeded(5, 2.5, np.random.default_rng(0)),
+    "attention-heads-bool": lambda: AttentionParams.seeded(4, True, np.random.default_rng(0)),
+    "head-dim-fraction": lambda: PredictionHead.seeded(0, dim=2.5),
+    "head-classes-fraction": lambda: PredictionHead.seeded(0, dim=4, num_classes=2.5),
+    "grad-check-probes-fraction": lambda: grad_check(probes=2.5),
+    "grad-check-probes-bool": lambda: grad_check(probes=True),
 }
 
 
@@ -173,6 +179,12 @@ _INVALID_VALUES = {
 def test_invalid_value_raises_decoder_error(case):
     with pytest.raises(DecoderError):
         _INVALID_VALUES[case]()
+
+
+def test_integral_sizes_are_stored_as_ints():
+    (layer,) = init_decoder(0, layers=np.int64(1), dim=np.int64(8), neighbors=np.int64(1), heads=np.int64(2))
+    assert layer.attention.dim == 8 and layer.attention.heads == 2 and type(layer.attention.heads) is int
+    assert type(AttentionParams.seeded(4, 2.0, np.random.default_rng(0)).heads) is int
 
 
 class TestStoredTensors:

@@ -166,7 +166,8 @@ class TestMatchCost:
     def test_out_of_range_gt_class_rejected(self, gt_class):
         preds, gts = seeded_set(5, 3, 4)
         gts[2] = (gt_class, gts[2][1])
-        with pytest.raises(MatchingError, match=f"gt class {gt_class} out of range for 5 classes"):
+        bound = "at most 4" if gt_class > 0 else "at least 0"
+        with pytest.raises(MatchingError, match=f"gt class must be {bound}, got {gt_class}"):
             match_cost(preds, gts)
 
     @pytest.mark.parametrize("gt_class", [2.7, True, "1"])
@@ -398,7 +399,8 @@ class TestFocalLoss:
     @pytest.mark.parametrize("gt_class", [15, 10, -1])
     def test_out_of_range_gt_class_rejected(self, gt_class):
         probs = np.full(10, 0.1)
-        with pytest.raises(MatchingError, match=f"gt class {gt_class} out of range for 10 classes"):
+        bound = "at most 9" if gt_class > 0 else "at least 0"
+        with pytest.raises(MatchingError, match=f"gt class must be {bound}, got {gt_class}"):
             focal_loss(probs, gt_class)
 
     @pytest.mark.parametrize("gt_class", [2.7, float("nan"), True, False, "2"])

@@ -29,6 +29,10 @@ class TestGenRig:
         rig = gen_rig("single")
         assert len(rig) == 1
 
+    def test_integral_camera_sides_are_stored_as_ints(self):
+        spec = CameraSpec(id="c", yaw_deg=0.0, width=np.int64(1600), height=900.0)
+        assert (spec.width, spec.height) == (1600, 900) and type(spec.width) is int and type(spec.height) is int
+
     def test_six_camera_layout(self):
         rig = gen_rig("nuscenes-like")
         assert len(rig) == 6
@@ -161,7 +165,7 @@ class TestRenderPyramid:
     @pytest.mark.parametrize("stride", [0, -8])
     def test_stride_below_one(self, stride):
         rig = gen_rig("single")
-        with pytest.raises(ConfigError, match="stride must be >= 1"):
+        with pytest.raises(ConfigError, match=f"stride must be at least 1, got {stride}"):
             render_pyramid(AnalyticField.constant([1.0]), rig, strides=(8, stride))
 
 
@@ -285,6 +289,15 @@ _INVALID_VALUES = {
     "objects-count-fraction": lambda: gen_objects(1, 2.5),
     "camera-width-fraction": lambda: gen_rig("custom", [CameraSpec(id="c", yaw_deg=0.0, width=1600.5)]),
     "render-stride-fraction": lambda: render_pyramid(AnalyticField.constant([1.0]), gen_rig("single"), strides=(8.5,)),
+    "objects-class-count-fraction": lambda: gen_objects(1, 5, class_count=2.5),
+    "objects-no-classes": lambda: gen_objects(1, 5, class_count=0),
+    "scene-channels-fraction": lambda: make_scene(1, channels=2.5),
+    "scene-no-channels": lambda: make_scene(1, channels=0),
+    "camera-spec-width-fraction": lambda: CameraSpec(id="c", yaw_deg=0.0, width=1600.5),
+    "camera-spec-width-bool": lambda: CameraSpec(id="c", yaw_deg=0.0, width=True),
+    "noise-center-nan": lambda: NoiseSpec(center_sigma=math.nan),
+    "noise-false-positives-inf": lambda: NoiseSpec(false_positive_rate=math.inf),
+    "noise-false-positives-nan": lambda: NoiseSpec(false_positive_rate=math.nan),
 }
 
 
