@@ -421,19 +421,19 @@ def pixel_size(intr: CameraIntrinsics) -> float:
 # Calibration JSON
 
 
+# The calibration keys that are ``CameraIntrinsics`` fields of the same name:
+# four floats, then the two image sides.
+_INTRINSICS_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
+
+
 def rig_to_dict(rig: CameraRig) -> dict:
     return {
         "cameras": [
             {
                 "id": cam.id,
-                "fx": cam.intrinsics.fx,
-                "fy": cam.intrinsics.fy,
-                "cx": cam.intrinsics.cx,
-                "cy": cam.intrinsics.cy,
-                "width": cam.intrinsics.width,
-                "height": cam.intrinsics.height,
-                "rotation": [float(x) for x in cam.extrinsics.rotation.reshape(-1)],
-                "translation": [float(x) for x in cam.extrinsics.translation],
+                **{key: getattr(cam.intrinsics, key) for key in _INTRINSICS_KEYS},
+                "rotation": cam.extrinsics.rotation.reshape(-1).tolist(),
+                "translation": cam.extrinsics.translation.tolist(),
             }
             for cam in rig
         ]
@@ -502,10 +502,19 @@ def _check_int(value, name: str, error: type[Exception], lo: int | None = None, 
     except TypeError as exc:
         raise error(f"{name} must be an integer, got {value!r}") from exc
     if lo is not None and checked < lo:
-        raise error(f"{name} must be at least {lo}, got {checked}")
+        raise error(f"{name} must be at least {lo}, got {_int_text(checked)}")
     if hi is not None and checked > hi:
-        raise error(f"{name} must be at most {hi}, got {checked}")
+        raise error(f"{name} must be at most {hi}, got {_int_text(checked)}")
     return checked
+
+
+def _int_text(value: int) -> str:
+    """``value`` in decimal, or by its bit length where it has more digits
+    than Python converts to text."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
 
 
 def _json_float(value) -> float:
@@ -521,46 +530,33 @@ def _json_floats(value) -> np.ndarray:
     return np.array([_json_float(v) for v in items.ravel()], dtype=np.float64).reshape(items.shape)
 
 
+# Each key of a box record: the ``Box3D`` attribute it holds and its parser.
 _BOX_FIELDS = {
-    "center": _json_floats,
-    "size": _json_floats,
-    "yaw": _json_float,
-    "velocity": _json_floats,
-    "class": _json_int,
-    "attribute": _json_int,
+    "center": ("center", _json_floats),
+    "size": ("size", _json_floats),
+    "yaw": ("yaw", _json_float),
+    "velocity": ("velocity", _json_floats),
+    "class": ("class_id", _json_int),
+    "attribute": ("attribute_id", _json_int),
 }
 
 
 def _box_to_json(box: Box3D) -> dict:
     """The box fields of a prediction or annotation record."""
-    return {
-        "center": [float(x) for x in box.center],
-        "size": [float(x) for x in box.size],
-        "yaw": float(box.yaw),
-        "velocity": [float(x) for x in box.velocity],
-        "class": box.class_id,
-        "attribute": box.attribute_id,
-    }
+    return {key: np.asarray(getattr(box, attr)).tolist() for key, (attr, _) in _BOX_FIELDS.items()}
 
 
 def _box_from_json(entry: dict, error: type[Exception], what: str) -> Box3D:
     """The box of a prediction or annotation record; velocity, class and
     attribute default to zero."""
-    f = _json_fields({"velocity": (0.0, 0.0), "class": 0, "attribute": 0, **entry}, _BOX_FIELDS, error, what)
-    return Box3D(
-        center=f["center"],
-        size=f["size"],
-        yaw=f["yaw"],
-        velocity=f["velocity"],
-        class_id=f["class"],
-        attribute_id=f["attribute"],
-    )
+    entry = {"velocity": (0.0, 0.0), "class": 0, "attribute": 0, **entry}
+    f = _json_fields(entry, {key: parse for key, (_, parse) in _BOX_FIELDS.items()}, error, what)
+    return Box3D(**{attr: f[key] for key, (attr, _) in _BOX_FIELDS.items()})
 
 
 _CAMERA_FIELDS = {
-    **dict.fromkeys(("fx", "fy", "cx", "cy"), _json_float),
-    "width": _json_int,
-    "height": _json_int,
+    **dict.fromkeys(_INTRINSICS_KEYS[:4], _json_float),
+    **dict.fromkeys(_INTRINSICS_KEYS[4:], _json_int),
     "rotation": lambda value: _json_floats(value).reshape(3, 3),
     "translation": _json_floats,
     "id": _json_text,
@@ -571,7 +567,7 @@ def rig_from_dict(data: dict) -> CameraRig:
     cameras = []
     for entry in _json_records(data, "cameras", GeometryError, "calibration data"):
         f = _json_fields(entry, _CAMERA_FIELDS, GeometryError, "calibration camera")
-        intr = CameraIntrinsics(**{key: f[key] for key in ("fx", "fy", "cx", "cy", "width", "height")})
+        intr = CameraIntrinsics(**{key: f[key] for key in _INTRINSICS_KEYS})
         extr = CameraExtrinsics(rotation=f["rotation"], translation=f["translation"])
         cameras.append(CameraModel(intrinsics=intr, extrinsics=extr, id=f["id"]))
     return CameraRig(cameras=tuple(cameras))

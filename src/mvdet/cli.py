@@ -245,12 +245,8 @@ def _cmd_evaluate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.split:
         report = metrics.evaluate_region_split(preds, gts, rig)
-        summary = {
-            "overall_NDS": report.overall.nds,
-            "overlapping_NDS": report.overlapping.nds,
-            "non_overlapping_NDS": report.non_overlapping.nds,
-            "overall_mAP": report.overall.mean_ap,
-        }
+        summary = {f"{name}_NDS": getattr(report, name).nds for name in metrics._REGIONS}
+        summary["overall_mAP"] = report.overall.mean_ap
     else:
         report = metrics.evaluate(preds, gts)
         summary = {"NDS": report.nds, "mAP": report.mean_ap}
@@ -286,12 +282,13 @@ def _cmd_bench(args) -> int:
     for flag, hi in (("--cameras", len(synth.SURROUND_SPECS)), ("--levels", len(synth.DEFAULT_STRIDES)), ("--repeats", None)):
         camgeo._check_int(getattr(args, flag[2:]), flag, ValueError, lo=1, hi=hi)
     rig = synth.gen_rig("custom", specs=synth.SURROUND_SPECS[: args.cameras])
-    field = synth.random_field(args.seed, "bilinear", args.dim)
-    pyramid = synth.render_pyramid(field, rig, synth.DEFAULT_STRIDES[: args.levels])
+    # The decoder is built first, so a bad --dim fails as its dim; each part draws its own seeded stream.
     layers = decoder.init_decoder(
         args.seed, dim=args.dim, **_given(layers=args.layers, neighbors=args.neighbors, heads=args.heads)
     )
     qs = decoder.init_queries(args.seed, count=args.queries, dim=args.dim, bounds=synth.DEFAULT_BOUNDS)
+    field = synth.random_field(args.seed, "bilinear", args.dim)
+    pyramid = synth.render_pyramid(field, rig, synth.DEFAULT_STRIDES[: args.levels])
 
     # Node-feature sampling isolated: the per-neighbor cost of one layer.
     layer, emb = layers[0], qs.embeddings
@@ -374,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pyramid", required=True, help="pyramid manifest path")
     p.add_argument("--calib", required=True)
     p.add_argument("--params", help="parameter bundle manifest; seeded init when omitted")
-    p.add_argument("--mode", choices=sorted(m.value for m in decoder.AggregationMode), default="dynamic-graph")
+    p.add_argument("--mode", choices=sorted(m.value for m in decoder.AggregationMode), default=decoder.DEFAULT_MODE.value)
     seeded_only = "seeded decoder only: a --params bundle fixes it"
     p.add_argument("--neighbors", type=int, help=seeded_only)
     p.add_argument("--layers", type=int, help=seeded_only)

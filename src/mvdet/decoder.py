@@ -471,6 +471,7 @@ def _aggregate(
     return emb + _graph_update(nodes, weights, pyr, rig)
 
 
+DEFAULT_MODE = AggregationMode.DYNAMIC_GRAPH
 DEFAULT_OFFSET_SCALE = 2.0  # meters a dynamic-graph node may walk per axis (``graph_nodes``)
 
 
@@ -479,7 +480,7 @@ def decoder_forward(
     layers: Sequence[DecoderLayer],
     pyr: FeaturePyramid,
     rig: CameraRig,
-    mode: AggregationMode = AggregationMode.DYNAMIC_GRAPH,
+    mode: AggregationMode = DEFAULT_MODE,
     offset_scale: float = DEFAULT_OFFSET_SCALE,
 ) -> tuple[QuerySet, np.ndarray]:
     """Run the full layer stack.

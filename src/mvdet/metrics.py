@@ -97,18 +97,20 @@ class MetricsReport:
         }
 
 
+# The split regions in report order: all boxes, then two ``RegionLabel`` values.
+_REGIONS = ("overall", "overlapping", "non_overlapping")
+
+
 @dataclass(frozen=True)
 class RegionSplitReport:
+    """One report per name in ``_REGIONS``, held in the field of that name."""
+
     overall: MetricsReport
     overlapping: MetricsReport
     non_overlapping: MetricsReport
 
     def to_dict(self) -> dict:
-        return {
-            "overall": self.overall.to_dict(),
-            "overlapping": self.overlapping.to_dict(),
-            "non_overlapping": self.non_overlapping.to_dict(),
-        }
+        return {name: getattr(self, name).to_dict() for name in _REGIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +342,8 @@ def evaluate_region_split(
         kept_gts = [g for g, lab in zip(gts, gt_labels) if lab is region]
         return evaluate(kept_preds, kept_gts)
 
-    return RegionSplitReport(
-        overall=evaluate(preds, gts),
-        overlapping=region_report(RegionLabel.OVERLAPPING),
-        non_overlapping=region_report(RegionLabel.NON_OVERLAPPING),
-    )
+    reports = [evaluate(preds, gts)] + [region_report(RegionLabel(name)) for name in _REGIONS[1:]]
+    return RegionSplitReport(**dict(zip(_REGIONS, reports)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +357,9 @@ def save_report(path, report: MetricsReport | RegionSplitReport) -> None:
 def save_report_csv(path, report: MetricsReport | RegionSplitReport) -> None:
     """One row per region x class with per-threshold APs and summary columns."""
     if isinstance(report, RegionSplitReport):
-        regions = [
-            ("overall", report.overall),
-            ("overlapping", report.overlapping),
-            ("non_overlapping", report.non_overlapping),
-        ]
+        regions = [(name, getattr(report, name)) for name in _REGIONS]
     else:
-        regions = [("overall", report)]
+        regions = [(_REGIONS[0], report)]
     thresholds = sorted({t for _, rep in regions for per in rep.ap.values() for t in per})
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

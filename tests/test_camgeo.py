@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from mvdet import camgeo
+from mvdet.augment import AnnotatedFrame, AnnotatedObject, AugmentError, load_frames, save_frames
 from mvdet.camgeo import (
     Box3D,
     CameraExtrinsics,
@@ -26,6 +28,7 @@ from mvdet.camgeo import (
     save_rig,
     visible_counts,
 )
+from mvdet.matching import MatchingError, load_predictions, save_predictions
 from mvdet.synth import adjacent_seam_azimuths, gen_objects, gen_rig
 
 from helpers import seen_by, visible_in
@@ -400,6 +403,7 @@ _INVALID_VALUES = {
     "box-attribute-bool": lambda: Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0, attribute_id=True),
     "intrinsics-width-fraction": lambda: CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=10.5, height=4),
     "intrinsics-height-fraction": lambda: CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=10, height=4.2),
+    "intrinsics-width-huge": lambda: CameraIntrinsics(fx=1, fy=1, cx=0, cy=0, width=10**5000, height=4),
 }
 
 
@@ -540,3 +544,65 @@ class TestCalibrationJson:
         path.write_text(json.dumps(data))
         with pytest.raises(GeometryError, match="calibration camera: missing or malformed field"):
             load_rig(path)
+
+
+# Each file of box records: its writer, its reader, the records of its
+# parsed JSON, and its loader's error.
+_BOX_FILES = {
+    "predictions": (
+        lambda path, boxes: save_predictions(path, [DetectionResult(box, 0.5) for box in boxes]),
+        lambda path: [p.box for p in load_predictions(path)],
+        lambda data: data["predictions"],
+        MatchingError,
+    ),
+    "frames": (
+        lambda path, boxes: save_frames(path, [
+            AnnotatedFrame(rig=gen_rig("single"), objects=tuple(AnnotatedObject(box=b, depth=1.0) for b in boxes))
+        ]),
+        lambda path: [o.box for o in load_frames(path)[0].objects],
+        lambda data: data["frames"][0]["objects"],
+        AugmentError,
+    ),
+}
+
+
+@pytest.mark.parametrize("file", sorted(_BOX_FILES))
+class TestBoxRecords:
+    def _saved(self, tmp_path, file, boxes):
+        path = tmp_path / "boxes.json"
+        _BOX_FILES[file][0](path, boxes)
+        return path
+
+    def _edited(self, path, file, drop):
+        data = json.loads(path.read_text())
+        for key in drop:
+            del _BOX_FILES[file][2](data)[0][key]
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_every_field_round_trips(self, tmp_path, file):
+        boxes = [
+            Box3D(center=(1.5, -2.1, 0.3), size=(2.2, 4.7, 1.9), yaw=math.pi, velocity=(0.1, -3.7),
+                  class_id=10**30, attribute_id=7),
+            Box3D(center=(0, 0, 0), size=(1, 1, 1), yaw=-0.3),
+        ]
+        loaded = _BOX_FILES[file][1](self._saved(tmp_path, file, boxes))
+        assert len(loaded) == len(boxes)
+        for given, back in zip(boxes, loaded):
+            for f in dataclasses.fields(Box3D):
+                assert np.array_equal(getattr(back, f.name), getattr(given, f.name)), f.name
+        assert loaded[0].yaw == math.pi and loaded[0].class_id == 10**30 and type(loaded[0].class_id) is int
+
+    def test_missing_velocity_class_and_attribute_read_zeros(self, tmp_path, file):
+        box = Box3D(center=(1, 2, 0), size=(1, 2, 3), yaw=0.5, velocity=(1, 2), class_id=4, attribute_id=5)
+        path = self._edited(self._saved(tmp_path, file, [box]), file, ("velocity", "class", "attribute"))
+        (back,) = _BOX_FILES[file][1](path)
+        assert np.array_equal(back.velocity, np.zeros(2)) and (back.class_id, back.attribute_id) == (0, 0)
+        assert np.array_equal(back.center, box.center) and back.yaw == box.yaw
+
+    @pytest.mark.parametrize("key", ["center", "size", "yaw"])
+    def test_missing_required_field_fails(self, tmp_path, file, key):
+        box = Box3D(center=(1, 2, 0), size=(1, 2, 3), yaw=0.5)
+        path = self._edited(self._saved(tmp_path, file, [box]), file, (key,))
+        with pytest.raises(_BOX_FILES[file][3], match=f"missing or malformed field.*{key}"):
+            _BOX_FILES[file][1](path)

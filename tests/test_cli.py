@@ -367,6 +367,11 @@ class TestDecodeCommand:
         assert err == f"error: --offset-scale cannot be given with --mode {mode}: only dynamic graphs read it\n"
         assert not out.exists()
 
+    def test_mode_default_is_decoders(self):
+        args = cli.build_parser().parse_args(["decode", "--pyramid", "p", "--calib", "c", "--seed", "1", "--out", "o"])
+        assert args.mode == decoder.DEFAULT_MODE.value
+        assert inspect.signature(decoder.decoder_forward).parameters["mode"].default is decoder.DEFAULT_MODE
+
     def test_bounds_flags_set_the_query_box(self, scene_dir, tmp_path):
         outputs = {}
         for name, bounds in [
@@ -520,6 +525,7 @@ def test_queries_above_bound_usage_error(scene_dir, tmp_path, capsys, monkeypatc
         ("bench", "--levels", "5", "--levels"),
         ("bench", "--cameras", "0", "--cameras"),
         ("bench", "--cameras", "7", "--cameras"),
+        ("bench", "--dim", "0", "dim must be at least 1, got 0"),
         ("gradcheck", "--eps", "nan", "eps must be finite and positive, got nan"),
         ("gradcheck", "--eps", "inf", "eps must be finite and positive, got inf"),
         ("gradcheck", "--eps", "0", "eps must be finite and positive, got 0.0"),

@@ -166,6 +166,7 @@ _INVALID_VALUES = {
     "head-no-classes": lambda: PredictionHead(reg_net=Mlp.zeros([4, 10]), cls_net=Mlp.zeros([4, 0])),
     "init-decoder-dim-fraction": lambda: init_decoder(0, layers=1, dim=8.5, neighbors=1, heads=1),
     "init-queries-count-fraction": lambda: init_queries(0, 2.5, 4, BOUNDS),
+    "init-queries-count-huge": lambda: init_queries(0, 10**5000, 4, BOUNDS),
     "attention-heads-fraction": lambda: AttentionParams.seeded(5, 2.5, np.random.default_rng(0)),
     "attention-heads-bool": lambda: AttentionParams.seeded(4, True, np.random.default_rng(0)),
     "head-dim-fraction": lambda: PredictionHead.seeded(0, dim=2.5),
