@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -118,8 +119,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
-            raise GeometryError(f"focal lengths must be finite and positive, got ({self.fx}, {self.fy})")
+        for key in ("fx", "fy", "cx", "cy"):
+            object.__setattr__(self, key, _check_float(getattr(self, key), key, GeometryError))
+        if not (self.fx > 0 and self.fy > 0):
+            raise GeometryError(f"focal lengths must be positive, got ({self.fx}, {self.fy})")
         for side in ("width", "height"):
             object.__setattr__(self, side, _check_int(getattr(self, side), side, GeometryError, lo=1, hi=_MAX_IMAGE_SIDE))
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
@@ -442,9 +445,12 @@ def rig_to_dict(rig: CameraRig) -> dict:
 
 def _json_write(path, payload) -> None:
     """Write ``payload`` as sorted, 2-space-indented JSON plus a newline;
-    every JSON file the package writes goes through here."""
+    every JSON file the package writes goes through here.  The text is built
+    before the file is opened, so a payload that cannot be serialized
+    leaves an existing file as it was."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def _json_read(path, error: type[Exception]):
@@ -518,10 +524,24 @@ def _int_text(value: int) -> str:
 
 
 def _json_float(value) -> float:
-    """A number; numeric strings and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A number as a Python float; numeric strings and booleans are
+    refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _check_float(value, name: str, error: type[Exception]) -> float:
+    """``value`` as a finite Python float by ``_json_float``'s rule; raises
+    ``error`` naming ``name`` for anything else.  A float64 keeps its
+    bits."""
+    try:
+        checked = _json_float(value)
+    except (TypeError, OverflowError) as exc:
+        raise error(f"{name} must be a finite number, got {value!r}") from exc
+    if not math.isfinite(checked):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return checked
 
 
 def _json_floats(value) -> np.ndarray:

@@ -314,32 +314,42 @@ def hungarian(cost: np.ndarray) -> Assignment:
 # Losses
 
 
+# Python's own float log and pow, mapped over arrays: ``np.log`` and array
+# ``**`` round differently on some inputs.
+_log = np.frompyfunc(math.log, 1, 1)
+_pow = np.frompyfunc(pow, 2, 1)
+_CLAMP_WARNINGS = (
+    "negative-class probability clamped to 1e-12 in focal loss",
+    "target probability clamped to 1e-12 in focal loss",
+)
+
+
 def _focal_sum(probs: np.ndarray, targets: list) -> float:
     """Summed focal loss of (N, K) probability rows; a target of None scores
     its row as background.
 
-    Each row's terms are added in class order from 0.0, then the rows in
-    order from 0.0.  Every term is computed on Python floats with
-    ``math.log`` and float ``**``: ``np.log`` and array ``**`` round
-    differently on some inputs.
+    The N x K terms are built as arrays, each the weight times the ``_pow``
+    power times the ``_log`` log, multiplied in that order: bit for bit the
+    float expression of each entry.  Each clamped entry warns, in row-major
+    order.  Each row's terms are added in class order by ``np.cumsum``,
+    which adds in sequence, then the rows in order from 0.0.
     """
-    pos_w, neg_w = -_ALPHA, -(1.0 - _ALPHA)
-    log = math.log
+    rows = [i for i, t in enumerate(targets) if t is not None]
+    is_target = np.zeros(probs.shape, dtype=bool)
+    is_target[rows, [targets[i] for i in rows]] = True
+    # A target entry's term is -alpha * (1 - p)^gamma * log(p), with p
+    # clamped; any other entry's is -(1 - alpha) * p^gamma * log(1 - p),
+    # with 1 - p clamped.
+    inner = np.where(is_target, probs, 1.0 - probs)
+    clamped = inner < _PROB_FLOOR
+    for target in is_target[clamped].tolist():
+        warnings.warn(_CLAMP_WARNINGS[target])
+    inner[clamped] = _PROB_FLOOR
+    base = np.where(is_target, 1.0 - inner, probs)
+    weight = np.where(is_target, -_ALPHA, -(1.0 - _ALPHA))
+    terms = weight * _pow(base, _GAMMA).astype(np.float64) * _log(inner).astype(np.float64)
     total = 0.0
-    for row, target in zip(probs, targets):
-        loss = 0.0
-        for idx, p in enumerate(row.tolist()):
-            if idx == target:
-                if p < _PROB_FLOOR:
-                    warnings.warn("target probability clamped to 1e-12 in focal loss")
-                    p = _PROB_FLOOR
-                loss += pos_w * (1.0 - p) ** _GAMMA * log(p)
-            else:
-                q = 1.0 - p
-                if q < _PROB_FLOOR:
-                    warnings.warn("negative-class probability clamped to 1e-12 in focal loss")
-                    q = _PROB_FLOOR
-                loss += neg_w * p**_GAMMA * log(q)
+    for loss in np.cumsum(terms, axis=1)[:, -1].tolist():
         total += loss
     return total
 

@@ -14,6 +14,7 @@ ego vehicle).
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,19 +121,44 @@ class RegionSplitReport:
 _DIST_BLOCK = 2**16
 
 
+class _Table:
+    """What scoring reads of a prediction list and a ground-truth list,
+    stacked once per call: the scores' order, the planar centers and the
+    class positions.
+
+    ``class_ids`` are the ground truths' classes in ascending order, and
+    ``pred_class``/``gt_class`` each box's position among them, found
+    through a dict, so ids of any size work; a prediction of any other class
+    gets -1.  ``order`` is one stable argsort of the negated scores, which
+    breaks ties (0.0 and -0.0 among them) by original order.  A subsequence
+    of a stable order is the stable order of that subsequence, so the score
+    order of any subset of the predictions is ``order`` filtered to it.
+    """
+
+    def __init__(self, preds: Sequence[DetectionResult], gts: Sequence[Box3D]):
+        self.preds, self.gts = list(preds), list(gts)
+        self.class_ids = sorted({g.class_id for g in self.gts})
+        position = {cid: k for k, cid in enumerate(self.class_ids)}
+        self.pred_class = np.array([position.get(p.box.class_id, -1) for p in self.preds], dtype=np.intp)
+        self.gt_class = np.array([position[g.class_id] for g in self.gts], dtype=np.intp)
+        self.pred_xy = np.array([p.box.center for p in self.preds]).reshape(-1, 3)[:, :2]
+        self.gt_xy = np.array([g.center for g in self.gts]).reshape(-1, 3)[:, :2]
+        scores = np.array([p.score for p in self.preds], dtype=np.float64)
+        self.order = np.argsort(-scores, kind="stable")
+        self.all_gts = np.arange(len(self.gts))
+
+
 def _greedy_matches(
-    preds: Sequence[DetectionResult],
-    gts: Sequence[Box3D],
+    table: _Table,
+    rows: np.ndarray,
+    gt_rows: np.ndarray,
     classes: Sequence[int],
     thresholds: Sequence[float],
 ):
-    """Greedy one-to-one matching of each class at each distance threshold.
+    """Greedy one-to-one matching of the predictions ``rows`` (in score
+    order) to the ground truths ``gt_rows`` (ascending), for each class
+    position in ``classes`` at each distance threshold.
 
-    The scores, planar centers and class positions are stacked once.  The
-    predictions are ordered by one stable argsort of the negated scores,
-    which breaks ties (0.0 and -0.0 among them) by original order.  Class
-    ids are mapped to their position in ``classes`` through a dict, so ids
-    of any size work; a prediction of a class not in ``classes`` gets -1.
     Per class, the rows of the planar center-distance matrix are computed in
     score order, ``_DIST_BLOCK`` distances at a time, and each block serves
     every threshold, so memory grows with the box counts, not their product.
@@ -140,23 +166,17 @@ def _greedy_matches(
     indices in score order, its ground-truth indices, and per threshold the
     position in ``cols`` matched by each row, or -1.
     """
-    position = {cid: k for k, cid in enumerate(classes)}
-    scores = np.array([p.score for p in preds], dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    pred_pos = np.array([position.get(p.box.class_id, -1) for p in preds], dtype=np.intp)[order]
-    gt_pos = np.array([position.get(g.class_id, -1) for g in gts], dtype=np.intp)
-    pred_xy = np.array([p.box.center[:2] for p in preds]).reshape(-1, 2)
-    gt_xy = np.array([g.center[:2] for g in gts]).reshape(-1, 2)
+    pred_class, gt_class = table.pred_class[rows], table.gt_class[gt_rows]
     out = []
-    for k in range(len(classes)):
-        rows = order[pred_pos == k]
-        cols = np.flatnonzero(gt_pos == k)
-        xy, gt_class_xy = pred_xy[rows], gt_xy[cols]
+    for k in classes:
+        class_rows = rows[pred_class == k]
+        cols = gt_rows[gt_class == k]
+        xy, gt_xy = table.pred_xy[class_rows], table.gt_xy[cols]
         step = max(1, _DIST_BLOCK // max(1, len(cols)))
         blocks = (
-            np.linalg.norm(gt_class_xy[None] - xy[lo : lo + step, None], axis=2) for lo in range(0, len(rows), step)
+            np.linalg.norm(gt_xy[None] - xy[lo : lo + step, None], axis=2) for lo in range(0, len(class_rows), step)
         )
-        out.append((rows.tolist(), cols.tolist(), _greedy_pass(blocks, len(cols), thresholds)))
+        out.append((class_rows.tolist(), cols.tolist(), _greedy_pass(blocks, len(cols), thresholds)))
     return out
 
 
@@ -196,8 +216,10 @@ def _greedy_pass(blocks, cols: int, thresholds: Sequence[float]) -> dict[float, 
     return hits
 
 
-def _matched_pairs(rows: list[int], cols: list[int], hits: list[int]) -> list[tuple[int, int]]:
-    return [(rows[r], cols[j]) for r, j in enumerate(hits) if j >= 0]
+def _matched_pairs(matches, threshold: float) -> list[tuple[int, int]]:
+    """The (pred, gt) index pairs of ``matches`` at ``threshold``, pooled
+    in class order, each class's in score order."""
+    return [(rows[r], cols[j]) for rows, cols, hits in matches for r, j in enumerate(hits[threshold]) if j >= 0]
 
 
 def match_detections(
@@ -207,32 +229,52 @@ def match_detections(
 ) -> list[tuple[int, int]]:
     """Greedy per-class matching pooled over the ground-truth classes;
     (pred, gt) index pairs."""
-    classes = sorted({g.class_id for g in gts})
-    pairs = []
-    for rows, cols, hits in _greedy_matches(preds, gts, classes, (threshold,)):
-        pairs.extend(_matched_pairs(rows, cols, hits[threshold]))
-    return pairs
+    table = _Table(preds, gts)
+    classes = range(len(table.class_ids))
+    return _matched_pairs(_greedy_matches(table, table.order, table.all_gts, classes, (threshold,)), threshold)
 
 
 # ---------------------------------------------------------------------------
 # AP and TP errors
 
 
-def _average_precisions(hits: dict[float, list[int]], npos: int) -> dict[float, float]:
-    """Average precision of one class at each threshold of ``hits``, all
-    thresholds in one pass over a (thresholds, rows) array of match flags."""
-    flags = np.array(list(hits.values())) >= 0
-    if npos == 0 or flags.shape[1] == 0:
-        return dict.fromkeys(hits, 0.0)
-    tp = np.cumsum(flags, axis=1)
-    fp = np.cumsum(~flags, axis=1)
-    recall = tp / npos
-    precision = tp / (tp + fp)
-    prec_interp = np.array([np.interp(_REC_GRID, r, p, right=0.0) for r, p in zip(recall, precision)])
+def _average_precisions(matches, thresholds: Sequence[float]) -> list[dict[float, float]]:
+    """Average precision of each class of ``matches`` at each threshold, in
+    one pass over a (thresholds, rows) array of the match flags of every
+    class side by side.
+
+    A class's true-positive counts are the running counts less those before
+    its first row, exact integers.  ``np.interp`` runs once per (class,
+    threshold) row, and the interpolated rows are clipped and averaged as
+    one stacked array.  A class without ground truths or predictions scores
+    0.0.
+    """
+    sizes = np.array([len(rows) for rows, _, _ in matches], dtype=np.intp)
+    npos = np.array([len(cols) for _, cols, _ in matches], dtype=np.intp)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    hits = [list(itertools.chain.from_iterable(per[th] for _, _, per in matches)) for th in thresholds]
+    flags = np.array(hits, dtype=np.intp) >= 0
+    counts = np.zeros((len(thresholds), flags.shape[1] + 1), dtype=np.intp)
+    np.cumsum(flags, axis=1, out=counts[:, 1:])
+    tp = counts[:, 1:] - np.repeat(counts[:, starts], sizes, axis=1)
+    recall = tp / np.repeat(np.maximum(npos, 1), sizes)
+    precision = tp / (np.arange(1, flags.shape[1] + 1) - np.repeat(starts, sizes))
+    scored = [k for k in range(len(matches)) if npos[k] and sizes[k]]
+    prec_interp = np.array(
+        [
+            np.interp(_REC_GRID, recall[t, starts[k] : ends[k]], precision[t, starts[k] : ends[k]], right=0.0)
+            for k in scored
+            for t in range(len(thresholds))
+        ]
+    ).reshape(-1, _INTERP_POINTS)
     start = round(100 * _MIN_RECALL) + 1
     clipped = np.clip(prec_interp[:, start:] - _MIN_PRECISION, 0.0, None)
-    aps = clipped.mean(axis=1) / (1.0 - _MIN_PRECISION)
-    return {th: min(1.0, ap) for th, ap in zip(hits, aps.tolist())}
+    aps = iter((clipped.mean(axis=1) / (1.0 - _MIN_PRECISION)).tolist())
+    per_class = [dict.fromkeys(thresholds, 0.0) for _ in matches]
+    for k in scored:
+        per_class[k] = {th: min(1.0, next(aps)) for th in thresholds}
+    return per_class
 
 
 def ap_at_threshold(
@@ -242,8 +284,11 @@ def ap_at_threshold(
     threshold: float,
 ) -> float:
     """Average precision of one class at one center-distance threshold."""
-    [(_, cols, hits)] = _greedy_matches(preds, gts, (class_id,), (threshold,))
-    return _average_precisions(hits, len(cols))[threshold]
+    table = _Table(preds, gts)
+    # A class no ground truth has scores 0.0: position -1 has no columns.
+    k = table.class_ids.index(class_id) if class_id in table.class_ids else -1
+    matches = _greedy_matches(table, table.order, table.all_gts, (k,), (threshold,))
+    return _average_precisions(matches, (threshold,))[0][threshold]
 
 
 def tp_errors(matched: Sequence[tuple[DetectionResult, Box3D]]) -> TpErrors:
@@ -291,33 +336,35 @@ def nds(mean_ap: float, mtps: Sequence[float]) -> float:
 # Full evaluation
 
 
+def _report(table: _Table, rows: np.ndarray, gt_rows: np.ndarray) -> MetricsReport:
+    """The report of the predictions ``rows`` (in score order) against the
+    ground truths ``gt_rows`` (ascending) of ``table``, for each class
+    present in those ground truths; the one core of ``evaluate`` and
+    ``evaluate_region_split``."""
+    classes = np.unique(table.gt_class[gt_rows]).tolist()
+    matches = _greedy_matches(table, rows, gt_rows, classes, DIST_THRESHOLDS)
+    aps = _average_precisions(matches, DIST_THRESHOLDS)
+    ap_values = [ap for per in aps for ap in per.values()]
+    mean_ap = float(np.mean(ap_values)) if ap_values else 0.0
+    tp = tp_errors([(table.preds[pi], table.gts[gi]) for pi, gi in _matched_pairs(matches, TP_THRESHOLD)])
+    return MetricsReport(
+        class_ids=tuple(table.class_ids[k] for k in classes),
+        ap={table.class_ids[k]: per for k, per in zip(classes, aps)},
+        mean_ap=mean_ap,
+        tp=tp,
+        nds=nds(mean_ap, tp.as_tuple()),
+        gt_count=len(gt_rows),
+        pred_count=len(rows),
+        no_gts=len(gt_rows) == 0,
+    )
+
+
 def evaluate(preds: Sequence[DetectionResult], gts: Sequence[Box3D]) -> MetricsReport:
     """Score predictions against ground truths: AP at each of
     DIST_THRESHOLDS and TP errors over the matches at TP_THRESHOLD, for
     each class present in the ground truths."""
-    preds = list(preds)
-    gts = list(gts)
-    classes = tuple(sorted({g.class_id for g in gts}))
-    ap_table: dict[int, dict[float, float]] = {}
-    ap_values = []
-    pairs = []
-    for cid, (rows, cols, hits) in zip(classes, _greedy_matches(preds, gts, classes, DIST_THRESHOLDS)):
-        ap_table[cid] = _average_precisions(hits, len(cols))
-        ap_values.extend(ap_table[cid].values())
-        pairs.extend(_matched_pairs(rows, cols, hits[TP_THRESHOLD]))
-    mean_ap = float(np.mean(ap_values)) if ap_values else 0.0
-    tp = tp_errors([(preds[pi], gts[gi]) for pi, gi in pairs])
-    score = nds(mean_ap, tp.as_tuple())
-    return MetricsReport(
-        class_ids=classes,
-        ap=ap_table,
-        mean_ap=mean_ap,
-        tp=tp,
-        nds=score,
-        gt_count=len(gts),
-        pred_count=len(preds),
-        no_gts=len(gts) == 0,
-    )
+    table = _Table(preds, gts)
+    return _report(table, table.order, table.all_gts)
 
 
 def evaluate_region_split(
@@ -330,19 +377,15 @@ def evaluate_region_split(
     Region reports keep only ground truths classified into that region and
     predictions whose own boxes classify the same way; boxes invisible to
     every camera appear only in the overall report.  Each box set is
-    classified once.
+    classified once, and both are stacked once for all three reports.
     """
-    preds = list(preds)
-    gts = list(gts)
-    gt_labels = classify_regions(gts, rig)
-    pred_labels = classify_regions([p.box for p in preds], rig)
-
-    def region_report(region: RegionLabel) -> MetricsReport:
-        kept_preds = [p for p, lab in zip(preds, pred_labels) if lab is region]
-        kept_gts = [g for g, lab in zip(gts, gt_labels) if lab is region]
-        return evaluate(kept_preds, kept_gts)
-
-    reports = [evaluate(preds, gts)] + [region_report(RegionLabel(name)) for name in _REGIONS[1:]]
+    table = _Table(preds, gts)
+    gt_labels = np.array(classify_regions(table.gts, rig), dtype=object)
+    pred_labels = np.array(classify_regions([p.box for p in table.preds], rig), dtype=object)
+    reports = [_report(table, table.order, table.all_gts)]
+    for region in map(RegionLabel, _REGIONS[1:]):
+        rows = table.order[pred_labels[table.order] == region]
+        reports.append(_report(table, rows, np.flatnonzero(gt_labels == region)))
     return RegionSplitReport(**dict(zip(_REGIONS, reports)))
 
 

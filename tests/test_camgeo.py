@@ -414,7 +414,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("fx, fy", [(math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
     def test_non_finite_focal_rejected(self, fx, fy):
-        with pytest.raises(GeometryError, match="focal lengths must be finite and positive"):
+        with pytest.raises(GeometryError, match="f[xy] must be a finite number"):
             CameraIntrinsics(fx=fx, fy=fy, cx=0, cy=0, width=4, height=4)
 
     def test_principal_point_bounds(self):
@@ -485,6 +485,26 @@ class TestValidation:
         with pytest.raises(TypeError):
             DetectionResult(box, "0.5")
 
+    def test_intrinsic_floats_are_stored_as_python_floats(self, tmp_path):
+        intr = CameraIntrinsics(fx=np.float32(1000), fy=1000, cx=np.float64(0.1), cy=np.int64(450), width=1600, height=900)
+        assert all(type(getattr(intr, key)) is float for key in ("fx", "fy", "cx", "cy"))
+        assert (intr.fx, intr.fy, intr.cx, intr.cy) == (1000.0, 1000.0, 0.1, 450.0)
+        cam = CameraModel(intrinsics=intr, extrinsics=CameraExtrinsics(rotation=np.eye(3), translation=np.zeros(3)), id="c0")
+        path = tmp_path / "calib.json"
+        save_rig(path, CameraRig(cameras=(cam,)))
+        assert load_rig(path)[0].intrinsics == intr
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("cx", True), ("fx", np.True_), ("fy", "1000"), ("cy", None), ("fx", 10**400), ("cx", math.nan), ("cy", -math.inf)],
+        ids=["bool", "numpy-bool", "string", "none", "huge", "nan", "inf"],
+    )
+    def test_intrinsic_floats_must_be_finite_numbers(self, key, value):
+        fields = dict(fx=1000.0, fy=1000.0, cx=800.0, cy=450.0, width=1600, height=900)
+        fields[key] = value
+        with pytest.raises(GeometryError, match=f"{key} must be a finite number"):
+            CameraIntrinsics(**fields)
+
     def test_duplicate_camera_ids_rejected(self, ident_cam):
         with pytest.raises(GeometryError):
             CameraRig(cameras=(ident_cam, ident_cam))
@@ -526,6 +546,13 @@ class TestCalibrationJson:
         assert set(cam) == {"id", "fx", "fy", "cx", "cy", "width", "height", "rotation", "translation"}
         assert len(cam["rotation"]) == 9
         assert len(cam["translation"]) == 3
+
+    def test_unserializable_payload_leaves_the_file_unchanged(self, tmp_path):
+        path = tmp_path / "calib.json"
+        path.write_bytes(b"previous bytes\n")
+        with pytest.raises(TypeError):
+            camgeo._json_write(path, {"fx": np.float32(1000)})
+        assert path.read_bytes() == b"previous bytes\n"
 
     def test_missing_cameras_key(self):
         with pytest.raises(GeometryError):

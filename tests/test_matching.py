@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,46 @@ class TestFocalLoss:
                     loss += -0.75 * p**2.0 * math.log(1.0 - p)
             assert focal_loss(probs, target) == float(loss)
 
+    def test_rows_where_numpy_rounds_apart_equal_a_per_entry_loop(self):
+        # Two-class rows with an entry whose array square or ``np.log``
+        # (of p or 1 - p) differs from float ``** 2.0`` or ``math.log``, so
+        # numpy's own square or log would move their sums.
+        probs = np.random.default_rng(55).dirichlet(np.ones(2), size=20000)
+        floats = probs.tolist()
+        apart = (
+            (probs * probs != [[p**2.0 for p in row] for row in floats])
+            | (np.log(probs) != [[math.log(p) for p in row] for row in floats])
+            | (np.log(1.0 - probs) != [[math.log(1.0 - p) for p in row] for row in floats])
+        )
+        rows = probs[apart.any(axis=1)]
+        assert len(rows)
+        for row in rows:
+            for target in (None, 0, 1):
+                assert focal_loss(row, target) == written_out_focal_sum(row[None], [target])
+
+
+def written_out_focal_sum(probs, targets):
+    """The summed focal loss entry by entry on Python floats, with
+    ``math.log`` and float ``**``: each row's terms added in class order
+    from 0.0, then the rows in order from 0.0."""
+    total = 0.0
+    for row, target in zip(probs.tolist(), targets):
+        loss = 0.0
+        for idx, p in enumerate(row):
+            if idx == target:
+                if p < 1e-12:
+                    warnings.warn("target probability clamped to 1e-12 in focal loss")
+                    p = 1e-12
+                loss += -0.25 * (1.0 - p) ** 2.0 * math.log(p)
+            else:
+                q = 1.0 - p
+                if q < 1e-12:
+                    warnings.warn("negative-class probability clamped to 1e-12 in focal loss")
+                    q = 1e-12
+                loss += -0.75 * p**2.0 * math.log(q)
+        total += loss
+    return total
+
 
 class TestL1RegLoss:
     def test_identical_zero(self):
@@ -565,6 +606,41 @@ class TestSetLoss:
         assert breakdown.reg == reg_total
         assert [str(w.message) for w in caught] == [str(w.message) for w in expected_warnings]
         assert "negative-class probability clamped to 1e-12 in focal loss" in {str(w.message) for w in caught}
+
+    @staticmethod
+    def dirichlet_set(seed, concentration):
+        """900 predictions of 10 classes against 40 ground truths."""
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.full(10, concentration), size=900)
+        preds = [(row, random_box(rng)) for row in probs]
+        gts = [(int(rng.integers(0, 10)), random_box(rng)) for _ in range(40)]
+        return probs, preds, gts
+
+    @pytest.mark.parametrize("seed, concentration", [(51, 1.0), (52, 0.5), (53, 5.0)])
+    def test_classification_equals_a_per_entry_loop(self, seed, concentration):
+        probs, preds, gts = self.dirichlet_set(seed, concentration)
+        breakdown, assignment = set_loss(preds, gts)
+        targets = [None] * len(preds)
+        for r, c in assignment.pairs:
+            targets[r] = gts[c][0]
+        assert len(assignment.pairs) == 40
+        assert breakdown.cls == written_out_focal_sum(probs, targets)
+
+    def test_clamped_entries_warn_and_equal_a_per_entry_loop(self):
+        probs, preds, gts = self.dirichlet_set(54, 1.0)
+        # One-hot rows: a negative class at 1 and targets at 0 both clamp.
+        for i in range(0, 900, 150):
+            probs[i] = np.eye(10)[i % 10]
+            preds[i] = (probs[i], preds[i][1])
+        with pytest.warns(UserWarning) as caught:
+            breakdown, assignment = set_loss(preds, gts)
+        targets = [None] * len(preds)
+        for r, c in assignment.pairs:
+            targets[r] = gts[c][0]
+        with pytest.warns(UserWarning) as expected:
+            total = written_out_focal_sum(probs, targets)
+        assert breakdown.cls == total
+        assert [str(w.message) for w in caught] == [str(w.message) for w in expected]
 
     def test_no_per_row_loss_or_vector_calls(self, monkeypatch):
         calls = []

@@ -272,6 +272,57 @@ class TestRegionSplit:
         assert split.overlapping.gt_count == 0
 
 
+class TestRegionSplitOracle:
+    """Each region report is ``evaluate`` of the boxes ``classify_regions``
+    puts in that region, filtered here one box at a time."""
+
+    @staticmethod
+    def oracle_scene(seed):
+        rng = np.random.default_rng(seed)
+        # The single camera sees no overlap, so its overlapping region is empty.
+        rig = gen_rig("single" if seed % 5 == 4 else "nuscenes-like")
+        gts = gen_objects(seed, int(rng.integers(5, 60)), class_count=4)
+        gts += [gt((0, 0, 60), class_id=1), gt((0, 0, -40), class_id=3)]  # invisible to every camera
+        noise = NoiseSpec(center_sigma=0.5, yaw_sigma=0.2, velocity_sigma=0.3, drop_rate=0.2, false_positive_rate=0.4)
+        preds = perturb_predictions(gts, noise, seed=seed + 100, class_count=4)
+        # Many tied scores, 0.0 and -0.0 among them.
+        preds = [DetectionResult(box=p.box, score=float(rng.choice([0.0, -0.0, 0.5, p.score]))) for p in preds]
+        if seed % 2:
+            def beyond_int64(b):
+                return Box3D(center=b.center, size=b.size, yaw=b.yaw, velocity=b.velocity,
+                             class_id=2**64 + b.class_id, attribute_id=b.attribute_id)
+
+            gts = [beyond_int64(g) for g in gts]
+            preds = [DetectionResult(box=beyond_int64(p.box), score=p.score) for p in preds]
+        return preds, gts, rig
+
+    def test_region_reports_equal_evaluate_of_the_filtered_lists(self):
+        covered = set()
+        for seed in range(20):
+            preds, gts, rig = self.oracle_scene(seed)
+            split = evaluate_region_split(preds, gts, rig)
+            gt_labels = classify_regions(gts, rig)
+            pred_labels = classify_regions([p.box for p in preds], rig)
+            expected = {"overall": evaluate(preds, gts)}
+            for region in (RegionLabel.OVERLAPPING, RegionLabel.NON_OVERLAPPING):
+                kept_preds = [p for p, label in zip(preds, pred_labels) if label is region]
+                kept_gts = [g for g, label in zip(gts, gt_labels) if label is region]
+                expected[region.value] = evaluate(kept_preds, kept_gts)
+                if not kept_preds and not kept_gts:
+                    covered.add("empty region")
+            for name, report in expected.items():
+                assert json.dumps(getattr(split, name).to_dict(), sort_keys=True) == json.dumps(
+                    report.to_dict(), sort_keys=True
+                ), (seed, name)
+            if RegionLabel.INVISIBLE in gt_labels:
+                covered.add("invisible ground truths")
+            if {math.copysign(1.0, p.score) for p in preds if p.score == 0.0} == {1.0, -1.0}:
+                covered.add("signed zero ties")
+            if max(g.class_id for g in gts) >= 2**63:
+                covered.add("class ids past int64")
+        assert covered == {"empty region", "invisible ground truths", "signed zero ties", "class ids past int64"}
+
+
 class TestMatchDetections:
     def test_one_to_one(self):
         gts = [gt((0, 0, 0)), gt((1.0, 0, 0))]
@@ -368,7 +419,9 @@ class TestOneMatchingPass:
         scores = [0.0, -0.0, 0.5, -0.0, 0.5, 0.0, -0.25, 0.5, -0.25, 0.0]
         gts = [gt((3.0 * j, 0, 0)) for j in range(4)]
         preds = [det((3.0 * (i % 4) + 0.1 * i, 0, 0), s) for i, s in enumerate(scores)]
-        [(rows, _, _)] = metrics._greedy_matches(preds, gts, (0,), (2.0,))
+        table = metrics._Table(preds, gts)
+        assert table.order.tolist() == [2, 4, 7, 0, 1, 3, 5, 9, 6, 8]
+        [(rows, _, _)] = metrics._greedy_matches(table, table.order, table.all_gts, [0], (2.0,))
         assert rows == [2, 4, 7, 0, 1, 3, 5, 9, 6, 8]
         for th in metrics.DIST_THRESHOLDS:
             assert match_detections(preds, gts, th) == reference_greedy_pairs(preds, gts, 0, th)
