@@ -19,11 +19,13 @@ weighted sum:
 aggregation, run on a fixed configuration (dim 16, 4 nodes, every component).
 Its loss is the sum of the query plus the sum of the decoder's own
 ``_graph_update``, not the residual, as its field has 4 channels and its
-queries 16.  It works in groups of 32 probes: it chooses a group's probes one
-at a time, jittering each off the bilinear and ReLU kinks, then scores the
-group at once, with one sampling call for its nodes' analytic gradients and
-one ``_graph_update`` call for all its finite-difference cases, and folds the
-deviations into running counts and maxima before it chooses the next group.
+queries 16.  It works in groups of 32 probes: it draws, derives and screens a
+group's probes as one batch, rewinding its generator to jitter a probe off a
+bilinear or ReLU kink alone, so it chooses the probes that one-at-a-time
+draws would.  It then scores the group at once, with one sampling call for
+its nodes' analytic gradients and one ``_graph_update`` call for all its
+finite-difference cases, and folds the deviations into running counts and
+maxima before it chooses the next group.
 
 All parameters are stored as finite, read-only 64-bit copies and all
 arithmetic is 64-bit.  Given identical seeds and inputs the decoder is
@@ -228,6 +230,7 @@ class QuerySet:
 
 
 _MAX_QUERIES = 4096  # self-attention's two (M, M) float64 buffers: 256 MiB
+_MAX_NEIGHBORS = 1024  # a layer's (M, K, 3) float64 nodes and offsets: 192 MiB at _MAX_QUERIES queries
 
 
 def init_queries(seed: int, count: int, dim: int, bounds: SceneBounds) -> QuerySet:
@@ -419,10 +422,11 @@ def init_decoder(
     neighbors: int = 16,
     heads: int = 8,
 ) -> list[DecoderLayer]:
-    """Deterministic seeded decoder stack."""
+    """Deterministic seeded decoder stack of graphs of 1 to
+    ``_MAX_NEIGHBORS`` neighbors."""
     layers = _check_int(layers, "layers", DecoderError, lo=1)
     dim = _check_int(dim, "dim", DecoderError, lo=1)
-    neighbors = _check_int(neighbors, "neighbors", DecoderError, lo=1)
+    neighbors = _check_int(neighbors, "neighbors", DecoderError, lo=1, hi=_MAX_NEIGHBORS)
     heads = _check_int(heads, "heads", DecoderError, lo=1)
     built = []
     for li in range(layers):
@@ -723,6 +727,11 @@ _GRAD_RIG = gen_rig("nuscenes-like")
 # Probes chosen and scored per group; only one group is held at a time, so
 # this bounds the memory of a grad_check call of any size.
 _GRAD_GROUP = 32
+# A probe is jittered while a sample position lies within this many level
+# pixels of a bilinear kink, or a query step can cross a ReLU kink, at most
+# this many times.
+_KINK_MARGIN = 1e-3
+_JITTERS = 8
 
 
 class _GradProbe:
@@ -742,28 +751,51 @@ class _GradProbe:
     # -- forward pieces ----------------------------------------------------
 
     def derive(self, q: np.ndarray):
-        """(reference, nodes, offsets, weights) of one query's graph."""
+        """(reference, nodes, offsets, weights) of one query's graph; leading
+        axes of ``q`` broadcast."""
         c = decode_reference_point(q, self.ref_net, self.bounds)
         return (c, *graph_nodes(q, c, self.offset_net, self.weight_net, self.offset_scale))
 
-    def signed_steps(self, q: np.ndarray, derived, component: str, eps: float):
-        """(qs, nodes, weights) of one component's central-difference cases:
-        a step of +eps along each of its axes, then one of -eps along each."""
+    def derive_rows(self, qs: np.ndarray):
+        """``derive`` of each row of (n, C) queries, with the bits of a
+        one-row derive: a (n, 1, C) stack runs n one-row products."""
+        return tuple(part[:, 0] for part in self.derive(qs[:, None, :]))
+
+    def cases(self, qs: np.ndarray, derived, eps: float):
+        """(qs, nodes, weights) of the central-difference cases of P probes,
+        given their queries (P, C) and graphs ``derived = self.derive_rows(qs)``.
+
+        A probe's cases come in component order (offset, weight, query), and
+        each component's in two halves: a step of +eps along each of its
+        axes, then one of -eps along each.  The query steps of all P probes
+        are derived in one ``derive_rows`` call.
+        """
         c, nodes, offsets, weights = derived
-        if component == "query":
-            qs = np.concatenate([q + eps * np.eye(len(q)), q - eps * np.eye(len(q))])
-            # A (n, 1, C) stack derives each step with the one-row bits.
-            _, nodes, _, weights = self.derive(qs[:, None, :])
-            return qs, nodes[:, 0], weights[:, 0]
-        if component == "offset":
-            unit = eps * np.eye(offsets.size).reshape(-1, *offsets.shape)
-            nodes = c + np.concatenate([offsets + unit, offsets - unit])
-        else:
-            unit = eps * np.eye(len(weights))
-            weights = np.concatenate([weights + unit, weights - unit])
-        n = 2 * len(unit)
-        qs = np.tile(q, (n, 1))
-        return qs, np.broadcast_to(nodes, (n, *offsets.shape)), np.broadcast_to(weights, (n, len(offsets)))
+        (p, k), dim = weights.shape, qs.shape[1]
+        n_offset, n_weight = 6 * k, 2 * k
+
+        def signed(values, axes):
+            """(P, 2 * axes, ...): each probe's values stepped by +eps along
+            each axis, then by -eps along each."""
+            unit = eps * np.eye(axes).reshape(axes, *values.shape[1:])
+            return np.concatenate([values[:, None] + unit, values[:, None] - unit], axis=1)
+
+        step_qs = signed(qs, dim)
+        _, step_nodes, _, step_weights = self.derive_rows(step_qs.reshape(-1, dim))
+        case_qs = np.concatenate([np.broadcast_to(qs[:, None], (p, n_offset + n_weight, dim)), step_qs], axis=1)
+        case_nodes = np.concatenate(
+            [
+                c[:, None, None] + signed(offsets, 3 * k),
+                np.broadcast_to(nodes[:, None], (p, n_weight, k, 3)),
+                step_nodes.reshape(p, -1, k, 3),
+            ],
+            axis=1,
+        )
+        case_weights = np.concatenate(
+            [np.broadcast_to(weights[:, None], (p, n_offset, k)), signed(weights, k), step_weights.reshape(p, -1, k)],
+            axis=1,
+        )
+        return case_qs.reshape(-1, dim), case_nodes.reshape(-1, k, 3), case_weights.reshape(-1, k)
 
     # -- analytic gradients -------------------------------------------------
 
@@ -807,43 +839,123 @@ class _GradProbe:
 
     # -- kink detection ------------------------------------------------------
 
-    def near_relu_kink(self, q: np.ndarray, eps: float) -> bool:
-        """True when a step of ``eps`` along one query axis can carry some
-        ReLU preactivation of the ref, offset or weight net across zero.
+    def near_relu_kink(self, qs: np.ndarray, eps: float) -> np.ndarray:
+        """Per query of (..., C) queries: True when a step of ``eps`` along
+        one query axis can carry some ReLU preactivation of the ref, offset or
+        weight net across zero.
 
         The reach of the step is bounded layer by layer by the absolute
-        weights (ReLU is 1-Lipschitz), one column per query axis.
+        weights (ReLU is 1-Lipschitz), one column per query axis.  The reach
+        does not depend on the query, so each net's chain is built once per
+        call.  The queries run as a (n, 1, C) stack, so each gets the
+        preactivations of a one-row product, as ``derive_rows`` does.
         """
+        rows = qs.reshape(-1, 1, qs.shape[-1])
+        near = np.zeros(len(rows), dtype=bool)
         for mlp in (self.ref_net, self.offset_net, self.weight_net):
-            reach = eps * np.eye(len(q))
-            for z, w, act in zip(mlp.preactivations(q), mlp.weights, mlp.activations):
+            reach = eps * np.eye(qs.shape[-1])
+            for z, w, act in zip(mlp.preactivations(rows), mlp.weights, mlp.activations):
                 reach = np.abs(w) @ reach
-                if act == "relu" and np.any(np.abs(z)[:, None] <= reach):
-                    return True
-        return False
+                if act == "relu":
+                    near |= (np.abs(z)[:, 0, :, None] <= reach).any(axis=(1, 2))
+        return near.reshape(qs.shape[:-1])
 
-    def min_level_margin(self, nodes: np.ndarray) -> float:
-        """Smallest distance of any sample position to a level border or,
-        inside the level, to an integer coordinate line, in level pixels.
-        A node at a depth in (0, 1e-3] in some camera gives 0.
+    def min_level_margin(self, nodes: np.ndarray) -> np.ndarray:
+        """Per graph of (..., K, 3) nodes: the smallest distance of any of its
+        sample positions to a level border or, inside the level, to an
+        integer coordinate line, in level pixels.  A graph with a node at a
+        depth in (0, 1e-3] in some camera gives 0.
 
-        One core projection covers the whole rig, and each level index is
-        tested once over all cameras: a pyramid's cameras share level shapes
-        and strides."""
-        u, v, depths = _project(nodes, self.rig.cameras)
-        if np.any((depths > 0) & (depths <= 1e-3)):
-            return 0.0
+        One core projection covers every node in the whole rig, and each
+        level index is tested once over all cameras: a pyramid's cameras
+        share level shapes and strides.  A position's distance does not
+        depend on the other nodes of the call."""
+        k = nodes.shape[-2]
+        u, v, depths = (part.ravel() for part in _project(nodes, self.rig.cameras))
         front = depths > 1e-3
-        u, v = u[front], v[front]
-        margin = np.inf
+        # A position behind or too near a camera is no sample: it is placed at
+        # 0 for the arithmetic, then left out of the minimum.
+        u, v = np.where(front, u, 0.0), np.where(front, v, 0.0)
+        margin = np.full(u.shape, np.inf)
         for level in self.pyr.levels(0):
             pu, pv = u / level.stride, v / level.stride
             inside = _inside_rows(level, pu, pv)
             for pos, last in ((pu, level.width - 1), (pv, level.height - 1)):
-                border = min(np.abs(pos).min(initial=np.inf), np.abs(last - pos).min(initial=np.inf))
-                frac = np.abs(pos[inside] - np.round(pos[inside]))
-                margin = min(margin, border, frac.min(initial=np.inf))
-        return float(margin)
+                margin = np.minimum(margin, np.minimum(np.abs(pos), np.abs(last - pos)))
+                margin[inside] = np.minimum(margin[inside], np.abs(pos[inside] - np.round(pos[inside])))
+        # Camera-major entries: axis 1 runs over the graphs, axis 2 over a graph's nodes.
+        per_graph = np.where(front, margin, np.inf).reshape(len(self.rig.cameras), -1, k)
+        margins = per_graph.min(axis=(0, 2))
+        margins[((depths > 0) & ~front).reshape(per_graph.shape).any(axis=(0, 2))] = 0.0
+        return margins.reshape(nodes.shape[:-2])
+
+    def kink_free(self, qs: np.ndarray, nodes: np.ndarray, eps: float) -> np.ndarray:
+        """Per probe of (P, C) queries and their (P, K, 3) graph nodes: True
+        when its sample positions keep clear of the bilinear kinks and no
+        query step can cross a ReLU kink."""
+        return (self.min_level_margin(nodes) > _KINK_MARGIN) & ~self.near_relu_kink(qs, eps)
+
+    def choose(self, rng: np.random.Generator, count: int, eps: float):
+        """(qs, derived, jittered) of ``count`` probes drawn from ``rng``:
+        queries (count, C), their graphs as ``derive_rows`` gives them, and
+        the number of jitters.
+
+        Bit for bit, this is the loop that draws one query at a time and
+        jitters it until it is ``kink_free`` (at most ``_JITTERS`` times, the
+        last jitter taken unchecked), but it draws, derives and screens the
+        probes still to choose as one batch.  The probes before the first
+        one that fails are kept.  For that one, the generator is rewound to
+        before the batch and the draws the one-at-a-time loop had made up to
+        it are drawn again, then it is jittered through the same screen with
+        one row, and the next batch is drawn after its jitters.
+        """
+        dim = self.ref_net.in_dim
+        qs, derived, jittered = [], [], 0
+        while (left := count - sum(map(len, qs))) > 0:
+            state = rng.bit_generator.state
+            batch = rng.uniform(-1.0, 1.0, size=(left, dim))
+            graphs = self.derive_rows(batch)
+            failed = np.flatnonzero(~self.kink_free(batch, graphs[1], eps))
+            kept = failed[0] if len(failed) else left
+            qs.append(batch[:kept])
+            derived.append([part[:kept] for part in graphs])
+            if not len(failed):
+                break
+            rng.bit_generator.state = state
+            q = rng.uniform(-1.0, 1.0, size=(kept + 1, dim))[-1:]
+            for attempt in range(_JITTERS):
+                q = q + rng.uniform(-0.05, 0.05, size=dim)
+                jittered += 1
+                graph = self.derive_rows(q)
+                if attempt == _JITTERS - 1 or self.kink_free(q, graph[1], eps)[0]:
+                    break
+            qs.append(q)
+            derived.append(graph)
+        return np.concatenate(qs), tuple(map(np.concatenate, zip(*derived))), jittered
+
+
+def _grad_setup(seed: int) -> tuple[_GradProbe, np.random.Generator]:
+    """grad_check's probe for ``seed`` and the generator its probes are drawn
+    from, after the field's coefficients."""
+    dim, k, channels = 16, 4, 4
+    rng = derived_rng(seed, 40)
+    fld = AnalyticField(
+        a=rng.uniform(-1, 1, channels),
+        b=rng.uniform(-1, 1, channels) * 0.01,
+        c=rng.uniform(-1, 1, channels) * 0.01,
+        d=rng.uniform(-1, 1, channels) * 1e-5,
+    )
+    net_rng = derived_rng(seed, 41)
+    probe = _GradProbe(
+        pyr=render_pyramid(fld, _GRAD_RIG, strides=(8, 16)),
+        rig=_GRAD_RIG,
+        ref_net=Mlp.seeded([dim, dim, 3], net_rng),
+        offset_net=Mlp.seeded([dim, dim, 3 * k], net_rng),
+        weight_net=Mlp.seeded([dim, k], net_rng),
+        bounds=SceneBounds(lo=(5.0, -6.0, 0.5), hi=(25.0, 6.0, 2.5)),
+        offset_scale=1.0,
+    )
+    return probe, rng
 
 
 def grad_check(
@@ -856,17 +968,23 @@ def grad_check(
     finite differences, for queries of dim 16 and graphs of 4 nodes, in every
     component ("offset", "weight", "query").
 
-    The probes come in groups of up to ``_GRAD_GROUP``.  A group's probes
-    are chosen one at a time: a probe whose sample positions land on (or too
-    close to) a bilinear kink, or whose query steps can cross a ReLU kink of
-    the ref, offset or weight net, is jittered by a small deterministic
-    amount and retried; jitters are counted in the report.  The group is
-    then scored at once: one ``node_grads`` call on all its nodes, one
-    ``_graph_update`` call on all its finite-difference cases, and one
-    ``analytic`` call per probe, in probe order.  Each component's count and
-    maximum deviations are running values, so no probe outlives its group.
-    Scoring draws no random numbers, a case's loss and a node's gradient do
-    not depend on the other rows of a call, and a maximum does not depend on
+    The probes come in groups of up to ``_GRAD_GROUP``.  A probe whose
+    sample positions land on (or too close to) a bilinear kink, or whose
+    query steps can cross a ReLU kink of the ref, offset or weight net, is
+    jittered by a small deterministic amount and retried; jitters are
+    counted in the report.  A group's probes are chosen as one batch
+    (``_GradProbe.choose``): its queries are drawn, derived and screened at
+    once, the probes before the first failing one are kept, and the
+    generator is rewound to redraw the draws up to that probe, which is
+    then jittered alone; the batch resumes after its jitters.  So the
+    probes and the jitter count are those of drawing and screening one
+    probe at a time.  The group is then scored at once: one ``node_grads``
+    call on all its nodes, one ``cases`` call for all its finite-difference
+    cases, one ``_graph_update`` call on them, and one ``analytic`` call
+    per probe, in probe order.  Each component's count and maximum
+    deviations are running values, so no probe outlives its group.  Scoring
+    draws no random numbers, a case's loss and a node's gradient do not
+    depend on the other rows of a call, and a maximum does not depend on
     order, so grouping changes no bit.  Relative deviation is
     |analytic - fd| / (1 + |analytic|).
 
@@ -879,50 +997,19 @@ def grad_check(
         raise DecoderError(f"tol must be finite and at least 0, got {tol}")
     probes = _check_int(probes, "probes", DecoderError, lo=1)
 
-    dim, k = 16, 4
-    rng = derived_rng(seed, 40)
-    channels = 4
-    fld = AnalyticField(
-        a=rng.uniform(-1, 1, channels),
-        b=rng.uniform(-1, 1, channels) * 0.01,
-        c=rng.uniform(-1, 1, channels) * 0.01,
-        d=rng.uniform(-1, 1, channels) * 1e-5,
-    )
-    pyr = render_pyramid(fld, _GRAD_RIG, strides=(8, 16))
-    bounds = SceneBounds(lo=(5.0, -6.0, 0.5), hi=(25.0, 6.0, 2.5))
-    net_rng = derived_rng(seed, 41)
-    probe = _GradProbe(
-        pyr=pyr,
-        rig=_GRAD_RIG,
-        ref_net=Mlp.seeded([dim, dim, 3], net_rng),
-        offset_net=Mlp.seeded([dim, dim, 3 * k], net_rng),
-        weight_net=Mlp.seeded([dim, k], net_rng),
-        bounds=bounds,
-        offset_scale=1.0,
-    )
+    probe, rng = _grad_setup(seed)
+    k = probe.weight_net.out_dim
     stats = dict.fromkeys(_GRAD_COMPONENTS, (0, 0.0, 0.0))  # (checked, max abs dev, max rel dev)
     n_jittered = 0
-    kink_margin = 1e-3
     for first in range(0, probes, _GRAD_GROUP):
-        group = []  # per probe: (q, derived)
-        for _ in range(min(_GRAD_GROUP, probes - first)):
-            q = rng.uniform(-1.0, 1.0, size=dim)
-            derived = probe.derive(q)
-            for _attempt in range(8):
-                if probe.min_level_margin(derived[1]) > kink_margin and not probe.near_relu_kink(q, eps):
-                    break
-                q = q + rng.uniform(-0.05, 0.05, size=dim)
-                n_jittered += 1
-                derived = probe.derive(q)
-            group.append((q, derived))
-
-        sums, dsums = probe.node_grads(np.concatenate([derived[1] for _, derived in group]))
-        steps = [probe.signed_steps(q, derived, name, eps) for q, derived in group for name in _GRAD_COMPONENTS]
-        qs, nodes, weights = (np.concatenate(parts) for parts in zip(*steps))
-        losses = qs.sum(axis=1) + _graph_update(nodes, weights, pyr, _GRAD_RIG).sum(axis=1)
+        qs, derived, jittered = probe.choose(rng, min(_GRAD_GROUP, probes - first), eps)
+        n_jittered += jittered
+        sums, dsums = probe.node_grads(derived[1].reshape(-1, 3))
+        case_qs, nodes, weights = probe.cases(qs, derived, eps)
+        losses = case_qs.sum(axis=1) + _graph_update(nodes, weights, probe.pyr, probe.rig).sum(axis=1)
         start = 0
-        for (q, derived), s, ds in zip(group, sums.reshape(-1, k), dsums.reshape(-1, k, 3)):
-            grads = probe.analytic(q, derived, s, ds)
+        for q, graph, s, ds in zip(qs, zip(*derived), sums.reshape(-1, k), dsums.reshape(-1, k, 3)):
+            grads = probe.analytic(q, graph, s, ds)
             # A component has one +eps and one -eps case per gradient entry.
             for name, grad in zip(_GRAD_COMPONENTS, grads):
                 lp, lm = losses[start : start + 2 * grad.size].reshape(2, -1)

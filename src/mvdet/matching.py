@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -119,20 +120,12 @@ def _check_probs(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def match_cost(
-    preds: Sequence[tuple[np.ndarray, Box3D]],
-    gts: Sequence[tuple[int, Box3D]],
-) -> np.ndarray:
-    """(N, G) matching cost matrix between N predictions and G ground truths.
-
-    Each prediction is (class_probs, Box3D) and each ground truth is
-    (class_id, Box3D); every prediction must score the same classes.  Entry
-    (i, j) is 1.0 * (-prob of gt j's class under prediction i) plus 0.25 *
-    the summed absolute difference of the regression vectors; the weights
-    are fixed, as in DETR's matching cost.
-    """
-    if not preds:
-        return np.zeros((0, len(gts)))
+def _cost_terms(preds, gts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(cost, probs, gt_cls, pv, gv): ``match_cost``'s (N, G) matrix and
+    what it is built from, the checked (N, K) probability rows, the G
+    ground-truth classes and the (N, 10) and (G, 10) regression rows.
+    ``set_loss`` takes them all from here, so each is stacked and checked
+    once per call."""
     probs = _check_probs(_stack_probs(p for p, _ in preds))
     gt_cls = np.array([_check_int(c, "gt class", MatchingError, lo=0, hi=probs.shape[1] - 1) for c, _ in gts], dtype=np.int64)
     pv = _regression_rows([b for _, b in preds])
@@ -148,7 +141,25 @@ def match_cost(
         np.subtract(block[:, None], gv[None], out=diff)
         np.abs(diff, out=diff)
         diff.sum(axis=2, out=reg[start : start + len(block)])
-    return _COST_CLS_WEIGHT * -probs[:, gt_cls] + _COST_REG_WEIGHT * reg
+    cost = _COST_CLS_WEIGHT * -probs[:, gt_cls] + _COST_REG_WEIGHT * reg
+    return cost, probs, gt_cls, pv, gv
+
+
+def match_cost(
+    preds: Sequence[tuple[np.ndarray, Box3D]],
+    gts: Sequence[tuple[int, Box3D]],
+) -> np.ndarray:
+    """(N, G) matching cost matrix between N predictions and G ground truths.
+
+    Each prediction is (class_probs, Box3D) and each ground truth is
+    (class_id, Box3D); every prediction must score the same classes.  Entry
+    (i, j) is 1.0 * (-prob of gt j's class under prediction i) plus 0.25 *
+    the summed absolute difference of the regression vectors; the weights
+    are fixed, as in DETR's matching cost.
+    """
+    if not preds:
+        return np.zeros((0, len(gts)))
+    return _cost_terms(preds, gts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +325,6 @@ def hungarian(cost: np.ndarray) -> Assignment:
 # Losses
 
 
-# Python's own float log and pow, mapped over arrays: ``np.log`` and array
-# ``**`` round differently on some inputs.
-_log = np.frompyfunc(math.log, 1, 1)
-_pow = np.frompyfunc(pow, 2, 1)
 _CLAMP_WARNINGS = (
     "negative-class probability clamped to 1e-12 in focal loss",
     "target probability clamped to 1e-12 in focal loss",
@@ -328,11 +335,11 @@ def _focal_sum(probs: np.ndarray, targets: list) -> float:
     """Summed focal loss of (N, K) probability rows; a target of None scores
     its row as background.
 
-    The N x K terms are built as arrays, each the weight times the ``_pow``
-    power times the ``_log`` log, multiplied in that order: bit for bit the
-    float expression of each entry.  Each clamped entry warns, in row-major
-    order.  Each row's terms are added in class order by ``np.cumsum``,
-    which adds in sequence, then the rows in order from 0.0.
+    The N x K terms are built as arrays, each the weight times the float
+    ``pow`` power times the ``math.log`` log, multiplied in that order: bit
+    for bit the float expression of each entry.  Each clamped entry warns,
+    in row-major order.  Each row's terms are added in class order by
+    ``np.cumsum``, which adds in sequence, then the rows in order from 0.0.
     """
     rows = [i for i, t in enumerate(targets) if t is not None]
     is_target = np.zeros(probs.shape, dtype=bool)
@@ -347,7 +354,11 @@ def _focal_sum(probs: np.ndarray, targets: list) -> float:
     inner[clamped] = _PROB_FLOOR
     base = np.where(is_target, 1.0 - inner, probs)
     weight = np.where(is_target, -_ALPHA, -(1.0 - _ALPHA))
-    terms = weight * _pow(base, _GAMMA).astype(np.float64) * _log(inner).astype(np.float64)
+    # Python's own float pow and log over the entries' Python floats:
+    # ``np.log`` and array ``**`` round differently on some inputs.
+    power = np.fromiter(map(pow, base.ravel().tolist(), repeat(_GAMMA)), np.float64, count=base.size)
+    log = np.fromiter(map(math.log, inner.ravel().tolist()), np.float64, count=inner.size)
+    terms = weight * power.reshape(base.shape) * log.reshape(inner.shape)
     total = 0.0
     for loss in np.cumsum(terms, axis=1)[:, -1].tolist():
         total += loss
@@ -390,15 +401,15 @@ def set_loss(
     """
     if not preds:
         return LossBreakdown(cls=0.0, reg=0.0), Assignment(pairs=(), total_cost=0.0)
-    assignment = hungarian(match_cost(preds, gts))
+    cost, probs, gt_cls, pv, gv = _cost_terms(preds, gts)
+    assignment = hungarian(cost)
     targets: list[int | None] = [None] * len(preds)
     for r, c in assignment.pairs:
-        targets[r] = int(gts[c][0])
-    cls_total = _focal_sum(_stack_probs(p for p, _ in preds), targets)
-    pv = _regression_rows([preds[r][1] for r, _ in assignment.pairs])
-    gv = _regression_rows([gts[c][1] for _, c in assignment.pairs])
+        targets[r] = int(gt_cls[c])
+    cls_total = _focal_sum(probs, targets)
+    rows, cols = np.array(assignment.pairs, dtype=np.int64).reshape(-1, 2).T
     reg_total = 0.0
-    for value in np.abs(pv - gv).mean(axis=1).tolist():
+    for value in np.abs(pv[rows] - gv[cols]).mean(axis=1).tolist():
         reg_total += value
     return LossBreakdown(cls=cls_total, reg=reg_total), assignment
 

@@ -50,6 +50,9 @@ __all__ = [
 
 DEFAULT_STRIDES = (8, 16, 32, 64)
 DEFAULT_BOUNDS = SceneBounds(lo=(-40.0, -40.0, -0.5), hi=(40.0, 40.0, 3.0))
+# A level is rendered through (H, W, C) float64 arrays: 177 MiB each for the
+# stride-8 level of a 1600 x 900 camera at this many channels.
+_MAX_CHANNELS = 1024
 
 
 class ConfigError(ValueError):
@@ -214,8 +217,9 @@ def render_pyramid(
     coordinates v: ``evaluate`` computes ``((a + b*u) + c*v) + (d*u)*v``, so
     ``b*u``, ``c*v`` and ``d*u`` are one row or column long and only three
     operations span the level, with the same operations per pixel as on the
-    full grid.
+    full grid.  The field has 1 to ``_MAX_CHANNELS`` channels.
     """
+    _check_int(len(field.a), "channels", ConfigError, lo=1, hi=_MAX_CHANNELS)
     strides = [_check_int(stride, "stride", ConfigError, lo=1) for stride in strides]
     rendered: dict[tuple[int, int, int], FeatureLevel] = {}
     cams = []
@@ -327,8 +331,9 @@ def perturb_predictions(
 
 
 def random_field(seed: int, kind: str, channels: int) -> AnalyticField:
-    """Seeded field coefficients; slopes are scaled down so values stay O(1)."""
-    channels = _check_int(channels, "channels", ConfigError, lo=1)
+    """Seeded field coefficients of 1 to ``_MAX_CHANNELS`` channels; slopes
+    are scaled down so values stay O(1)."""
+    channels = _check_int(channels, "channels", ConfigError, lo=1, hi=_MAX_CHANNELS)
     rng = derived_rng(seed, 2)
     a = rng.uniform(-1.0, 1.0, size=channels)
     b = rng.uniform(-1.0, 1.0, size=channels) * 1e-3

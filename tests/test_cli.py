@@ -516,6 +516,27 @@ def test_queries_above_bound_usage_error(scene_dir, tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize(
+    "command, flag, bound",
+    [("decode", "--neighbors", decoder._MAX_NEIGHBORS), ("bench", "--neighbors", decoder._MAX_NEIGHBORS),
+     ("synth", "--channels", synth._MAX_CHANNELS)],
+)
+def test_size_above_memory_bound_usage_error(scene_dir, tmp_path, capsys, command, flag, bound):
+    # Unbounded, numpy refuses these sizes' allocations at once and the
+    # command ends in its MemoryError traceback with exit code 1.
+    argv = {
+        "decode": ["decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
+                   "--calib", str(scene_dir / "calib.json"), "--queries", "4",
+                   "--layers", "1", "--heads", "2", "--seed", "1", "--out", str(tmp_path / "p.json")],
+        "bench": ["bench", "--queries", "4", "--cameras", "1", "--levels", "1",
+                  "--dim", "8", "--layers", "1", "--heads", "2", "--repeats", "1"],
+        "synth": ["synth", "--seed", "1", "--objects", "2", "--strides", "8", "--out", str(tmp_path / "scene")],
+    }[command]
+    assert main([*argv, flag, "1000000000000"]) == 2
+    assert capsys.readouterr().err == f"error: {flag[2:]} must be at most {bound}, got 1000000000000\n"
+    assert not (tmp_path / "p.json").exists() and not (tmp_path / "scene").exists()
+
+
+@pytest.mark.parametrize(
     "command, flag, value, named",
     [
         ("synth", "--strides", "8,0", "stride must be at least 1, got 0"),

@@ -3,12 +3,13 @@ import json
 import math
 import re
 import tracemalloc
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mvdet.camgeo import Box3D, DetectionResult, SceneBounds, back_project, box_corners, project_points
+from mvdet.camgeo import Box3D, DetectionResult, SceneBounds, _project, back_project, box_corners, project_points
 from mvdet.decoder import (
     FIXED_POINTS_BOX_SIZE,
     AggregationMode,
@@ -18,7 +19,9 @@ from mvdet.decoder import (
     Mlp,
     PredictionHead,
     QuerySet,
+    _MAX_NEIGHBORS,
     _aggregate,
+    _grad_setup,
     _GradProbe,
     decode_predictions,
     decode_reference_point,
@@ -34,7 +37,7 @@ from mvdet.decoder import (
     softmax,
 )
 from mvdet import featcore
-from mvdet.featcore import FeatureLevel, FeaturePyramid, sample_multiview_many, write_tensor
+from mvdet.featcore import FeatureLevel, FeaturePyramid, _inside_rows, sample_multiview_many, write_tensor
 from mvdet.synth import AnalyticField, gen_rig, make_scene, render_pyramid
 
 from helpers import constant_pyramid, degenerate_layer, make_ident_cam
@@ -165,6 +168,7 @@ _INVALID_VALUES = {
     "head-reg-net": lambda: PredictionHead(reg_net=Mlp.zeros([4, 9]), cls_net=Mlp.zeros([4, 2])),
     "head-no-classes": lambda: PredictionHead(reg_net=Mlp.zeros([4, 10]), cls_net=Mlp.zeros([4, 0])),
     "init-decoder-dim-fraction": lambda: init_decoder(0, layers=1, dim=8.5, neighbors=1, heads=1),
+    "init-decoder-neighbors-above-bound": lambda: init_decoder(0, layers=1, dim=4, neighbors=_MAX_NEIGHBORS + 1, heads=1),
     "init-queries-count-fraction": lambda: init_queries(0, 2.5, 4, BOUNDS),
     "init-queries-count-huge": lambda: init_queries(0, 10**5000, 4, BOUNDS),
     "attention-heads-fraction": lambda: AttentionParams.seeded(5, 2.5, np.random.default_rng(0)),
@@ -990,8 +994,8 @@ class TestGradCheck:
 
     def test_min_level_margin_equals_per_camera_loop(self, monkeypatch):
         # Reference: the per-camera loop the margin ran before one rig-wide
-        # projection fed one test per level index, checked on every node
-        # set grad_check asks about for seeds 0-39.
+        # projection fed one test per level index, checked for every graph
+        # of every batch grad_check screens for seeds 0-39.
         def per_camera_margin(probe, nodes):
             margin = np.inf
             for ci, cam in enumerate(probe.rig):
@@ -1013,14 +1017,100 @@ class TestGradCheck:
 
         def checked(probe, nodes):
             got = min_level_margin(probe, nodes)
-            assert got == per_camera_margin(probe, nodes)
-            margins.append(got)
+            assert got.shape == nodes.shape[:-2]
+            for graph, margin in zip(nodes.reshape(-1, *nodes.shape[-2:]), got.ravel().tolist()):
+                assert margin == per_camera_margin(probe, graph)
+                margins.append(margin)
             return got
 
         monkeypatch.setattr(_GradProbe, "min_level_margin", checked)
         for seed in range(40):
             grad_check(seed=seed, probes=8)
         assert len(margins) > 320 and min(margins) <= 1e-3
+
+    @staticmethod
+    def one_query_near_relu_kink(probe, q, eps):
+        """The ReLU screen of one (C,) query, its reach chain built per query."""
+        for mlp in (probe.ref_net, probe.offset_net, probe.weight_net):
+            reach = eps * np.eye(len(q))
+            for z, w, act in zip(mlp.preactivations(q), mlp.weights, mlp.activations):
+                reach = np.abs(w) @ reach
+                if act == "relu" and np.any(np.abs(z)[:, None] <= reach):
+                    return True
+        return False
+
+    @staticmethod
+    def one_graph_margin(probe, nodes):
+        """The bilinear screen of one graph's (K, 3) nodes: one rig-wide
+        projection, then one test per level index."""
+        u, v, depths = _project(nodes, probe.rig.cameras)
+        if np.any((depths > 0) & (depths <= 1e-3)):
+            return 0.0
+        front = depths > 1e-3
+        u, v = u[front], v[front]
+        margin = np.inf
+        for level in probe.pyr.levels(0):
+            pu, pv = u / level.stride, v / level.stride
+            inside = _inside_rows(level, pu, pv)
+            for pos, last in ((pu, level.width - 1), (pv, level.height - 1)):
+                border = min(np.abs(pos).min(initial=np.inf), np.abs(last - pos).min(initial=np.inf))
+                frac = np.abs(pos[inside] - np.round(pos[inside]))
+                margin = min(margin, border, frac.min(initial=np.inf))
+        return float(margin)
+
+    def one_at_a_time(self, probe, rng, count, eps):
+        """Reference: the selection loop that draws, derives and screens one
+        probe at a time, through the one-graph and one-query screens above.
+        Returns per probe its query, its graph, its jitter count and the
+        generator state after it."""
+        chosen = []
+        for _ in range(count):
+            q = rng.uniform(-1.0, 1.0, size=probe.ref_net.in_dim)
+            derived = probe.derive(q)
+            jittered = 0
+            for _attempt in range(8):
+                if self.one_graph_margin(probe, derived[1]) > 1e-3 and not self.one_query_near_relu_kink(probe, q, eps):
+                    break
+                q = q + rng.uniform(-0.05, 0.05, size=len(q))
+                jittered += 1
+                derived = probe.derive(q)
+            chosen.append((q, derived, jittered, rng.bit_generator.state))
+        return chosen
+
+    def assert_choice_equals_one_at_a_time(self, seeds, eps):
+        """Chooses 1, 31, 32, 32 + 1 and 32 + 32 + 6 probes of each seed in
+        groups of 32, so a rewind can fall inside a group, on its last probe
+        and on the first probe of the next, and asserts the bits, jitter
+        counts and final generator state of ``one_at_a_time``.  Returns each
+        seed's 70 reference jitter counts."""
+        counts = []
+        for seed in seeds:
+            probe, rng = _grad_setup(seed)
+            reference = self.one_at_a_time(probe, deepcopy(rng), 70, eps)
+            counts.append([jittered for _, _, jittered, _ in reference])
+            for probes in (1, 31, 32, 33, 70):
+                group_rng, chosen = deepcopy(rng), []
+                for first in range(0, probes, 32):
+                    qs, derived, jittered = probe.choose(group_rng, min(32, probes - first), eps)
+                    assert jittered == sum(counts[-1][first : first + len(qs)])
+                    chosen += zip(qs, zip(*derived))
+                assert len(chosen) == probes
+                for (q, graph), (ref_q, ref_graph, _, _) in zip(chosen, reference):
+                    assert q.tobytes() == ref_q.tobytes()
+                    assert [part.tobytes() for part in graph] == [part.tobytes() for part in ref_graph]
+                assert group_rng.bit_generator.state == reference[probes - 1][3]
+        return counts
+
+    def test_batched_choice_equals_one_at_a_time(self):
+        counts = self.assert_choice_equals_one_at_a_time([*range(200), 236352767], 1e-4)
+        jittered_at = {i for seed_counts in counts for i, n in enumerate(seed_counts) if n}
+        assert {0, 31, 32} & jittered_at and jittered_at - {0, 31, 32, 69}
+
+    def test_batched_choice_keeps_the_jitter_cap(self):
+        # A query step of 1 reaches some ReLU kink from every query, so every
+        # probe is jittered 8 times and its last jitter is taken unchecked.
+        counts = self.assert_choice_equals_one_at_a_time(range(3), 1.0)
+        assert {n for seed_counts in counts for n in seed_counts} == {8}
 
     def test_default_config_passes(self):
         report = grad_check(seed=42, probes=8)
@@ -1138,26 +1228,26 @@ class TestGradCheck:
         # a one-case ``_graph_update`` call, on the probes grad_check draws.
         from mvdet import decoder
 
-        steps, updates = [], []
-        signed_steps, graph_update = _GradProbe.signed_steps, decoder._graph_update
+        groups, updates = [], []
+        cases, graph_update = _GradProbe.cases, decoder._graph_update
 
-        def record_steps(probe, *args):
-            steps.append(signed_steps(probe, *args))
-            return steps[-1]
+        def record_cases(probe, *args):
+            groups.append(cases(probe, *args))
+            return groups[-1]
 
         def record_update(nodes, weights, pyr, rig):
             updates.append((nodes, weights, pyr, rig, graph_update(nodes, weights, pyr, rig)))
             return updates[-1][-1]
 
-        monkeypatch.setattr(_GradProbe, "signed_steps", record_steps)
+        monkeypatch.setattr(_GradProbe, "cases", record_cases)
         monkeypatch.setattr(decoder, "_graph_update", record_update)
         for seed in (0, 5, 42, 236352767):
             grad_check(seed=seed, probes=4)
-        # One call per grad_check scores the cases of all its probes, whose
-        # signed steps come 4 probes times 3 components to a call.
-        assert len(updates) == 4 and len(steps) == 4 * 12
-        for call, (nodes, weights, pyr, rig, update) in enumerate(updates):
-            qs, step_nodes, step_weights = map(np.concatenate, zip(*steps[12 * call : 12 * (call + 1)]))
+        # One call per grad_check builds the cases of all its 4 probes, each
+        # with 2 * (12 + 4 + 16) cases, and one call scores them.
+        assert len(updates) == len(groups) == 4
+        for (qs, step_nodes, step_weights), (nodes, weights, pyr, rig, update) in zip(groups, updates):
+            assert qs.shape == (4 * 64, 16)
             assert step_nodes.tobytes() == nodes.tobytes() and step_weights.tobytes() == weights.tobytes()
             losses = qs.sum(axis=1) + update.sum(axis=1)
             expected = np.array([

@@ -657,18 +657,24 @@ class TestSetLoss:
         set_loss(*seeded_set(8, 60, 12))
         assert calls == []
 
-    def test_one_match_cost_call_per_set_loss(self, monkeypatch):
-        cost = matching.match_cost
+    def test_one_cost_build_per_set_loss(self, monkeypatch):
+        # set_loss takes its cost matrix, probability rows and regression rows
+        # from one _cost_terms call, which stacks the probabilities once and
+        # the regression rows once per box set.
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return cost(*args, **kwargs)
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(matching, "match_cost", counting)
+            return counted
+
+        for name in ("_cost_terms", "_stack_probs", "_regression_rows"):
+            monkeypatch.setattr(matching, name, counting(name, getattr(matching, name)))
         preds, gts = seeded_set(7, 30, 6)
         set_loss(preds, gts)
-        assert len(calls) == 1
+        assert calls == ["_cost_terms", "_stack_probs", "_regression_rows", "_regression_rows"]
 
 
 class TestPredictionJson:

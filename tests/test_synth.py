@@ -8,6 +8,7 @@ from mvdet.camgeo import RegionLabel, classify_regions, project_points, visible_
 from mvdet.featcore import FeatureError, bilinear_sample_many, sample_multiview_many
 from mvdet.metrics import evaluate, match_detections
 from mvdet.synth import (
+    _MAX_CHANNELS,
     AnalyticField,
     CameraSpec,
     ConfigError,
@@ -293,6 +294,11 @@ _INVALID_VALUES = {
     "objects-no-classes": lambda: gen_objects(1, 5, class_count=0),
     "scene-channels-fraction": lambda: make_scene(1, channels=2.5),
     "scene-no-channels": lambda: make_scene(1, channels=0),
+    "random-field-channels-above-bound": lambda: random_field(1, "bilinear", _MAX_CHANNELS + 1),
+    "render-no-channels": lambda: render_pyramid(AnalyticField.constant(np.zeros(0)), gen_rig("single"), strides=(64,)),
+    "render-channels-above-bound": lambda: render_pyramid(
+        AnalyticField.constant(np.zeros(_MAX_CHANNELS + 1)), gen_rig("single"), strides=(64,)
+    ),
     "camera-spec-width-fraction": lambda: CameraSpec(id="c", yaw_deg=0.0, width=1600.5),
     "camera-spec-width-bool": lambda: CameraSpec(id="c", yaw_deg=0.0, width=True),
     "noise-center-nan": lambda: NoiseSpec(center_sigma=math.nan),
