@@ -375,10 +375,11 @@ def _box_corners(boxes: Sequence[Box3D]) -> np.ndarray:
     (B, 8, 3) @ (B, 3, 3) matmul of the half-size offsets with each box's
     yaw rotation, built from ``math.cos``/``math.sin`` per yaw."""
     n = len(boxes)
-    half = np.array([b.size for b in boxes]).reshape(n, 3) / 2.0
-    centers = np.array([b.center for b in boxes]).reshape(n, 3)
-    cos = np.array([math.cos(b.yaw) for b in boxes])
-    sin = np.array([math.sin(b.yaw) for b in boxes])
+    half = np.concatenate([b.size for b in boxes]).reshape(n, 3) / 2.0
+    centers = np.concatenate([b.center for b in boxes]).reshape(n, 3)
+    yaws = [b.yaw for b in boxes]
+    cos = np.fromiter(map(math.cos, yaws), np.float64, count=n)
+    sin = np.fromiter(map(math.sin, yaws), np.float64, count=n)
     rot = np.zeros((n, 3, 3))
     rot[:, 0, 0] = cos
     rot[:, 0, 1] = -sin
@@ -409,8 +410,8 @@ def classify_regions(boxes: Sequence[Box3D], rig: CameraRig) -> list[RegionLabel
     """
     if not boxes:
         return []
-    centers = np.array([b.center for b in boxes])
-    probes = np.concatenate([centers[:, None, :], _box_corners(boxes)], axis=1)
+    centers = np.concatenate([b.center for b in boxes]).reshape(-1, 1, 3)
+    probes = np.concatenate([centers, _box_corners(boxes)], axis=1)
     counts = visible_counts(probes.reshape(-1, 3), rig).reshape(len(boxes), 9)
     return [_REGION_BY_COUNT[c] for c in np.minimum(counts.max(axis=1), 2).tolist()]
 

@@ -22,10 +22,11 @@ Its loss is the sum of the query plus the sum of the decoder's own
 queries 16.  It works in groups of 32 probes: it draws, derives and screens a
 group's probes as one batch, rewinding its generator to jitter a probe off a
 bilinear or ReLU kink alone, so it chooses the probes that one-at-a-time
-draws would.  It then scores the group at once, with one sampling call for
-its nodes' analytic gradients and one ``_graph_update`` call for all its
-finite-difference cases, and folds the deviations into running counts and
-maxima before it chooses the next group.
+draws would.  It then scores the group at once, with one projection and one
+sampling call for its nodes' analytic gradients, one analytic call for its
+probes, and one ``_graph_update`` call for all its finite-difference cases,
+and folds the deviations into running counts and maxima before it chooses
+the next group.
 
 All parameters are stored as finite, read-only 64-bit copies and all
 arithmetic is 64-bit.  Given identical seeds and inputs the decoder is
@@ -60,7 +61,6 @@ from .camgeo import (
     _json_write,
     _project,
     box_corners,
-    project_points,
 )
 from .featcore import (
     TENSOR_VERSION,
@@ -231,11 +231,17 @@ class QuerySet:
 
 _MAX_QUERIES = 4096  # self-attention's two (M, M) float64 buffers: 256 MiB
 _MAX_NEIGHBORS = 1024  # a layer's (M, K, 3) float64 nodes and offsets: 192 MiB at _MAX_QUERIES queries
+# A layer's nets hold about 14 * dim**2 float64 weights, 112 MiB at _MAX_DIM,
+# and its FFN (M, 4 * dim) float64 rows, 128 MiB at _MAX_QUERIES queries; a
+# stack of _MAX_LAYERS such layers holds 896 MiB of nets.
+_MAX_DIM = 1024
+_MAX_LAYERS = 8
+_MAX_CLASSES = 1024  # the head's (M, classes) float64 logits and probabilities: 64 MiB at _MAX_QUERIES queries
 
 
 def init_queries(seed: int, count: int, dim: int, bounds: SceneBounds) -> QuerySet:
     count = _check_int(count, "count", DecoderError, lo=1, hi=_MAX_QUERIES)
-    dim = _check_int(dim, "dim", DecoderError, lo=1)
+    dim = _check_int(dim, "dim", DecoderError, lo=1, hi=_MAX_DIM)
     rng = derived_rng(seed, 10)
     bound = 1.0 / math.sqrt(dim)
     return QuerySet(embeddings=rng.uniform(-bound, bound, size=(count, dim)), scene_bounds=bounds)
@@ -422,10 +428,11 @@ def init_decoder(
     neighbors: int = 16,
     heads: int = 8,
 ) -> list[DecoderLayer]:
-    """Deterministic seeded decoder stack of graphs of 1 to
-    ``_MAX_NEIGHBORS`` neighbors."""
-    layers = _check_int(layers, "layers", DecoderError, lo=1)
-    dim = _check_int(dim, "dim", DecoderError, lo=1)
+    """Deterministic seeded decoder stack of 1 to ``_MAX_LAYERS`` layers of
+    width 1 to ``_MAX_DIM``, with graphs of 1 to ``_MAX_NEIGHBORS``
+    neighbors."""
+    layers = _check_int(layers, "layers", DecoderError, lo=1, hi=_MAX_LAYERS)
+    dim = _check_int(dim, "dim", DecoderError, lo=1, hi=_MAX_DIM)
     neighbors = _check_int(neighbors, "neighbors", DecoderError, lo=1, hi=_MAX_NEIGHBORS)
     heads = _check_int(heads, "heads", DecoderError, lo=1)
     built = []
@@ -540,8 +547,8 @@ class PredictionHead:
 
     @classmethod
     def seeded(cls, seed: int, dim: int, num_classes: int = 10) -> "PredictionHead":
-        dim = _check_int(dim, "dim", DecoderError, lo=1)
-        num_classes = _check_int(num_classes, "num_classes", DecoderError, lo=1)
+        dim = _check_int(dim, "dim", DecoderError, lo=1, hi=_MAX_DIM)
+        num_classes = _check_int(num_classes, "num_classes", DecoderError, lo=1, hi=_MAX_CLASSES)
         rng = derived_rng(seed, 30)
         return cls(reg_net=Mlp.seeded([dim, dim, 10], rng), cls_net=Mlp.seeded([dim, num_classes], rng))
 
@@ -801,41 +808,60 @@ class _GradProbe:
 
     def node_grads(self, nodes: np.ndarray):
         """Per-node S_j (channel-summed feature) (N,) and dS_j/dnode (N, 3) of
-        (N, 3) nodes; a node's values do not depend on the other nodes."""
+        (N, 3) nodes; a node's values do not depend on the other nodes.  One
+        core projection covers the nodes in every camera of the rig."""
         sums = np.zeros((len(nodes), 3))
-        for ci, cam in enumerate(self.rig):
-            intr, rot = cam.intrinsics, cam.extrinsics.rotation
-            pixels, depths = project_points(nodes, cam)
-            # d(u, v)/dnode = (f * R_row - (pixel - principal point) * R_2) / depth;
-            # rows behind the camera are NaN and never inside a level.
-            centered = pixels - (intr.cx, intr.cy)
-            focal = np.array([[intr.fx], [intr.fy]])
-            jac = (focal * rot[:2] - centered[:, :, None] * rot[2]) / depths[:, None, None]
+        u, v, depths = _project(nodes, self.rig.cameras)
+        # Rows behind a camera are NaN and never inside a level.
+        pixels = np.stack([u, v], axis=-1)
+        pixels[depths <= 0] = np.nan
+        intr = [cam.intrinsics for cam in self.rig]
+        rot = np.array([cam.extrinsics.rotation for cam in self.rig])
+        focal = np.array([[[k.fx], [k.fy]] for k in intr])
+        centered = pixels - np.array([[(k.cx, k.cy)] for k in intr])
+        # d(u, v)/dnode = (f * R_row - (pixel - principal point) * R_2) / depth,
+        # a (cameras, N, 2, 3) array.
+        jac = ((focal * rot[:, :2])[:, None] - centered[..., None] * rot[:, None, None, 2]) / depths[..., None, None]
+        for ci in range(len(intr)):
             for level in self.pyr.levels(ci):
-                rows, grads = bilinear_grad(level, pixels / level.stride)
+                rows, grads = bilinear_grad(level, pixels[ci] / level.stride)
                 # A stacked (1, 2) @ (2, 3) matmul rounds as the one-row product.
-                sums[rows] += (grads.sum(axis=1)[:, None, :] @ jac[rows])[:, 0] / level.stride
+                sums[rows] += (grads.sum(axis=1)[:, None, :] @ jac[ci, rows])[:, 0] / level.stride
         feats, counts = sample_multiview_many(self.pyr, self.rig, nodes)
         ds = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
         return feats.sum(axis=1), ds
 
-    def analytic(self, q: np.ndarray, derived, s: np.ndarray, ds: np.ndarray):
-        """Gradients of the loss w.r.t. offsets (K,3), weights (K,), query (C,),
-        given the query's graph ``derived = self.derive(q)`` and its nodes'
-        ``(s, ds) = self.node_grads(nodes)``."""
+    def analytic(self, qs: np.ndarray, derived, sums: np.ndarray, dsums: np.ndarray):
+        """Gradients of the loss of P probes w.r.t. their offsets (P, K, 3),
+        weights (P, K) and queries (P, C), given their queries (P, C), their
+        graphs ``derived = self.derive_rows(qs)`` and their nodes' sums
+        (P, K) and dsums (P, K, 3) from ``node_grads``.
+
+        A probe's gradients have the bits of a one-probe call: the ref and
+        offset nets run as a (P, 1, C) stack, each net's Jacobian is taken
+        once per probe (ref, offset, weight, in probe order), and each
+        chain-rule product is a stacked (P, 1, n) @ (P, n, C) matmul of
+        one-row products."""
         weights = derived[3]
-        grad_offsets = weights[:, None] * ds
-        grad_weights = s
+        grad_offsets = weights[..., None] * dsums
+        jacs = [(self.ref_net.jacobian(q), self.offset_net.jacobian(q), self.weight_net.jacobian(q)) for q in qs]
+        jac_ref, jac_off, jac_w = map(np.stack, zip(*jacs))
         # Query gradient: residual + weight path + node path, where a node is
         # the reference plus its offset.
-        sig_ref = sigmoid(self.ref_net(q))
-        dc_dq = (self.bounds.extent * sig_ref * (1 - sig_ref))[:, None] * self.ref_net.jacobian(q)
-        z_off = self.offset_net(q)
-        doff_dq = (self.offset_scale * (1 - np.tanh(z_off) ** 2))[:, None] * self.offset_net.jacobian(q)
+        rows = qs[:, None, :]
+        sig_ref = sigmoid(self.ref_net(rows)[:, 0])
+        dc_dq = (self.bounds.extent * sig_ref * (1 - sig_ref))[..., None] * jac_ref
+        z_off = self.offset_net(rows)[:, 0]
+        doff_dq = (self.offset_scale * (1 - np.tanh(z_off) ** 2))[..., None] * jac_off
         # The edge weights are the weight net's sigmoid outputs.
-        dw_dq = (weights * (1 - weights))[:, None] * self.weight_net.jacobian(q)
-        grad_q = 1.0 + s @ dw_dq + grad_offsets.sum(axis=0) @ dc_dq + grad_offsets.reshape(-1) @ doff_dq
-        return grad_offsets, grad_weights, grad_q
+        dw_dq = (weights * (1 - weights))[..., None] * jac_w
+        grad_q = (
+            1.0
+            + (sums[:, None] @ dw_dq)[:, 0]
+            + (grad_offsets.sum(axis=1)[:, None] @ dc_dq)[:, 0]
+            + (grad_offsets.reshape(len(qs), 1, -1) @ doff_dq)[:, 0]
+        )
+        return grad_offsets, sums, grad_q
 
     # -- kink detection ------------------------------------------------------
 
@@ -980,13 +1006,13 @@ def grad_check(
     probes and the jitter count are those of drawing and screening one
     probe at a time.  The group is then scored at once: one ``node_grads``
     call on all its nodes, one ``cases`` call for all its finite-difference
-    cases, one ``_graph_update`` call on them, and one ``analytic`` call
-    per probe, in probe order.  Each component's count and maximum
-    deviations are running values, so no probe outlives its group.  Scoring
-    draws no random numbers, a case's loss and a node's gradient do not
-    depend on the other rows of a call, and a maximum does not depend on
-    order, so grouping changes no bit.  Relative deviation is
-    |analytic - fd| / (1 + |analytic|).
+    cases, one ``_graph_update`` call on them, one ``analytic`` call for
+    the group, and one array of deviations per component.  Each
+    component's count and maximum deviations are running values, so no
+    probe outlives its group.  Scoring draws no random numbers, a case's
+    loss and a probe's or node's gradients do not depend on the other rows
+    of a call, and a maximum does not depend on order, so grouping changes
+    no bit.  Relative deviation is |analytic - fd| / (1 + |analytic|).
 
     ``eps`` must be finite and positive, ``tol`` finite and at least 0, and
     ``probes`` at least 1.
@@ -1007,18 +1033,24 @@ def grad_check(
         sums, dsums = probe.node_grads(derived[1].reshape(-1, 3))
         case_qs, nodes, weights = probe.cases(qs, derived, eps)
         losses = case_qs.sum(axis=1) + _graph_update(nodes, weights, probe.pyr, probe.rig).sum(axis=1)
+        losses = losses.reshape(len(qs), -1)
+        grads = probe.analytic(qs, derived, sums.reshape(-1, k), dsums.reshape(-1, k, 3))
         start = 0
-        for q, graph, s, ds in zip(qs, zip(*derived), sums.reshape(-1, k), dsums.reshape(-1, k, 3)):
-            grads = probe.analytic(q, graph, s, ds)
-            # A component has one +eps and one -eps case per gradient entry.
-            for name, grad in zip(_GRAD_COMPONENTS, grads):
-                lp, lm = losses[start : start + 2 * grad.size].reshape(2, -1)
-                start += 2 * grad.size
-                dev = np.abs(grad.ravel() - (lp - lm) / (2 * eps))
-                rel = dev / (1.0 + np.abs(grad.ravel()))
-                checked, worst_abs, worst_rel = stats[name]
-                # Python's max, unlike np.max, skips a NaN that does not come first.
-                stats[name] = checked + len(dev), max(worst_abs, *dev), max(worst_rel, *rel)
+        for name, grad in zip(_GRAD_COMPONENTS, grads):
+            # A probe has one +eps and one -eps case per entry of a component.
+            grad = grad.reshape(len(qs), -1)
+            n = grad.shape[1]
+            lp, lm = losses[:, start : start + n], losses[:, start + n : start + 2 * n]
+            start += 2 * n
+            dev = np.abs(grad - (lp - lm) / (2 * eps))
+            rel = dev / (1.0 + np.abs(grad))
+            checked, worst_abs, worst_rel = stats[name]
+            # Python's max, unlike np.max, skips a NaN that does not come first.
+            stats[name] = (
+                checked + dev.size,
+                max(worst_abs, *dev.ravel().tolist()),
+                max(worst_rel, *rel.ravel().tolist()),
+            )
 
     reports = [
         ComponentReport(name, checked, n_jittered, float(worst_abs), float(worst_rel), float(tol))

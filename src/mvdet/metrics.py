@@ -376,12 +376,13 @@ def evaluate_region_split(
 
     Region reports keep only ground truths classified into that region and
     predictions whose own boxes classify the same way; boxes invisible to
-    every camera appear only in the overall report.  Each box set is
-    classified once, and both are stacked once for all three reports.
+    every camera appear only in the overall report.  The predictions' and
+    the ground truths' boxes are classified in one call, and both sets are
+    stacked once for all three reports.
     """
     table = _Table(preds, gts)
-    gt_labels = np.array(classify_regions(table.gts, rig), dtype=object)
-    pred_labels = np.array(classify_regions([p.box for p in table.preds], rig), dtype=object)
+    labels = np.array(classify_regions([p.box for p in table.preds] + table.gts, rig), dtype=object)
+    pred_labels, gt_labels = labels[: len(table.preds)], labels[len(table.preds) :]
     reports = [_report(table, table.order, table.all_gts)]
     for region in map(RegionLabel, _REGIONS[1:]):
         rows = table.order[pred_labels[table.order] == region]

@@ -518,11 +518,13 @@ def test_queries_above_bound_usage_error(scene_dir, tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize(
     "command, flag, bound",
     [("decode", "--neighbors", decoder._MAX_NEIGHBORS), ("bench", "--neighbors", decoder._MAX_NEIGHBORS),
-     ("synth", "--channels", synth._MAX_CHANNELS)],
+     ("synth", "--channels", synth._MAX_CHANNELS), ("decode", "--layers", decoder._MAX_LAYERS),
+     ("bench", "--layers", decoder._MAX_LAYERS), ("bench", "--dim", decoder._MAX_DIM),
+     ("decode", "--classes", decoder._MAX_CLASSES)],
 )
 def test_size_above_memory_bound_usage_error(scene_dir, tmp_path, capsys, command, flag, bound):
-    # Unbounded, numpy refuses these sizes' allocations at once and the
-    # command ends in its MemoryError traceback with exit code 1.
+    # Each size is tried at its bound + 1: the command must exit 2 naming the
+    # size before anything of that size is built.
     argv = {
         "decode": ["decode", "--pyramid", str(scene_dir / "pyramid" / "pyramid.json"),
                    "--calib", str(scene_dir / "calib.json"), "--queries", "4",
@@ -531,8 +533,9 @@ def test_size_above_memory_bound_usage_error(scene_dir, tmp_path, capsys, comman
                   "--dim", "8", "--layers", "1", "--heads", "2", "--repeats", "1"],
         "synth": ["synth", "--seed", "1", "--objects", "2", "--strides", "8", "--out", str(tmp_path / "scene")],
     }[command]
-    assert main([*argv, flag, "1000000000000"]) == 2
-    assert capsys.readouterr().err == f"error: {flag[2:]} must be at most {bound}, got 1000000000000\n"
+    assert main([*argv, flag, str(bound + 1)]) == 2
+    name = {"--classes": "num_classes"}.get(flag, flag[2:])
+    assert capsys.readouterr().err == f"error: {name} must be at most {bound}, got {bound + 1}\n"
     assert not (tmp_path / "p.json").exists() and not (tmp_path / "scene").exists()
 
 

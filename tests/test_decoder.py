@@ -19,6 +19,9 @@ from mvdet.decoder import (
     Mlp,
     PredictionHead,
     QuerySet,
+    _MAX_CLASSES,
+    _MAX_DIM,
+    _MAX_LAYERS,
     _MAX_NEIGHBORS,
     _aggregate,
     _grad_setup,
@@ -169,12 +172,17 @@ _INVALID_VALUES = {
     "head-no-classes": lambda: PredictionHead(reg_net=Mlp.zeros([4, 10]), cls_net=Mlp.zeros([4, 0])),
     "init-decoder-dim-fraction": lambda: init_decoder(0, layers=1, dim=8.5, neighbors=1, heads=1),
     "init-decoder-neighbors-above-bound": lambda: init_decoder(0, layers=1, dim=4, neighbors=_MAX_NEIGHBORS + 1, heads=1),
+    "init-decoder-dim-above-bound": lambda: init_decoder(0, layers=1, dim=_MAX_DIM + 1, neighbors=1, heads=1),
+    "init-decoder-layers-above-bound": lambda: init_decoder(0, layers=_MAX_LAYERS + 1, dim=4, neighbors=1, heads=1),
+    "init-queries-dim-above-bound": lambda: init_queries(0, 2, _MAX_DIM + 1, BOUNDS),
     "init-queries-count-fraction": lambda: init_queries(0, 2.5, 4, BOUNDS),
     "init-queries-count-huge": lambda: init_queries(0, 10**5000, 4, BOUNDS),
     "attention-heads-fraction": lambda: AttentionParams.seeded(5, 2.5, np.random.default_rng(0)),
     "attention-heads-bool": lambda: AttentionParams.seeded(4, True, np.random.default_rng(0)),
     "head-dim-fraction": lambda: PredictionHead.seeded(0, dim=2.5),
     "head-classes-fraction": lambda: PredictionHead.seeded(0, dim=4, num_classes=2.5),
+    "head-dim-above-bound": lambda: PredictionHead.seeded(0, dim=_MAX_DIM + 1),
+    "head-classes-above-bound": lambda: PredictionHead.seeded(0, dim=4, num_classes=_MAX_CLASSES + 1),
     "grad-check-probes-fraction": lambda: grad_check(probes=2.5),
     "grad-check-probes-bool": lambda: grad_check(probes=True),
 }
@@ -920,10 +928,86 @@ class TestGradCheck:
             bounds=SceneBounds(lo=(5, -6, 0.5), hi=(25, 6, 2.5)),
             offset_scale=1.0,
         )
-        q = rng.uniform(-1, 1, 8)
-        derived = probe.derive(q)
-        grad_offsets, _, _ = probe.analytic(q, derived, *probe.node_grads(derived[1]))
-        assert np.all(grad_offsets == 0.0)
+        qs = rng.uniform(-1, 1, (3, 8))
+        derived = probe.derive_rows(qs)
+        sums, dsums = probe.node_grads(derived[1].reshape(-1, 3))
+        grad_offsets, _, _ = probe.analytic(qs, derived, sums.reshape(3, 2), dsums.reshape(3, 2, 3))
+        assert grad_offsets.shape == (3, 2, 3) and np.all(grad_offsets == 0.0)
+
+    @staticmethod
+    def one_probe_analytic(probe, q, derived, s, ds):
+        """Reference: the gradients of one probe, given its (C,) query, its
+        graph, and its nodes' (K,) sums and (K, 3) dsums, each product a
+        one-query matmul."""
+        weights = derived[3]
+        grad_offsets = weights[:, None] * ds
+        sig_ref = sigmoid(probe.ref_net(q))
+        dc_dq = (probe.bounds.extent * sig_ref * (1 - sig_ref))[:, None] * probe.ref_net.jacobian(q)
+        z_off = probe.offset_net(q)
+        doff_dq = (probe.offset_scale * (1 - np.tanh(z_off) ** 2))[:, None] * probe.offset_net.jacobian(q)
+        dw_dq = (weights * (1 - weights))[:, None] * probe.weight_net.jacobian(q)
+        grad_q = 1.0 + s @ dw_dq + grad_offsets.sum(axis=0) @ dc_dq + grad_offsets.reshape(-1) @ doff_dq
+        return grad_offsets, s, grad_q
+
+    def test_group_analytic_equals_one_probe_at_a_time(self):
+        # Each group grad_check scores at 1, 8 and 33 probes (32 + 1), on the
+        # probes it chooses and the node gradients it takes.
+        checked = 0
+        for seed in range(200):
+            for probes in (1, 8, 33):
+                probe, rng = _grad_setup(seed)
+                k = probe.weight_net.out_dim
+                for first in range(0, probes, 32):
+                    qs, derived, _ = probe.choose(rng, min(32, probes - first), 1e-4)
+                    sums, dsums = probe.node_grads(derived[1].reshape(-1, 3))
+                    sums, dsums = sums.reshape(-1, k), dsums.reshape(-1, k, 3)
+                    got = probe.analytic(qs, derived, sums, dsums)
+                    assert [g.shape for g in got] == [(len(qs), k, 3), (len(qs), k), qs.shape]
+                    for i, (q, graph, s, ds) in enumerate(zip(qs, zip(*derived), sums, dsums)):
+                        expected = self.one_probe_analytic(probe, q, graph, s, ds)
+                        assert [g[i].tobytes() for g in got] == [e.tobytes() for e in expected]
+                        checked += 1
+        assert checked == 200 * (1 + 8 + 33)
+
+    @staticmethod
+    def per_camera_node_grads(probe, nodes):
+        """Reference: the node gradients taken through one ``project_points``
+        call per camera."""
+        sums = np.zeros((len(nodes), 3))
+        for ci, cam in enumerate(probe.rig):
+            intr, rot = cam.intrinsics, cam.extrinsics.rotation
+            pixels, depths = project_points(nodes, cam)
+            centered = pixels - (intr.cx, intr.cy)
+            focal = np.array([[intr.fx], [intr.fy]])
+            jac = (focal * rot[:2] - centered[:, :, None] * rot[2]) / depths[:, None, None]
+            for level in probe.pyr.levels(ci):
+                rows, grads = featcore.bilinear_grad(level, pixels / level.stride)
+                sums[rows] += (grads.sum(axis=1)[:, None, :] @ jac[rows])[:, 0] / level.stride
+        feats, counts = sample_multiview_many(probe.pyr, probe.rig, nodes)
+        ds = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+        return feats.sum(axis=1), ds
+
+    def test_node_grads_equal_per_camera_loop(self, monkeypatch):
+        # On every group of nodes grad_check scores for seeds 0-49, and on
+        # nodes scattered around the rig, most of them seen by no camera.
+        node_grads = _GradProbe.node_grads
+        seen = []
+
+        def checked(probe, nodes):
+            got = node_grads(probe, nodes)
+            expected = self.per_camera_node_grads(probe, nodes)
+            assert [part.tobytes() for part in got] == [part.tobytes() for part in expected]
+            seen.append(len(nodes))
+            return got
+
+        monkeypatch.setattr(_GradProbe, "node_grads", checked)
+        for seed in range(50):
+            grad_check(seed=seed, probes=8)
+        assert seen == [8 * 4] * 50
+        probe, rng = _grad_setup(0)
+        nodes = rng.uniform((-60.0, -60.0, -5.0), (60.0, 60.0, 10.0), (500, 3))
+        sums, dsums = checked(probe, nodes)
+        assert np.any(dsums == 0.0) and np.any(dsums != 0.0)
 
     def test_linear_field_gradient_equals_slope(self):
         # For a field linear in u, dS/du equals the slope exactly; checked
